@@ -23,46 +23,56 @@ _SKIP_CORRECTION = 1e-14
 
 
 def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
-    """Move a unit-mass nonnegative matrix into the transportation polytope
-    with the given row and column sums.
+    """Move unit-mass nonnegative matrices into the transportation polytopes
+    of the given row and column sums.
 
-    Requires the matrix and both targets to have total mass 1 within 1e-10
-    and the targets to be nonnegative; the output then matches the targets
-    to ~1e-15 and stays entrywise nonnegative.
+    Takes one (d, d) matrix with (d,) targets, or a (k, d, d) stack with
+    (k, d) targets that is rounded matrix by matrix, bit for bit as k
+    separate calls.  Requires finite inputs, every matrix and target to have
+    total mass 1 within 1e-10 and the targets to be nonnegative; the output
+    then matches the targets to ~1e-15 and stays entrywise nonnegative.
     """
     p = np.array(matrix, dtype=np.float64)
     r = np.asarray(row_targets, dtype=np.float64)
     c = np.asarray(col_targets, dtype=np.float64)
-    d = p.shape[0]
-    if p.shape != (d, d) or r.shape != (d,) or c.shape != (d,):
+    single = p.ndim == 2
+    if single:
+        p, r, c = p[None], r[None], c[None]
+    if p.ndim != 3 or p.shape[1] != p.shape[2] or r.shape != p.shape[:2] or c.shape != r.shape:
         raise ValidationError(
-            f"expected a square matrix with matching targets, got {p.shape}, {r.shape}, {c.shape}"
+            f"expected square matrices with matching targets, got {p.shape}, {r.shape}, {c.shape}"
         )
-    if r.min() < -_MASS_TOL or c.min() < -_MASS_TOL:
+    if not (np.isfinite(p).all() and np.isfinite(r).all() and np.isfinite(c).all()):
+        raise ValidationError("matrices and targets must not have non-finite entries")
+    if (r < -_MASS_TOL).any() or (c < -_MASS_TOL).any():
         raise ValidationError("row/column targets must be nonnegative")
-    for name, mass in (("matrix", p.sum()), ("row targets", r.sum()), ("column targets", c.sum())):
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise ValidationError(f"{name} mass {mass} differs from 1 beyond {_MASS_TOL}")
+    for name, mass in (("matrix", p.sum(axis=(1, 2))), ("row targets", r.sum(axis=1)),
+                       ("column targets", c.sum(axis=1))):
+        bad = np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL)
+        if bad.size:
+            raise ValidationError(
+                f"{name} mass {mass[bad[0]]} (block {bad[0]}) differs from 1 beyond {_MASS_TOL}"
+            )
     r = np.maximum(r, 0.0)
     c = np.maximum(c, 0.0)
 
-    row_sums = p.sum(axis=1)
+    row_sums = p.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(row_sums > 0.0, np.minimum(1.0, r / row_sums), 1.0)
-    p *= scale[:, None]
-    col_sums = p.sum(axis=0)
+    p *= scale[:, :, None]
+    col_sums = p.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(col_sums > 0.0, np.minimum(1.0, c / col_sums), 1.0)
-    p *= scale[None, :]
+    p *= scale[:, None, :]
 
     # Scaling never overshoots the targets, so both errors are nonnegative up
     # to roundoff; clamping keeps the rank-one correction sign-safe.
-    err_r = np.maximum(r - p.sum(axis=1), 0.0)
-    err_c = np.maximum(c - p.sum(axis=0), 0.0)
-    missing = err_r.sum()
-    if missing > _SKIP_CORRECTION:
-        p += np.outer(err_r, err_c) / missing
-    return p
+    err_r = np.maximum(r - p.sum(axis=2), 0.0)
+    err_c = np.maximum(c - p.sum(axis=1), 0.0)
+    missing = err_r.sum(axis=1)
+    fix = missing > _SKIP_CORRECTION
+    p[fix] += err_r[fix, :, None] * err_c[fix, None, :] / missing[fix, None, None]
+    return p[0] if single else p
 
 
 def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals:
@@ -71,8 +81,9 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
 
     Vertex blocks are returned untouched; each edge block is independently
     rounded to the transportation polytope of (mu_i + nu[e, 0],
-    mu_j + nu[e, 1]).  Every offset target must be a distribution within
-    1e-10 (automatic for recovered marginals with nu = 0).  With nu = 0 the
+    mu_j + nu[e, 1]), all edges in one stacked ``round_to_transport`` call.
+    Every offset target must be a finite distribution within 1e-10
+    (automatic for recovered marginals with nu = 0).  With nu = 0 the
     output lies in the local polytope, and when mu was recovered from a dual
     point the total edge movement is at most twice the summed slack norms.
     """
@@ -83,18 +94,14 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
         raise ValidationError(
             f"slack offset has shape {nu.shape}, expected {(model.m, 2, model.d)}"
         )
-    edge_out = np.empty_like(mu.edge)
-    for e in range(model.m):
-        i, j = model.edges[e]
-        row_targets = mu.vertex[i] + nu[e, 0]
-        col_targets = mu.vertex[j] + nu[e, 1]
-        for name, t in (("row", row_targets), ("column", col_targets)):
-            if t.min() < -_MASS_TOL or abs(t.sum() - 1.0) > _MASS_TOL:
-                raise ValidationError(
-                    f"edge {e}: offset {name} targets leave the simplex beyond {_MASS_TOL}"
-                )
-        edge_out[e] = round_to_transport(mu.edge[e], row_targets, col_targets)
-    return Marginals(mu.vertex.copy(), edge_out)
+    targets = mu.vertex[model.edges] + nu
+    inside = (targets.min(axis=2) >= -_MASS_TOL) & (np.abs(targets.sum(axis=2) - 1.0) <= _MASS_TOL)
+    if not inside.all():
+        e, s = np.argwhere(~inside)[0]
+        raise ValidationError(
+            f"edge {e}: offset {('row', 'column')[s]} targets leave the simplex beyond {_MASS_TOL}"
+        )
+    return Marginals(mu.vertex.copy(), round_to_transport(mu.edge, targets[:, 0], targets[:, 1]))
 
 
 def vertex_round(mu: Marginals) -> np.ndarray:

@@ -56,6 +56,18 @@ def _edge_log_marginal(model: Model, lam: np.ndarray, eta: float, edge: int, slo
     return _lse(joint, axis=1 - slot)
 
 
+def _star_log_marginals(model: Model, lam: np.ndarray, eta: float, edges, slots):
+    """log S_{e,i} for every (edge, slot) pair of the index arrays at once,
+    shape (len(edges), d); each row is bit-identical to the single-edge
+    ``_edge_log_marginal``."""
+    logits = -eta * (
+        model.edge_costs[edges] + lam[edges, 0][:, :, None] + lam[edges, 1][:, None, :]
+    )
+    joint = logits - _lse(logits, axis=(1, 2))[:, None, None]
+    both = np.stack([_lse(joint, axis=2), _lse(joint, axis=1)], axis=1)
+    return both[np.arange(len(edges)), slots]
+
+
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
     eta = _check_eta(eta)
@@ -70,12 +82,10 @@ def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     ordered like ``model.incident_edges[vertex]``."""
     eta = _check_eta(eta)
     log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    ev = model.incident_edges[vertex]
-    sv = model.incident_slots[vertex]
-    out = np.empty((len(ev), model.d))
-    for t, (e, s) in enumerate(zip(ev, sv)):
-        out[t] = np.exp(_edge_log_marginal(model, lam, eta, int(e), int(s)))
-    return out - np.exp(log_mu)[None, :]
+    log_s = _star_log_marginals(
+        model, lam, eta, model.incident_edges[vertex], model.incident_slots[vertex]
+    )
+    return np.exp(log_s) - np.exp(log_mu)[None, :]
 
 
 def emp_update(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
@@ -102,9 +112,7 @@ def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int):
     sv = model.incident_slots[vertex]
     deg = len(ev)
     log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    log_s = np.empty((deg, model.d))
-    for t, (e, s) in enumerate(zip(ev, sv)):
-        log_s[t] = _edge_log_marginal(model, lam, eta, int(e), int(s))
+    log_s = _star_log_marginals(model, lam, eta, ev, sv)
     shared = (log_mu + log_s.sum(axis=0)) / (eta * (deg + 1))
     return lam[ev, sv] + log_s / eta - shared[None, :]
 

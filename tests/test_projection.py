@@ -77,6 +77,38 @@ class TestRoundToTransport:
         with pytest.raises(ValidationError, match="nonnegative"):
             round_to_transport(np.full((2, 2), 0.25), [1.2, -0.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_stack_equals_per_matrix_calls(self, d):
+        rng = np.random.default_rng(d)
+        cases = [random_transport_case(rng, d) for _ in range(20)]
+        zero_row, r, c = random_transport_case(rng, d)
+        zero_row[1] = 0.0
+        cases.append((zero_row / zero_row.sum(), r, c))
+        zero_col, r, c = random_transport_case(rng, d)
+        zero_col[:, 0] = 0.0
+        cases.append((zero_col / zero_col.sum(), r, c))
+        p, _, _ = random_transport_case(rng, d)
+        cases.append((p, p.sum(axis=1), p.sum(axis=0)))  # no rank-one correction
+        p, r, c = (np.array(x) for x in zip(*cases))
+        stacked = round_to_transport(p, r, c)
+        singles = np.array([round_to_transport(*case) for case in cases])
+        assert np.array_equal(stacked, singles)
+        np.testing.assert_array_equal(p, np.array([case[0] for case in cases]))
+
+    def test_non_finite_inputs_rejected(self):
+        half = [0.5, 0.5]
+        with pytest.raises(ValidationError, match="non-finite"):
+            round_to_transport(np.full((2, 2), np.nan), half, half)
+        with pytest.raises(ValidationError, match="non-finite"):
+            round_to_transport(np.full((2, 2), 0.25), [np.inf, 0.5], half)
+        with pytest.raises(ValidationError, match="non-finite"):
+            round_to_transport(np.full((3, 2, 2), 0.25), np.full((3, 2), 0.5),
+                               [half, half, [np.nan, 0.5]])
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="square"):
+            round_to_transport(np.full((3, 2, 2), 0.25), np.full((2, 2), 0.5), np.full((3, 2), 0.5))
+
 
 class TestProj:
     def test_consistent_point_unchanged(self):
@@ -166,6 +198,24 @@ class TestProj:
         nu = np.full((m.m, 2, m.d), 0.7)  # pushes targets far outside the simplex
         with pytest.raises(ValidationError, match="simplex"):
             proj(m, mu, nu)
+
+    def test_first_offending_edge_is_named(self):
+        rng = np.random.default_rng(6)
+        m = random_model(rng, 4, 2)
+        mu = recover_primal(m, zero_dual(m), 1.0)
+        nu = np.zeros((m.m, 2, m.d))
+        nu[2, 1] = [0.4, -0.4 - mu.vertex[m.edges[2, 1], 1] - 0.1]
+        nu[3, 0] = 5.0
+        with pytest.raises(ValidationError, match="edge 2: offset column targets"):
+            proj(m, mu, nu)
+
+    def test_non_finite_vertex_entry_rejected(self):
+        rng = np.random.default_rng(9)
+        m = random_model(rng, 4, 3)
+        mu = recover_primal(m, zero_dual(m), 1.0)
+        mu.vertex[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="simplex"):
+            proj(m, mu)
 
 
 class TestVertexRound:

@@ -281,3 +281,15 @@ class TestLocality:
                 zip(m.incident_edges[vertex], m.incident_slots[vertex])
             ):
                 np.testing.assert_allclose(local[t], nu_full[e, s], atol=1e-12)
+
+    def test_star_slack_rows_equal_block_slack(self):
+        rng = np.random.default_rng(15)
+        for d in (2, 3, 5):
+            m = random_model(rng, 6, d)
+            lam = rng.normal(size=(m.m, 2, m.d))
+            for eta in (1.0, 50.0, 1e4):
+                for vertex in range(m.n):
+                    star = star_slack(m, lam, eta, vertex)
+                    for t, e in enumerate(m.incident_edges[vertex]):
+                        block = block_slack(m, lam, eta, int(e), vertex)
+                        assert np.array_equal(star[t], block)
