@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timing",
         action="store_true",
-        help="record wall-clock ms (makes the CSV non-reproducible)",
+        help="record solver wall-clock ms, recording left out (makes the CSV non-reproducible)",
     )
     p.add_argument("--out", required=True, help="metrics CSV path")
     p.set_defaults(func=_cmd_bench)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -272,3 +273,15 @@ class TestTraceInvariants:
             m, "emp", 5.0, 20, seed=2, stride=5, observer=lambda k, lam: seen.append(k)
         )
         assert seen == trace.iterations.tolist()
+
+    def test_elapsed_ms_excludes_recording_and_observer_time(self):
+        rng = np.random.default_rng(16)
+        m = random_model(rng, 5, 3)
+        trace = standard_mp(
+            m, "smp", 5.0, 10, seed=3, stride=5, observer=lambda k, lam: time.sleep(0.05)
+        )
+        assert trace.iterations.tolist() == [0, 5, 10]
+        assert trace.elapsed_ms[-1] < 50.0
+        assert trace.instrumentation_ms[-1] >= 100.0
+        assert (np.diff(trace.elapsed_ms) >= 0).all()
+        assert (np.diff(trace.instrumentation_ms) >= 50.0).all()
