@@ -58,14 +58,14 @@ def _edge_log_marginal(model: Model, lam: np.ndarray, eta: float, edge: int, slo
 
 def _star_log_marginals(model: Model, lam: np.ndarray, eta: float, edges, slots):
     """log S_{e,i} for every (edge, slot) pair of the index arrays at once,
-    shape (len(edges), d); each row is bit-identical to the single-edge
-    ``_edge_log_marginal``."""
-    logits = -eta * (
-        model.edge_costs[edges] + lam[edges, 0][:, :, None] + lam[edges, 1][:, None, :]
-    )
-    joint = logits - _lse(logits, axis=(1, 2))[:, None, None]
-    both = np.stack([_lse(joint, axis=2), _lse(joint, axis=1)], axis=1)
-    return both[np.arange(len(edges)), slots]
+    shape (len(edges), d).  The in-place steps repeat the operations of
+    ``_edge_log_marginal`` in its order, so each row is bit-identical to it."""
+    blocks = lam[edges]
+    logits = model.edge_costs[edges] + blocks[:, 0, :, None]
+    logits += blocks[:, 1, None, :]
+    logits *= -eta
+    logits -= _lse(logits, axis=(1, 2))[:, None, None]
+    return np.where(slots[:, None] == 0, _lse(logits, axis=2), _lse(logits, axis=1))
 
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
