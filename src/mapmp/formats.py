@@ -135,12 +135,6 @@ class _TokenReader:
         self.tokens = _tokenize_with_lines(text)
         self.pos = 0
 
-    @property
-    def last_line(self) -> int:
-        if not self.tokens:
-            return 1
-        return self.tokens[min(self.pos, len(self.tokens) - 1)][1]
-
     def take(self, what: str) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
             raise ValidationError(
