@@ -7,7 +7,8 @@ polytope of those targets in three steps: scale down overfull rows, scale
 down overfull columns, then spread the missing mass as a rank-one
 nonnegative correction.  The total l1 movement is at most twice the initial
 row-sum error plus twice the initial column-sum error, so near-consistent
-inputs are barely disturbed.
+inputs are barely disturbed.  A (k, d, d) stack is rounded in one vectorized
+pass, so projecting all m edge blocks is a single call.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import numpy as np
 
 import mapmp
 from mapmp.bench import ALGORITHMS, RATIO_PAIR
+from mapmp.schedulers import STANDARD_UPDATE_KINDS
 
 FIXTURE = Path(__file__).with_name("golden_run_bench.json")
 CONFIG = dict(n=20, d=3, eta=50.0, iters=500, stride=50, trials=2, seed=0)
@@ -30,7 +31,7 @@ REL = 1e-9
 
 def _solve(model, alg, seed, observer):
     c = CONFIG
-    if alg in RATIO_PAIR:
+    if alg in STANDARD_UPDATE_KINDS:
         return mapmp.standard_mp(
             model, alg, c["eta"], c["iters"], seed, stride=c["stride"], observer=observer
         )
