@@ -57,9 +57,18 @@ def zero_dual(model: Model) -> np.ndarray:
 
 
 def _lse(a: np.ndarray, axis):
-    """Stabilized log-sum-exp along ``axis`` (int or tuple)."""
-    amax = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.exp(a - amax).sum(axis=axis, keepdims=True)) + amax
+    """Stabilized log-sum-exp along ``axis`` (int or tuple).
+
+    Calls the ufunc reductions behind ``np.max`` and ``ndarray.sum``
+    directly and works in place; every step is the same floating-point
+    operation as log(sum(exp(a - max))) + max, so results are bit-identical
+    to that formula."""
+    amax = np.maximum.reduce(a, axis=axis, keepdims=True)
+    shifted = a - amax
+    np.exp(shifted, out=shifted)
+    out = np.add.reduce(shifted, axis=axis, keepdims=True)
+    np.log(out, out=out)
+    out += amax
     return out.squeeze(axis)
 
 
@@ -183,14 +192,15 @@ def primal_objective(model: Model, mu: Marginals) -> float:
 def entropy(mu: Marginals) -> float:
     """Sign-flipped entropy H(mu) = -sum mu (log mu - 1), blockwise additive.
 
-    Uses the convention 0 * (log 0 - 1) = 0 and rejects negative entries.
+    Uses the convention 0 * (log 0 - 1) = 0 and rejects negative and NaN
+    entries.
     """
     total = 0.0
     for block in (mu.vertex, mu.edge):
         if block.size == 0:
             continue
-        if block.min() < 0.0:
-            raise ValidationError("entropy requires nonnegative entries")
+        if not block.min() >= 0.0:  # the min of a block holding NaN is NaN
+            raise ValidationError("entropy requires nonnegative, non-NaN entries")
         total += float(block.sum() - xlogy(block, np.maximum(block, _TINY)).sum())
     return total
 

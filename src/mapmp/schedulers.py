@@ -21,6 +21,14 @@ iterate.  The v-step uses the literal constants 1 / (2 m eta theta) for the
 edge variant and min_deg / (2 p_i theta eta N) for the star variant;
 ``v_step_scale`` rescales them (0.5 gives the estimate-sequence constants
 derived in the convergence analysis, which differ by a factor of 2).
+
+The accelerated loops form y only on the rows (edges) incident to the
+sampled vertex, so an iteration costs O(deg d^2) rather than O(m d).  This is
+exact: the update and slack at (edge, vertex) or at a star read y only on the
+edges incident to that vertex (the vertex's incident blocks and both blocks
+of each incident edge), and y is formed there with the same elementwise
+operations as over the whole vector, so every row read carries the same
+bits.  Rows of the persistent y buffer elsewhere are stale and never read.
 """
 
 from __future__ import annotations
@@ -78,8 +86,8 @@ class ThetaState:
 def eta_for_epsilon(m: int, n: int, d: int, epsilon: float) -> float:
     """Regularization strength making the smoothed problem epsilon-faithful:
     eta = 4 (m + n) log(d) / epsilon."""
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
     return 4.0 * (m + n) * math.log(d) / epsilon
 
 
@@ -87,8 +95,8 @@ def eta_for_rounding(m: int, n: int, d: int, gap: float) -> float:
     """Regularization strength for exact rounding when the relaxation is
     tight with a unique optimum and suboptimality gap ``gap``:
     eta = 16 (m + n) (log(m + n) + log(d)) / gap."""
-    if gap <= 0:
-        raise ValidationError(f"gap must be positive, got {gap}")
+    if not (gap > 0 and math.isfinite(gap)):
+        raise ValidationError(f"gap must be a positive finite number, got {gap}")
     return 16.0 * (m + n) * (math.log(m + n) + math.log(d)) / gap
 
 
@@ -217,6 +225,20 @@ def _sample_vertex(rng, cdf: np.ndarray) -> int:
     return min(v, len(cdf) - 1)
 
 
+def _extrapolate(y, v, lam, theta: float, rows) -> None:
+    """y = theta * v + (1 - theta) * lam on the edge rows ``rows`` only.
+
+    ``take`` gathers faster than fancy indexing and the in-place products
+    save temporaries; each entry is the same two products and one sum, so
+    the bits match the whole-vector expression."""
+    rows_y = v.take(rows, axis=0)
+    rows_y *= theta
+    rows_lam = lam.take(rows, axis=0)
+    rows_lam *= 1.0 - theta
+    rows_y += rows_lam
+    y[rows] = rows_y
+
+
 def standard_mp(
     model: Model,
     update_kind: str,
@@ -301,11 +323,14 @@ def _accel_pair_loop(
     v_step_scale: float = 1.0,
 ) -> SolveTrace:
     """Accelerated skeleton over uniformly sampled (edge, endpoint) pairs;
-    ``block_update(y, edge, vertex)`` supplies the installed block."""
+    ``block_update(y, edge, vertex)`` supplies the installed block.  y is
+    current only on the edges incident to ``vertex``, which is all that
+    ``block_update`` may read."""
     iters = _check_iters(iters)
     rng = np.random.default_rng(seed)
     lam = zero_dual(model)
     v = zero_dual(model)
+    y = zero_dual(model)
     theta_state = ThetaState()
     rec = _Recorder(model, eta, stride, observer)
     score = rec.record(0, lam)
@@ -314,9 +339,9 @@ def _accel_pair_loop(
 
     for k in range(iters):
         theta = theta_state.advance()
-        y = theta * v + (1.0 - theta) * lam
         edge, slot = _sample_pair(rng, model.m)
         vertex = int(model.edges[edge, slot])
+        _extrapolate(y, v, lam, theta, model.incident_edges[vertex])
         lam[edge, slot] = block_update(y, edge, vertex)
         nu_block = block_slack(model, y, eta, edge, vertex)
         v[edge, slot] += (
@@ -343,7 +368,11 @@ def accel_emp(
     """Accelerated edge message passing: per iteration, extrapolate
     y = theta v + (1 - theta) lam, install the edge-block minimizer of y at
     a uniformly sampled pair into lam, and add the pair's slack at y, scaled
-    by 1 / (2 m eta theta), into v.  Returns the final iterate."""
+    by 1 / (2 m eta theta), into v.  Returns the final iterate.
+
+    y is formed only on the edges incident to the sampled vertex: the
+    minimizer and the slack at (edge, vertex) read nothing else, so the
+    iterates are those of the whole-vector extrapolation, bit for bit."""
 
     def update(y, edge, vertex):
         return emp_update(model, y, eta, edge, vertex)
@@ -374,7 +403,9 @@ def accel_block_grad(
     step: float | None = None,
 ) -> SolveTrace:
     """Accelerated gradient baseline: the edge-message skeleton with the
-    block minimizer replaced by a gradient step at y (default step 1/eta)."""
+    block minimizer replaced by a gradient step at y (default step 1/eta).
+    As in ``accel_emp``, y is formed only on the sampled vertex's incident
+    edges, the only rows the step and the slack read."""
 
     def update(y, edge, vertex):
         return block_grad_step(model, y, eta, edge, vertex, step)
@@ -409,11 +440,17 @@ def accel_smp(
     minimizer of y at that vertex into lam, and adds each incident slack
     block at y, scaled by min_deg / (2 p_i theta eta N) with N = 2 m, into v.
     Returns the final iterate.
+
+    y is formed only on the vertex's incident edges: the star minimizer and
+    the star slack read the vertex's incident blocks and both blocks of each
+    incident edge, nothing else, so the iterates are those of the
+    whole-vector extrapolation, bit for bit.
     """
     iters = _check_iters(iters)
     rng = np.random.default_rng(seed)
     lam = zero_dual(model)
     v = zero_dual(model)
+    y = zero_dual(model)
     theta_state = ThetaState()
     cdf = _degree_cdf(model)
     n_total = float(model.degrees.sum())
@@ -425,13 +462,13 @@ def accel_smp(
 
     for k in range(iters):
         theta = theta_state.advance()
-        y = theta * v + (1.0 - theta) * lam
         vertex = _sample_vertex(rng, cdf)
+        ev = model.incident_edges[vertex]
+        sv = model.incident_slots[vertex]
+        _extrapolate(y, v, lam, theta, ev)
         p_i = model.degrees[vertex] / n_total
         blocks = smp_update(model, y, eta, vertex)
         nu_star = star_slack(model, y, eta, vertex)
-        ev = model.incident_edges[vertex]
-        sv = model.incident_slots[vertex]
         lam[ev, sv] = blocks
         v[ev, sv] += (
             v_step_scale * min_deg / (2.0 * p_i * theta * eta * n_total)

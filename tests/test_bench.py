@@ -207,6 +207,29 @@ class TestCli:
         assert main(["oracle", str(bad), "--method", "brute"]) == 2
         assert "version" in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        model = tmp_path / "model.mapmp"
+        assert main(["gen", "--n", "5", "--d", "2", "--out", str(model)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["gen", "--n", "5", "--d", "2", "--seed", "-1"],
+            ["solve", str(model), "--eta", "5", "--iters", "3", "--seed", "-1"],
+            ["bench", "--n", "5", "--d", "2", "--iters", "3", "--seed", "-1",
+             "--out", str(tmp_path / "m.csv")],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: seed must be >= 0, got -1\n"
+            assert captured.out == ""
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_solve_infinite_epsilon_is_validation_error(self, tmp_path, capsys):
+        model = tmp_path / "model.mapmp"
+        assert main(["gen", "--n", "5", "--d", "2", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(model), "--epsilon", "inf", "--iters", "3"]) == 2
+        assert "epsilon must be a positive finite number, got inf" in capsys.readouterr().err
+
     def test_guard_exit_code(self, tmp_path, capsys):
         big = mapmp.build_model(
             30,

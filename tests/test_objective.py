@@ -19,6 +19,7 @@ from mapmp import (
     slack,
     zero_dual,
 )
+from mapmp.objective import _lse
 
 LOG2 = np.log(2.0)
 
@@ -72,6 +73,14 @@ class TestEntropy:
         mu = recover_primal(two_node, zero_dual(two_node), 1.0)
         expected = 2.0 * (LOG2 + 1.0) + (np.log(4.0) + 1.0)
         assert entropy(mu) == pytest.approx(expected, abs=1e-12)
+
+    def test_nan_entries_rejected(self):
+        mu = Marginals(np.array([[np.nan, 0.5]]), np.zeros((0, 2, 2)))
+        with pytest.raises(ValidationError):
+            entropy(mu)
+        mu = Marginals(np.full((2, 2), 0.5), np.array([[[0.25, np.nan], [0.25, 0.25]]]))
+        with pytest.raises(ValidationError):
+            entropy(mu)
 
     def test_negative_entries_rejected(self):
         mu = Marginals(np.array([[1.1, -0.1]]), np.zeros((0, 2, 2)))
@@ -237,3 +246,40 @@ class TestPolytopeMembership:
         nu = np.zeros((m.m, 2, m.d))
         nu[0, 0, :] = 0.01  # block sums to 0.02, mass cannot balance
         assert not in_slack_polytope(m, mu, nu, 1e-6)
+
+
+def lse_reference(a, axis):
+    """Log-sum-exp through the ``np.max`` and ``ndarray.sum`` wrappers;
+    ``_lse`` must agree with it bit for bit."""
+    amax = np.max(a, axis=axis, keepdims=True)
+    out = np.log(np.exp(a - amax).sum(axis=axis, keepdims=True)) + amax
+    return out.squeeze(axis)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((5,), 0), ((7, 3), 1), ((7, 3), 0), ((4, 3, 3), (1, 2)), ((4, 3, 3), 2),
+         ((4, 3, 3), 1), ((0, 3, 3), (1, 2))],
+    )
+    def test_matches_the_numpy_wrapper_formula_exactly(self, shape, axis):
+        rng = np.random.default_rng(21)
+        for scale in (1.0, 1e3, 1e9):
+            a = rng.normal(size=shape) * scale
+            np.testing.assert_array_equal(_lse(a, axis), lse_reference(a, axis))
+
+    def test_rows_with_minus_infinity(self):
+        a = np.array([[0.5, -np.inf, 2.0], [-np.inf, -np.inf, -1.0], [-np.inf] * 3])
+        with np.errstate(invalid="ignore"):  # the all -inf row gives -inf - -inf
+            for axis in (1, (1,)):
+                got = _lse(a, axis)
+                np.testing.assert_array_equal(got, lse_reference(a, axis))
+                assert got[1] == -1.0 and np.isnan(got[2])
+            blocks = np.stack([a, a.T])
+            np.testing.assert_array_equal(_lse(blocks, (1, 2)), lse_reference(blocks, (1, 2)))
+
+    def test_input_left_untouched(self):
+        a = np.random.default_rng(22).normal(size=(3, 4))
+        before = a.copy()
+        _lse(a, 1)
+        assert np.array_equal(a, before)

@@ -15,18 +15,24 @@ from mapmp import (
     accel_block_grad,
     accel_emp,
     accel_smp,
+    block_grad_step,
+    block_slack,
     build_model,
+    dual_and_slack,
     dual_gap_constant,
+    emp_update,
     erdos_renyi_potts,
     eta_for_epsilon,
     eta_for_rounding,
     iteration_budget,
+    slack_score,
+    smp_update,
     standard_mp,
+    star_slack,
     theta_next,
     zero_dual,
 )
 from mapmp.schedulers import _accel_pair_loop
-from mapmp.updates import emp_update
 
 
 def zeros_model(n, edges, d):
@@ -93,6 +99,16 @@ class TestEtaFormulas:
         assert eta_for_rounding(4, 7, 3, 1.0) == pytest.approx(base / 2.0, rel=1e-15)
         for m, n, d, gap in [(1, 2, 2, 10.0), (50, 20, 5, 1e-3)]:
             assert eta_for_rounding(m, n, d, gap) > 0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_eta_for_epsilon_rejects_nonpositive_and_nonfinite(self, bad):
+        with pytest.raises(ValidationError, match="epsilon must be a positive finite number"):
+            eta_for_epsilon(3, 4, 2, bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_eta_for_rounding_rejects_nonpositive_and_nonfinite(self, bad):
+        with pytest.raises(ValidationError, match="gap must be a positive finite number"):
+            eta_for_rounding(3, 4, 2, bad)
 
     def test_iteration_budget_value(self):
         assert iteration_budget(1, 2, 2, 1.0, 1.0, 1.0) == 488
@@ -285,3 +301,85 @@ class TestTraceInvariants:
         assert trace.instrumentation_ms[-1] >= 100.0
         assert (np.diff(trace.elapsed_ms) >= 0).all()
         assert (np.diff(trace.instrumentation_ms) >= 50.0).all()
+
+
+def full_extrapolation_reference(model, kind, eta, iters, seed, stride, v_step_scale):
+    """The accelerated loops with y formed over every block each iteration,
+    so the package's update and slack functions read a fully current y.
+    Returns (final lam, duals, scores) on the solvers' record grid."""
+    rng = np.random.default_rng(seed)
+    lam = zero_dual(model)
+    v = zero_dual(model)
+    theta_state = ThetaState()
+    cdf = np.cumsum(model.degrees / model.degrees.sum())
+    n_total = float(model.degrees.sum())
+    min_deg = float(model.degrees.min())
+    duals, scores = [], []
+
+    def record():
+        dual, nu = dual_and_slack(model, lam, eta)
+        duals.append(dual)
+        scores.append(slack_score(nu))
+
+    record()
+    for k in range(iters):
+        theta = theta_state.advance()
+        y = theta * v + (1.0 - theta) * lam
+        if kind == "smp":
+            vertex = min(int(np.searchsorted(cdf, rng.random(), side="right")), model.n - 1)
+            p_i = model.degrees[vertex] / n_total
+            blocks = smp_update(model, y, eta, vertex)
+            nu_star = star_slack(model, y, eta, vertex)
+            ev = model.incident_edges[vertex]
+            sv = model.incident_slots[vertex]
+            lam[ev, sv] = blocks
+            v[ev, sv] += (
+                v_step_scale * min_deg / (2.0 * p_i * theta * eta * n_total)
+            ) * nu_star
+        else:
+            pair = int(rng.integers(2 * model.m))
+            edge, slot = pair // 2, pair % 2
+            vertex = int(model.edges[edge, slot])
+            if kind == "emp":
+                lam[edge, slot] = emp_update(model, y, eta, edge, vertex)
+            else:
+                lam[edge, slot] = block_grad_step(model, y, eta, edge, vertex)
+            nu_block = block_slack(model, y, eta, edge, vertex)
+            v[edge, slot] += (v_step_scale / (2.0 * model.m * eta * theta)) * nu_block
+        if (k + 1) % stride == 0 or k + 1 == iters:
+            record()
+    return lam, np.array(duals), np.array(scores)
+
+
+class TestLocalExtrapolation:
+    """The accelerated loops form y only on the sampled vertex's incident
+    edges; every other block of y is stale.  The trajectories must equal the
+    full-extrapolation loop bit for bit."""
+
+    # degrees 4, 2, 4, 2, 2, 3, 1 (vertex 6 is a leaf)
+    EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 5), (4, 5), (5, 6)]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(17)
+        n, d = 7, 3
+        model = build_model(
+            n, self.EDGES, d, rng.normal(size=(n, d)), rng.normal(size=(len(self.EDGES), d, d))
+        )
+        assert model.degrees.min() == 1 and model.degrees.max() >= 4
+        return model
+
+    @pytest.mark.parametrize("v_step_scale", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "kind, solver", [("emp", accel_emp), ("smp", accel_smp), ("bcd", accel_block_grad)]
+    )
+    def test_bit_identical_to_full_extrapolation(self, model, kind, solver, v_step_scale):
+        eta, iters, seed, stride = 8.0, 1200, 29, 100
+        trace = solver(model, eta, iters, seed, stride=stride, v_step_scale=v_step_scale)
+        lam, duals, scores = full_extrapolation_reference(
+            model, kind, eta, iters, seed, stride, v_step_scale
+        )
+        assert trace.iterations.tolist() == [0, *range(stride, iters + 1, stride)]
+        assert np.array_equal(trace.final_lambda, lam)
+        assert np.array_equal(trace.dual_values, duals)
+        assert np.array_equal(trace.slack_scores, scores)
