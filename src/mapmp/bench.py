@@ -98,6 +98,8 @@ class BenchConfig:
             raise ValidationError(f"iters must be >= 0, got {self.iters}")
         if self.stride < 1:
             raise ValidationError(f"stride must be >= 1, got {self.stride}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         has_file = self.model_file is not None
         has_gen = self.n is not None or self.d is not None
         if has_file == has_gen:

@@ -206,6 +206,8 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
         raise ValidationError(f"need n >= 2 vertices, got {n}")
     if not (0.0 < edge_prob <= 1.0):
         raise ValidationError(f"edge_prob must lie in (0, 1], got {edge_prob}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     edges = set()

@@ -8,19 +8,28 @@ independent re-implementations can reproduce a run exactly:
 
 * (edge, endpoint) pairs are enumerated in canonical edge order with the
   smaller endpoint first, i.e. pair index p maps to edge p // 2, slot p % 2,
-  and one ``rng.integers(2 m)`` draw selects a pair;
+  and the stream of one ``rng.integers(2 m)`` draw per iteration selects
+  the pairs;
 * vertices are drawn degree-proportionally by inverting the cumulative
-  distribution at one ``rng.random()`` draw.
+  distribution at the stream of one ``rng.random()`` draw per iteration.
+
+Both streams are drawn in chunks of ``_SAMPLE_CHUNK`` values
+(``rng.integers(2 m, size=k)``, ``rng.random(k)``), which yield exactly
+the scalar draws in sequence; an early stop leaves the rest of a chunk
+unused.
 
 Standard loops install the exact block minimizer at the current iterate and
 return the visited iterate with the smallest slack score (sum of squared
 block l1 norms), tracked as a running minimum.  Accelerated loops maintain
 the extrapolation point y = theta * v + (1 - theta) * lam, install the block
 update evaluated at y, push a scaled slack step into v, and return the final
-iterate.  The v-step uses the literal constants 1 / (2 m eta theta) for the
-edge variant and min_deg / (2 p_i theta eta N) for the star variant;
-``v_step_scale`` rescales them (0.5 gives the estimate-sequence constants
-derived in the convergence analysis, which differ by a factor of 2).
+iterate.  One update call per iteration, with ``with_slack=True``, returns
+both the block(s) and the slack at y from one evaluation of the local
+log-marginals.  The v-step uses the literal constants 1 / (2 m eta theta)
+for the edge variant and min_deg / (2 p_i theta eta N) for the star
+variant; ``v_step_scale`` rescales them (0.5 gives the estimate-sequence
+constants derived in the convergence analysis, which differ by a factor
+of 2).
 
 The accelerated loops form y only on the rows (edges) incident to the
 sampled vertex, so an iteration costs O(deg d^2) rather than O(m d).  This is
@@ -42,10 +51,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Model
-from .objective import dual_and_slack, slack_score, zero_dual
+from .objective import _check_eta, dual_and_slack, slack_score, zero_dual
 from .updates import block_grad_step, block_slack, emp_update, smp_update, star_slack
 
 STANDARD_UPDATE_KINDS = ("emp", "smp", "bcd")
+# Samples drawn per rng call: memory stays O(1) in the iteration count.
+_SAMPLE_CHUNK = 4096
 
 
 def theta_next(theta_prev: float) -> float:
@@ -104,8 +115,11 @@ def dual_gap_constant(m: int, n: int, d: int, eta: float, cost_inf: float) -> fl
     """G(eta) = 24 m d (m + n) (sqrt(eta) ||C||_inf + log(d) / sqrt(eta)),
     the constant in the accelerated dual-gap bound G(eta)^2 / (k + 2)^2.
     Minimized over eta at eta = log(d) / ||C||_inf."""
-    if eta <= 0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    eta = _check_eta(eta)
+    if not (cost_inf >= 0 and math.isfinite(cost_inf)):
+        raise ValidationError(
+            f"cost_inf must be a nonnegative finite number, got {cost_inf}"
+        )
     root = math.sqrt(eta)
     return 24.0 * m * d * (m + n) * (root * cost_inf + math.log(d) / root)
 
@@ -115,10 +129,17 @@ def iteration_budget(
 ) -> int:
     """Iterations sufficient to drive expected block slack norms below
     ``eps_prime``: ceil(sqrt(4 eta) G(eta) / eps_prime)."""
-    if eps_prime <= 0:
-        raise ValidationError(f"eps_prime must be positive, got {eps_prime}")
+    if not (eps_prime > 0 and math.isfinite(eps_prime)):
+        raise ValidationError(
+            f"eps_prime must be a positive finite number, got {eps_prime}"
+        )
     g = dual_gap_constant(m, n, d, eta, cost_inf)
-    return int(math.ceil(math.sqrt(4.0 * eta) * g / eps_prime))
+    budget = math.sqrt(4.0 * eta) * g / eps_prime
+    if not math.isfinite(budget):
+        raise ValidationError(
+            f"iteration budget overflows for eta={eta}, eps_prime={eps_prime}"
+        )
+    return int(math.ceil(budget))
 
 
 @dataclass
@@ -211,18 +232,25 @@ def _check_iters(iters: int) -> int:
     return iters
 
 
-def _sample_pair(rng, m: int):
-    pair = int(rng.integers(2 * m))
-    return pair // 2, pair % 2
+def _pair_stream(rng, m: int, iters: int):
+    """(edge, slot) for each of ``iters`` iterations: the uniform pair
+    indices of ``rng.integers(2 m)`` draws, drawn ``_SAMPLE_CHUNK`` at a time."""
+    for start in range(0, iters, _SAMPLE_CHUNK):
+        for pair in rng.integers(2 * m, size=min(_SAMPLE_CHUNK, iters - start)).tolist():
+            yield pair // 2, pair % 2
 
 
 def _degree_cdf(model: Model) -> np.ndarray:
     return np.cumsum(model.degrees / model.degrees.sum())
 
 
-def _sample_vertex(rng, cdf: np.ndarray) -> int:
-    v = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(v, len(cdf) - 1)
+def _vertex_stream(rng, cdf: np.ndarray, iters: int):
+    """A vertex for each of ``iters`` iterations: ``cdf`` inverted at
+    ``rng.random()`` draws, drawn ``_SAMPLE_CHUNK`` at a time."""
+    last = len(cdf) - 1
+    for start in range(0, iters, _SAMPLE_CHUNK):
+        u = rng.random(min(_SAMPLE_CHUNK, iters - start))
+        yield from np.minimum(np.searchsorted(cdf, u, side="right"), last).tolist()
 
 
 def _extrapolate(y, v, lam, theta: float, rows) -> None:
@@ -269,15 +297,18 @@ def standard_mp(
     iters = _check_iters(iters)
     rng = np.random.default_rng(seed)
     lam = zero_dual(model)
-    cdf = _degree_cdf(model) if update_kind == "smp" else None
+    if update_kind == "smp":
+        samples = _vertex_stream(rng, _degree_cdf(model), iters)
+    else:
+        samples = _pair_stream(rng, model.m, iters)
     rec = _Recorder(model, eta, stride, observer)
     score = rec.record(0, lam)
     if stop_slack_score is not None and score <= stop_slack_score:
         return rec.finish(lam, return_best=True)
 
-    for k in range(iters):
+    for k, sample in enumerate(samples):
         if update_kind == "smp":
-            vertex = _sample_vertex(rng, cdf)
+            vertex = sample
             if debug_checks:
                 before = dual_and_slack(model, lam, eta)[0]
                 bound = (
@@ -286,7 +317,7 @@ def standard_mp(
             blocks = smp_update(model, lam, eta, vertex)
             lam[model.incident_edges[vertex], model.incident_slots[vertex]] = blocks
         else:
-            edge, slot = _sample_pair(rng, model.m)
+            edge, slot = sample
             vertex = int(model.edges[edge, slot])
             if debug_checks:
                 before = dual_and_slack(model, lam, eta)[0]
@@ -315,7 +346,7 @@ def _accel_pair_loop(
     eta: float,
     iters: int,
     seed,
-    block_update: Callable[[np.ndarray, int, int], np.ndarray],
+    block_update: Callable[[np.ndarray, int, int], tuple[np.ndarray, np.ndarray]],
     *,
     stride: int = 1,
     stop_slack_score: float | None = None,
@@ -323,9 +354,9 @@ def _accel_pair_loop(
     v_step_scale: float = 1.0,
 ) -> SolveTrace:
     """Accelerated skeleton over uniformly sampled (edge, endpoint) pairs;
-    ``block_update(y, edge, vertex)`` supplies the installed block.  y is
-    current only on the edges incident to ``vertex``, which is all that
-    ``block_update`` may read."""
+    ``block_update(y, edge, vertex)`` supplies the installed block and the
+    slack block at y, ``(block, nu)``.  y is current only on the edges
+    incident to ``vertex``, which is all that ``block_update`` may read."""
     iters = _check_iters(iters)
     rng = np.random.default_rng(seed)
     lam = zero_dual(model)
@@ -337,13 +368,11 @@ def _accel_pair_loop(
     if stop_slack_score is not None and score <= stop_slack_score:
         return rec.finish(lam, return_best=False)
 
-    for k in range(iters):
+    for k, (edge, slot) in enumerate(_pair_stream(rng, model.m, iters)):
         theta = theta_state.advance()
-        edge, slot = _sample_pair(rng, model.m)
         vertex = int(model.edges[edge, slot])
         _extrapolate(y, v, lam, theta, model.incident_edges[vertex])
-        lam[edge, slot] = block_update(y, edge, vertex)
-        nu_block = block_slack(model, y, eta, edge, vertex)
+        lam[edge, slot], nu_block = block_update(y, edge, vertex)
         v[edge, slot] += (
             v_step_scale / (2.0 * model.m * eta * theta)
         ) * nu_block
@@ -375,7 +404,7 @@ def accel_emp(
     iterates are those of the whole-vector extrapolation, bit for bit."""
 
     def update(y, edge, vertex):
-        return emp_update(model, y, eta, edge, vertex)
+        return emp_update(model, y, eta, edge, vertex, with_slack=True)
 
     return _accel_pair_loop(
         model,
@@ -408,7 +437,7 @@ def accel_block_grad(
     edges, the only rows the step and the slack read."""
 
     def update(y, edge, vertex):
-        return block_grad_step(model, y, eta, edge, vertex, step)
+        return block_grad_step(model, y, eta, edge, vertex, step, with_slack=True)
 
     return _accel_pair_loop(
         model,
@@ -460,15 +489,13 @@ def accel_smp(
     if stop_slack_score is not None and score <= stop_slack_score:
         return rec.finish(lam, return_best=False)
 
-    for k in range(iters):
+    for k, vertex in enumerate(_vertex_stream(rng, cdf, iters)):
         theta = theta_state.advance()
-        vertex = _sample_vertex(rng, cdf)
         ev = model.incident_edges[vertex]
         sv = model.incident_slots[vertex]
         _extrapolate(y, v, lam, theta, ev)
         p_i = model.degrees[vertex] / n_total
-        blocks = smp_update(model, y, eta, vertex)
-        nu_star = star_slack(model, y, eta, vertex)
+        blocks, nu_star = smp_update(model, y, eta, vertex, with_slack=True)
         lam[ev, sv] = blocks
         v[ev, sv] += (
             v_step_scale * min_deg / (2.0 * p_i * theta * eta * n_total)

@@ -4,7 +4,10 @@ Each function evaluates the dual state only locally (the vertex's incident
 blocks and the touched edge joints), returns freshly allocated block values,
 and never mutates its input.  Schedulers exploit this: the accelerated loops
 evaluate an update at an extrapolated point y and install the result into a
-different iterate.
+different iterate.  They also need the slack at y; ``with_slack=True`` makes
+an update return it alongside the block(s), formed from the log-marginals the
+update has already computed with the same operations as ``block_slack`` and
+``star_slack``, so the local state is evaluated once and the bits match.
 
 Edge message passing (EMP) minimizes the dual exactly over the single block
 (e, i); the minimizer moves the block by log(S / mu_i) / (2 eta), after which
@@ -88,24 +91,43 @@ def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     return np.exp(log_s) - np.exp(log_mu)[None, :]
 
 
-def emp_update(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
+def emp_update(
+    model: Model,
+    lam: np.ndarray,
+    eta: float,
+    edge: int,
+    vertex: int,
+    *,
+    with_slack: bool = False,
+):
     """Exact minimizer of the dual over block (edge, vertex), as a new block:
 
         lam'[x] = lam[x] + (log S_{e,i}(x) - log mu_i(x)) / (2 eta)
+
+    With ``with_slack`` returns ``(block, nu)`` where ``nu`` is the slack
+    block at ``lam``, equal bit for bit to ``block_slack`` at the same
+    arguments.
     """
     eta = _check_eta(eta)
     slot = _slot_of(model, edge, vertex)
     log_s = _edge_log_marginal(model, lam, eta, edge, slot)
     log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    return lam[edge, slot] + (log_s - log_mu) / (2.0 * eta)
+    block = lam[edge, slot] + (log_s - log_mu) / (2.0 * eta)
+    if with_slack:
+        return block, np.exp(log_s) - np.exp(log_mu)
+    return block
 
 
-def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int):
+def smp_update(
+    model: Model, lam: np.ndarray, eta: float, vertex: int, *, with_slack: bool = False
+):
     """Exact joint minimizer over all blocks incident to ``vertex``.
 
     Returns an array of shape (deg, d) ordered like
     ``model.incident_edges[vertex]``; after installing all rows, every
-    incident slack block vanishes simultaneously.
+    incident slack block vanishes simultaneously.  With ``with_slack``
+    returns ``(blocks, nu)`` where ``nu`` holds the incident slack blocks at
+    ``lam`` in the same order, equal bit for bit to ``star_slack``.
     """
     eta = _check_eta(eta)
     ev = model.incident_edges[vertex]
@@ -114,7 +136,10 @@ def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int):
     log_mu = _vertex_log_marginal(model, lam, eta, vertex)
     log_s = _star_log_marginals(model, lam, eta, ev, sv)
     shared = (log_mu + log_s.sum(axis=0)) / (eta * (deg + 1))
-    return lam[ev, sv] + log_s / eta - shared[None, :]
+    blocks = lam[ev, sv] + log_s / eta - shared[None, :]
+    if with_slack:
+        return blocks, np.exp(log_s) - np.exp(log_mu)[None, :]
+    return blocks
 
 
 def block_grad_step(
@@ -124,11 +149,14 @@ def block_grad_step(
     edge: int,
     vertex: int,
     step: float | None = None,
+    *,
+    with_slack: bool = False,
 ):
     """Gradient step on block (edge, vertex): lam' = lam + step * nu.
 
     The dual gradient on the block is -nu, so this descends.  ``step``
     defaults to 1/eta; step = 0 is permitted and returns the block unchanged.
+    With ``with_slack`` returns ``(block, nu)``, the step's own slack block.
     """
     eta = _check_eta(eta)
     if step is None:
@@ -136,4 +164,8 @@ def block_grad_step(
     if step < 0:
         raise ValidationError(f"step must be nonnegative, got {step}")
     slot = _slot_of(model, edge, vertex)
-    return lam[edge, slot] + step * block_slack(model, lam, eta, edge, vertex)
+    nu = block_slack(model, lam, eta, edge, vertex)
+    block = lam[edge, slot] + step * nu
+    if with_slack:
+        return block, nu
+    return block

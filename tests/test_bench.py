@@ -49,6 +49,12 @@ class TestBenchConfig:
         with pytest.raises(ValidationError):
             small_config(model_file="x.mapmp").validate()  # two sources
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            small_config(seed=-1).validate()
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            run_bench(small_config(seed=-1))
+
 
 class TestRunBench:
     def test_zero_iterations_single_row_per_trial(self):

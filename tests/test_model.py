@@ -162,3 +162,7 @@ class TestErdosRenyiPotts:
             erdos_renyi_potts(5, 0.0, 2, 0)
         with pytest.raises(ValidationError):
             erdos_renyi_potts(5, 1.5, 2, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            erdos_renyi_potts(10, 0.3, 3, -1)

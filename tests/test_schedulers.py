@@ -32,6 +32,7 @@ from mapmp import (
     theta_next,
     zero_dual,
 )
+from mapmp import schedulers
 from mapmp.schedulers import _accel_pair_loop
 
 
@@ -117,6 +118,37 @@ class TestEtaFormulas:
         # halving eps_prime doubles the budget, up to the final ceil
         doubled = iteration_budget(2, 3, 3, 2.0, 1.0, 0.5)
         assert abs(doubled - 2 * iteration_budget(2, 3, 3, 2.0, 1.0, 1.0)) <= 1
+
+    @pytest.mark.parametrize(
+        "eta, cost_inf, match",
+        [
+            (math.nan, 1.0, "eta must be a positive finite number"),
+            (math.inf, 1.0, "eta must be a positive finite number"),
+            (0.0, 1.0, "eta must be a positive finite number"),
+            (-1.0, 1.0, "eta must be a positive finite number"),
+            (1.0, -1.0, "cost_inf must be a nonnegative finite number"),
+            (1.0, math.nan, "cost_inf must be a nonnegative finite number"),
+            (1.0, math.inf, "cost_inf must be a nonnegative finite number"),
+        ],
+    )
+    def test_budget_formulas_reject_bad_eta_and_cost(self, eta, cost_inf, match):
+        with pytest.raises(ValidationError, match=match):
+            dual_gap_constant(3, 4, 2, eta, cost_inf)
+        with pytest.raises(ValidationError, match=match):
+            iteration_budget(3, 4, 2, eta, cost_inf, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_iteration_budget_rejects_bad_eps_prime(self, bad):
+        with pytest.raises(ValidationError, match="eps_prime must be a positive finite number"):
+            iteration_budget(1, 2, 2, 1.0, 1.0, bad)
+
+    def test_iteration_budget_rejects_overflow(self):
+        # 488 / 1e-310 is beyond the largest double
+        with pytest.raises(ValidationError, match="iteration budget overflows"):
+            iteration_budget(1, 2, 2, 1.0, 1.0, 1e-310)
+
+    def test_zero_cost_is_a_valid_gap_constant(self):
+        assert dual_gap_constant(1, 2, 2, 1.0, 0.0) == pytest.approx(24.0 * 2 * 3 * math.log(2))
 
     def test_gap_constant_minimized_at_logd_over_cost(self):
         m, n, d, c = 3, 5, 4, 0.7
@@ -230,7 +262,7 @@ class TestAcceleratedLoops:
         m = random_model(rng, 5, 3)
 
         def emp_block(y, edge, vertex):
-            return emp_update(m, y, 6.0, edge, vertex)
+            return emp_update(m, y, 6.0, edge, vertex, with_slack=True)
 
         swapped = _accel_pair_loop(m, 6.0, 50, 77, emp_block)
         native = accel_emp(m, 6.0, 50, 77)
@@ -383,3 +415,62 @@ class TestLocalExtrapolation:
         assert np.array_equal(trace.final_lambda, lam)
         assert np.array_equal(trace.dual_values, duals)
         assert np.array_equal(trace.slack_scores, scores)
+
+
+class TestSampleStream:
+    """The sample streams are drawn in chunks and must yield exactly the
+    scalar-draw sequence, whatever the chunk size."""
+
+    def test_pair_stream_matches_scalar_draws_across_chunks(self):
+        m, seed = 265, 3
+        iters = 2 * schedulers._SAMPLE_CHUNK + 5
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(iters):
+            pair = int(rng.integers(2 * m))
+            expected.append((pair // 2, pair % 2))
+        got = list(schedulers._pair_stream(np.random.default_rng(seed), m, iters))
+        assert got == expected
+
+    def test_vertex_stream_matches_scalar_draws_across_chunks(self):
+        model = erdos_renyi_potts(40, 0.1, 2, 4)
+        cdf = schedulers._degree_cdf(model)
+        iters = 2 * schedulers._SAMPLE_CHUNK + 5
+        rng = np.random.default_rng(5)
+        expected = [
+            min(int(np.searchsorted(cdf, rng.random(), side="right")), model.n - 1)
+            for _ in range(iters)
+        ]
+        got = list(schedulers._vertex_stream(np.random.default_rng(5), cdf, iters))
+        assert got == expected
+
+    def test_streams_draw_nothing_for_zero_iterations(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        assert list(schedulers._pair_stream(rng, 0, 0)) == []
+        assert list(schedulers._vertex_stream(rng, np.array([1.0]), 0)) == []
+        assert rng.bit_generator.state == state
+
+    ACCELERATED = {"accel-emp": accel_emp, "accel-smp": accel_smp, "accel-bcd": accel_block_grad}
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("name", ["emp", "smp", "bcd", *ACCELERATED])
+    def test_solvers_independent_of_chunk_size(self, monkeypatch, name, early_stop):
+        model = random_model(np.random.default_rng(18), 6, 3)
+        eta, iters, seed = 5.0, 200, 31
+
+        def solve(stop=None):
+            if name in self.ACCELERATED:
+                return self.ACCELERATED[name](model, eta, iters, seed, stop_slack_score=stop)
+            return standard_mp(model, name, eta, iters, seed, stop_slack_score=stop)
+
+        stop = float(np.median(solve().slack_scores)) if early_stop else None
+        reference = solve(stop)
+        monkeypatch.setattr(schedulers, "_SAMPLE_CHUNK", 3)
+        chunked = solve(stop)
+        if early_stop:
+            assert reference.iterations[-1] < iters
+        assert np.array_equal(chunked.iterations, reference.iterations)
+        assert np.array_equal(chunked.final_lambda, reference.final_lambda)
+        assert np.array_equal(chunked.dual_values, reference.dual_values)
+        assert np.array_equal(chunked.slack_scores, reference.slack_scores)

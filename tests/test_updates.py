@@ -293,3 +293,40 @@ class TestLocality:
                     for t, e in enumerate(m.incident_edges[vertex]):
                         block = block_slack(m, lam, eta, int(e), vertex)
                         assert np.array_equal(star[t], block)
+
+
+class TestWithSlack:
+    """An update called with ``with_slack=True`` returns its block(s) and the
+    slack at the same point, each equal bit for bit to the separate calls."""
+
+    # degrees 4, 2, 4, 2, 2, 3, 1 (vertex 6 is a leaf)
+    EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 5), (4, 5), (5, 6)]
+
+    @pytest.mark.parametrize("cost_scale", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
+    def test_fused_equals_separate_calls(self, eta, cost_scale):
+        rng = np.random.default_rng(16)
+        n, d = 7, 3
+        m = build_model(
+            n,
+            self.EDGES,
+            d,
+            cost_scale * rng.normal(size=(n, d)),
+            cost_scale * rng.normal(size=(len(self.EDGES), d, d)),
+        )
+        assert sorted(set(m.degrees.tolist())) == [1, 2, 3, 4]
+        lam = cost_scale * rng.normal(size=(m.m, 2, d))
+        for edge in range(m.m):
+            for vertex in m.edges[edge].tolist():
+                nu = block_slack(m, lam, eta, edge, vertex)
+                block, fused_nu = emp_update(m, lam, eta, edge, vertex, with_slack=True)
+                assert np.array_equal(block, emp_update(m, lam, eta, edge, vertex))
+                assert np.array_equal(fused_nu, nu)
+                block, fused_nu = block_grad_step(m, lam, eta, edge, vertex, with_slack=True)
+                assert np.array_equal(block, block_grad_step(m, lam, eta, edge, vertex))
+                assert np.array_equal(fused_nu, nu)
+        for vertex in range(n):
+            blocks, fused_nu = smp_update(m, lam, eta, vertex, with_slack=True)
+            assert np.isfinite(blocks).all() and np.isfinite(fused_nu).all()
+            assert np.array_equal(blocks, smp_update(m, lam, eta, vertex))
+            assert np.array_equal(fused_nu, star_slack(m, lam, eta, vertex))
