@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OracleGuardError, ValidationError
-from .model import Model, erdos_renyi_potts
+from .model import Model, default_edge_prob, erdos_renyi_potts
 from .objective import primal_objective, recover_primal
 from .oracle import lp_solve_l2
 from .projection import proj
@@ -154,11 +154,15 @@ def _resolve_model(config: BenchConfig) -> Model:
     if config.model_file is not None:
         from .formats import load_model
 
-        with open(config.model_file, encoding="utf-8") as fh:
-            return load_model(fh.read())
+        try:
+            with open(config.model_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {config.model_file}: {exc}") from None
+        return load_model(text)
     edge_prob = config.edge_prob
     if edge_prob is None:
-        edge_prob = 1.1 * math.log(config.n) / config.n
+        edge_prob = default_edge_prob(config.n)
     return erdos_renyi_potts(config.n, edge_prob, config.d, config.seed)
 
 

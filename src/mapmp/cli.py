@@ -10,13 +10,12 @@ refusal.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError
 from .formats import emit_model, load_model, parse_uai
-from .model import Model, map_value
+from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
 from .objective import dual_and_slack, primal_objective, recover_primal, slack_score
 from .oracle import brute_force_map, lp_solve_l2, tree_map
 from .projection import proj, vertex_round
@@ -59,9 +58,7 @@ def _resolve_eta(args, model: Model) -> float:
 def _cmd_gen(args) -> int:
     edge_prob = args.edge_prob
     if edge_prob is None:
-        edge_prob = 1.1 * math.log(args.n) / args.n
-    from .model import erdos_renyi_potts
-
+        edge_prob = default_edge_prob(args.n)
     model = erdos_renyi_potts(args.n, edge_prob, args.d, args.seed)
     text = emit_model(model)
     if args.out:

@@ -37,14 +37,14 @@ def _fmt(x: float) -> str:
 
 
 def emit_model(model: Model) -> str:
-    lines = [f"{_NATIVE_MAGIC} {_NATIVE_VERSION} {model.n} {model.m} {model.d}"]
-    for i in range(model.n):
-        values = " ".join(_fmt(c) for c in model.vertex_costs[i])
-        lines.append(f"v {i} {values}")
-    for e in range(model.m):
-        i, j = model.edges[e]
-        values = " ".join(_fmt(c) for c in model.edge_costs[e].ravel())
-        lines.append(f"e {i} {j} {values}")
+    # "%.17g" on Python floats writes the same digits as format(x, ".17g").
+    d = model.d
+    v_line = "v %d" + " %.17g" * d
+    e_line = "e %d %d" + " %.17g" * (d * d)
+    lines = [f"{_NATIVE_MAGIC} {_NATIVE_VERSION} {model.n} {model.m} {d}"]
+    lines += [v_line % (i, *row) for i, row in enumerate(model.vertex_costs.tolist())]
+    costs = model.edge_costs.reshape(model.m, d * d).tolist()
+    lines += [e_line % (*edge, *row) for edge, row in zip(model.edges.tolist(), costs)]
     return "\n".join(lines) + "\n"
 
 
@@ -54,7 +54,7 @@ def _parse_floats(tokens, count, lineno, what):
             f"line {lineno}: expected {count} {what} values, got {len(tokens)}"
         )
     try:
-        return [float(t) for t in tokens]
+        return list(map(float, tokens))
     except ValueError as exc:
         raise ValidationError(f"line {lineno}: bad float in {what}: {exc}") from None
 
@@ -79,11 +79,20 @@ def load_model(text: str) -> Model:
     except ValueError:
         raise ValidationError(f"line {header_no}: header sizes must be integers") from None
 
-    vertex_costs = np.full((max(n, 1), max(d, 1)), np.nan)
-    seen_vertex = np.zeros(max(n, 1), dtype=bool)
+    for name, value, least in (("n", n, 1), ("m", m, 0), ("d", d, 2)):
+        if value < least:
+            raise ValidationError(f"line {header_no}: header needs {name} >= {least}, got {value}")
+    records = lines[1:]
+    if n > len(records):
+        raise ValidationError(
+            f"line {header_no}: header declares {n} vertices but the file has {len(records)} records"
+        )
+
+    # No array is sized by the header: rows are checked against d per line.
+    vertex_rows = [None] * n
     edges = []
-    edge_costs = []
-    for no, tokens in lines[1:]:
+    edge_values = []
+    for no, tokens in records:
         kind = tokens[0]
         if kind == "v":
             if len(tokens) < 2:
@@ -94,10 +103,9 @@ def load_model(text: str) -> Model:
                 raise ValidationError(f"line {no}: bad vertex index {tokens[1]!r}") from None
             if not 0 <= i < n:
                 raise ValidationError(f"line {no}: vertex index {i} outside 0..{n - 1}")
-            if seen_vertex[i]:
+            if vertex_rows[i] is not None:
                 raise ValidationError(f"line {no}: duplicate vertex line for {i}")
-            seen_vertex[i] = True
-            vertex_costs[i] = _parse_floats(tokens[2:], d, no, "vertex cost")
+            vertex_rows[i] = _parse_floats(tokens[2:], d, no, "vertex cost")
         elif kind == "e":
             if len(tokens) < 3:
                 raise ValidationError(f"line {no}: edge line needs two endpoints")
@@ -110,16 +118,16 @@ def load_model(text: str) -> Model:
                     f"line {no}: edge ({i}, {j}) violates the canonical i < j orientation"
                 )
             edges.append((i, j))
-            values = _parse_floats(tokens[3:], d * d, no, "edge cost")
-            edge_costs.append(np.array(values).reshape(d, d))
+            edge_values += _parse_floats(tokens[3:], d * d, no, "edge cost")
         else:
             raise ValidationError(f"line {no}: unknown record kind {kind!r}")
-    if not seen_vertex[:n].all():
-        missing = int(np.flatnonzero(~seen_vertex[:n])[0])
-        raise ValidationError(f"missing vertex line for {missing}")
+    if None in vertex_rows:
+        raise ValidationError(f"missing vertex line for {vertex_rows.index(None)}")
     if len(edges) != m:
         raise ValidationError(f"header declares {m} edges but file has {len(edges)}")
-    return build_model(n, edges, d, vertex_costs[:n, :d], np.array(edge_costs).reshape(m, d, d))
+    return build_model(
+        n, edges, d, np.array(vertex_rows), np.array(edge_values).reshape(m, d, d)
+    )
 
 
 def _tokenize_with_lines(text: str):
@@ -158,8 +166,8 @@ class _TokenReader:
         except ValueError:
             raise ValidationError(f"line {no}: expected {what}, got {token!r}") from None
 
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def remaining(self) -> int:
+        return len(self.tokens) - self.pos
 
 
 def parse_uai(text: str) -> Model:
@@ -174,6 +182,8 @@ def parse_uai(text: str) -> Model:
     cards = []
     for k in range(n):
         card, cno = reader.take_int(f"cardinality of variable {k}")
+        if card < 2:
+            raise ValidationError(f"line {cno}: cardinality of variable {k} must be >= 2, got {card}")
         cards.append((card, cno))
     d = cards[0][0]
     for card, cno in cards:
@@ -206,6 +216,11 @@ def parse_uai(text: str) -> Model:
             raise ValidationError(
                 f"line {sno}: table for scope {tuple(scope)} has {size} entries, expected {expected}"
             )
+        if size > reader.remaining():
+            raise ValidationError(
+                f"line {sno}: table of {size} entries runs past the end of file "
+                f"({reader.remaining()} tokens left)"
+            )
         entries = np.empty(size)
         for k in range(size):
             value, vno = reader.take_float("table entry")
@@ -227,7 +242,7 @@ def parse_uai(text: str) -> Model:
                 edge_costs[(a, b)] += table
             else:
                 edge_costs[(a, b)] = table
-    if not reader.exhausted():
+    if reader.remaining():
         token, no = reader.take("end of file")
         raise ValidationError(f"line {no}: unexpected trailing token {token!r}")
 

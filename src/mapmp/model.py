@@ -10,6 +10,7 @@ smaller endpoint and slot 1 the larger one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     """Validate inputs and assemble an immutable :class:`Model`.
 
+    ``edges`` is a sequence of (i, j) pairs or an (m, 2) integer array.
     Edges may be supplied in either orientation; a pair given as (j, i) with
     j > i is flipped and its cost matrix transposed.  The edge list is then
     sorted lexicographically with the cost matrices permuted alongside.
@@ -84,56 +86,52 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
             f"vertex_costs has shape {vc.shape}, expected {(n, d)}"
         )
 
-    edge_list = [(int(i), int(j)) for i, j in edges]
-    m = len(edge_list)
+    canon = np.array(edges, dtype=np.int64)
+    if canon.size == 0:
+        canon = canon.reshape(0, 2)
+    if canon.ndim != 2 or canon.shape[1] != 2:
+        raise ValidationError(f"edges must be (i, j) pairs, got shape {canon.shape}")
+    m = canon.shape[0]
     ec = np.ascontiguousarray(edge_costs, dtype=np.float64)
     if ec.shape != (m, d, d):
         raise ValidationError(
             f"edge_costs has shape {ec.shape}, expected {(m, d, d)}"
         )
 
-    canon = np.empty((m, 2), dtype=np.int64)
-    ec_canon = ec.copy()
-    for k, (i, j) in enumerate(edge_list):
-        if not (0 <= i < n and 0 <= j < n):
+    outside = ((canon < 0) | (canon >= n)).any(axis=1)
+    bad = np.flatnonzero(outside | (canon[:, 0] == canon[:, 1]))
+    if bad.size:
+        i, j = canon[bad[0]]
+        if outside[bad[0]]:
             raise ValidationError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
-        if i == j:
-            raise ValidationError(f"self-loop at vertex {i}")
-        if i > j:
-            i, j = j, i
-            ec_canon[k] = ec_canon[k].T
-        canon[k] = (i, j)
+        raise ValidationError(f"self-loop at vertex {i}")
 
+    flip = canon[:, 0] > canon[:, 1]
+    canon[flip] = canon[flip, ::-1]
     order = np.lexsort((canon[:, 1], canon[:, 0]))
     canon = canon[order]
-    ec_canon = ec_canon[order]
-    for k in range(1, m):
-        if canon[k, 0] == canon[k - 1, 0] and canon[k, 1] == canon[k - 1, 1]:
-            raise ValidationError(
-                f"duplicate edge ({canon[k, 0]}, {canon[k, 1]})"
-            )
+    ec_canon = ec[order]
+    flip = flip[order]
+    ec_canon[flip] = ec_canon[flip].transpose(0, 2, 1)
+    dup = np.flatnonzero((canon[1:] == canon[:-1]).all(axis=1))
+    if dup.size:
+        i, j = canon[dup[0] + 1]
+        raise ValidationError(f"duplicate edge ({i}, {j})")
 
     if not np.isfinite(vc).all() or not np.isfinite(ec_canon).all():
         raise ValidationError("costs must be finite")
 
-    degrees = np.zeros(n, dtype=np.int64)
-    inc = [[] for _ in range(n)]
-    for k in range(m):
-        i, j = int(canon[k, 0]), int(canon[k, 1])
-        degrees[i] += 1
-        degrees[j] += 1
-        inc[i].append((k, 0))
-        inc[j].append((k, 1))
+    # Endpoint k of the flattened edge list is slot k % 2 of edge k // 2; a
+    # stable sort by vertex keeps each vertex's edges in ascending order.
+    endpoints = canon.ravel()
+    degrees = np.bincount(endpoints, minlength=n)
     isolated = np.flatnonzero(degrees == 0)
     if isolated.size:
         raise ValidationError(f"isolated vertex {int(isolated[0])} has no incident edge")
-
-    incident_edges = tuple(
-        _readonly(np.array([e for e, _ in pairs], dtype=np.int64)) for pairs in inc
-    )
-    incident_slots = tuple(
-        _readonly(np.array([s for _, s in pairs], dtype=np.int64)) for pairs in inc
-    )
+    by_vertex = np.argsort(endpoints, kind="stable")
+    bounds = np.cumsum(degrees)[:-1]
+    incident_edges = tuple(map(_readonly, np.split(by_vertex // 2, bounds)))
+    incident_slots = tuple(map(_readonly, np.split(by_vertex % 2, bounds)))
     return Model(
         n=n,
         d=d,
@@ -184,6 +182,15 @@ def degree_stats(model: Model):
     return degrees, int(degrees.max()), int(degrees.sum())
 
 
+def default_edge_prob(n: int) -> float:
+    """Edge probability 1.1 log(n) / n: the sparse regime just above the
+    log(n) / n connectivity threshold, used when none is given."""
+    n = int(n)
+    if n < 2:
+        raise ValidationError(f"need n >= 2 vertices, got {n}")
+    return 1.1 * math.log(n) / n
+
+
 def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     """Random Erdos-Renyi instance with multi-label Potts-style costs.
 
@@ -198,7 +205,10 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     golden files stay portable): one uniform per vertex pair in
     lexicographic order, then one integer draw per repaired vertex in
     ascending order, then the (n, d) vertex-cost uniforms, then the
-    (m, d, d) edge-sign uniforms with edges in canonical sorted order.
+    (m, d, d) edge-sign uniforms with edges in canonical sorted order.  The
+    pair uniforms are drawn one row at a time, ``random(n - i - 1)`` for the
+    pairs (i, j > i); that yields exactly the stream of one scalar draw per
+    pair, in O(n) memory.
     """
     n = int(n)
     d = int(d)
@@ -210,22 +220,24 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
-    edges = set()
+    later = [np.flatnonzero(rng.random(n - i - 1) < edge_prob) + (i + 1) for i in range(n)]
+    first = np.repeat(np.arange(n), [js.size for js in later])
+    second = np.concatenate(later)
     covered = np.zeros(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                edges.add((i, j))
-                covered[i] = covered[j] = True
+    covered[first] = covered[second] = True
+    repairs = []
     for v in range(n):
         if not covered[v]:
             u = int(rng.integers(n - 1))
             if u >= v:
                 u += 1
-            edges.add((min(u, v), max(u, v)))
+            repairs.append((min(u, v), max(u, v)))
             covered[u] = covered[v] = True
 
-    edge_list = sorted(edges)
+    edges = np.concatenate(
+        [np.stack([first, second], axis=1), np.array(repairs, dtype=np.int64).reshape(-1, 2)]
+    )
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     vc = rng.uniform(-0.01, 0.01, size=(n, d))
-    ec = np.where(rng.random((len(edge_list), d, d)) < 0.5, -1.0, 1.0)
-    return build_model(n, edge_list, d, vc, ec)
+    ec = np.where(rng.random((len(edges), d, d)) < 0.5, -1.0, 1.0)
+    return build_model(n, edges, d, vc, ec)

@@ -81,6 +81,66 @@ def random_tree_model(rng: np.random.Generator, n: int, d: int) -> Model:
     )
 
 
+# ---------------------------------------------------------------------------
+# Scalar references for instance set-up: the documented generator stream, the
+# list-built incidence and the one-value-at-a-time native writer.
+# ---------------------------------------------------------------------------
+
+
+def reference_erdos_renyi_stream(n: int, edge_prob: float, d: int, seed: int):
+    """The documented ``erdos_renyi_potts`` stream, one scalar draw at a time:
+    a uniform per pair (i, j > i) in lexicographic order, an integer per
+    still-uncovered vertex in ascending order, then vertex-cost uniforms and
+    edge-sign uniforms.  Returns (sorted edge list, vertex costs, edge costs)."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    covered = [False] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                edges.add((i, j))
+                covered[i] = covered[j] = True
+    for v in range(n):
+        if not covered[v]:
+            u = int(rng.integers(n - 1))
+            if u >= v:
+                u += 1
+            edges.add((min(u, v), max(u, v)))
+            covered[u] = covered[v] = True
+    edge_list = sorted(edges)
+    vc = rng.uniform(-0.01, 0.01, size=(n, d))
+    ec = np.where(rng.random((len(edge_list), d, d)) < 0.5, -1.0, 1.0)
+    return edge_list, vc, ec
+
+
+def reference_incidence(n: int, edge_list):
+    """Degrees and per-vertex (incident edge, slot) lists of a canonical,
+    sorted edge list, built by appending edge by edge."""
+    degrees = [0] * n
+    inc_edges = [[] for _ in range(n)]
+    inc_slots = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(edge_list):
+        for slot, v in enumerate((i, j)):
+            degrees[v] += 1
+            inc_edges[v].append(k)
+            inc_slots[v].append(slot)
+    return degrees, inc_edges, inc_slots
+
+
+def reference_emit_model(model: Model) -> str:
+    """The native writer one value at a time with ``format(x, ".17g")``."""
+    def fmt(values):
+        return " ".join(format(float(x), ".17g") for x in values)
+
+    lines = [f"mapmp v1 {model.n} {model.m} {model.d}"]
+    for i in range(model.n):
+        lines.append(f"v {i} {fmt(model.vertex_costs[i])}")
+    for e in range(model.m):
+        i, j = model.edges[e]
+        lines.append(f"e {i} {j} {fmt(model.edge_costs[e].ravel())}")
+    return "\n".join(lines) + "\n"
+
+
 def fd_gradient(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
     """Central finite differences of the dual objective, coordinate by
     coordinate, at step 1e-6 * (1 + |coordinate|)."""

@@ -236,6 +236,44 @@ class TestCli:
         assert main(["solve", str(model), "--epsilon", "inf", "--iters", "3"]) == 2
         assert "epsilon must be a positive finite number, got inf" in capsys.readouterr().err
 
+    def test_bad_native_header_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mapmp"
+        bad.write_text("mapmp v1 2 1 0\nv 0\nv 1\ne 0 1\n")
+        assert main(["solve", str(bad), "--eta", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 1: header needs d >= 2, got 0\n"
+        bad.write_text("mapmp v1 100000000000 0 2\n")
+        assert main(["solve", str(bad), "--eta", "1"]) == 2
+        assert "header declares 100000000000 vertices" in capsys.readouterr().err
+
+    def test_bad_uai_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.uai"
+        bad.write_text("MARKOV 2 -1 -1 0\n")
+        assert main(["convert", str(bad)]) == 2
+        assert "cardinality of variable 0 must be >= 2, got -1" in capsys.readouterr().err
+
+    def test_too_few_vertices_for_the_default_edge_prob(self, tmp_path, capsys):
+        for argv in (
+            ["gen", "--n", "0", "--d", "3"],
+            ["gen", "--n", "1", "--d", "3"],
+            ["bench", "--n", "0", "--d", "3", "--iters", "3", "--out", str(tmp_path / "m.csv")],
+            ["bench", "--n", "0", "--d", "3", "--iters", "3", "--epsilon", "1",
+             "--out", str(tmp_path / "m.csv")],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: need n >= 2 vertices, got ")
+            assert captured.out == ""
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_missing_bench_model_file_is_validation_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--model", str(missing), "--iters", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert main(argv + ["--epsilon", "1"]) == 2
+        assert capsys.readouterr().err.count(f"error: cannot read {missing}: ") == 2
+        assert not out.exists()
+
     def test_guard_exit_code(self, tmp_path, capsys):
         big = mapmp.build_model(
             30,

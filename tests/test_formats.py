@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_model
+from helpers import random_model, reference_emit_model
 
 import mapmp
 from mapmp import (
@@ -71,6 +73,43 @@ class TestNativeFormat:
         text = "mapmp v1 2 1 2\nv 0 0 0\nv 1 0 0\ne 0 1 0 0 0\n"
         with pytest.raises(ValidationError, match="line 4"):
             load_model(text)
+
+    def test_emit_matches_the_one_value_writer(self):
+        extremes = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -0.1, 1e16]
+        vc = np.array(extremes[:6]).reshape(3, 2)
+        ec = np.array(extremes + extremes[:2]).reshape(3, 2, 2)
+        m = build_model(3, [(0, 1), (0, 2), (1, 2)], 2, vc, ec)
+        text = emit_model(m)
+        assert text == reference_emit_model(m)
+        assert "v 0 -0 0" in text
+        assert models_equal(m, load_model(text))
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = random_model(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)), 0.5)
+            assert emit_model(m) == reference_emit_model(m)
+        m = erdos_renyi_potts(60, 0.1, 3, 2)
+        assert emit_model(m) == reference_emit_model(m)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("mapmp v1 2 1 0", "line 1: header needs d >= 2, got 0"),
+            ("mapmp v1 2 1 1", "line 1: header needs d >= 2, got 1"),
+            ("mapmp v1 0 0 2", "line 1: header needs n >= 1, got 0"),
+            ("mapmp v1 2 -1 2", "line 1: header needs m >= 0, got -1"),
+            ("mapmp v1 100000000000 0 2",
+             "line 1: header declares 100000000000 vertices but the file has 3 records"),
+        ],
+    )
+    def test_header_is_checked_before_anything_is_allocated(self, header, message):
+        text = header + "\nv 0 0 0\nv 1 0 0\ne 0 1 0 0 0 0\n"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_model(text)
+
+    def test_header_line_number_skips_leading_blank_lines(self):
+        with pytest.raises(ValidationError, match="^line 3: header needs d >= 2"):
+            load_model("\n\nmapmp v1 2 1 0\nv 0\nv 1\ne 0 1\n")
 
     def test_rejects_missing_vertex_and_edge_count_mismatch(self):
         with pytest.raises(ValidationError, match="missing vertex"):
@@ -163,6 +202,25 @@ class TestUaiFormat:
             parse_uai(MINIMAL_UAI.replace("4\n 1.0 1.0 1.0 1.0", "3\n 1.0 1.0 1.0"))
         with pytest.raises(ValidationError, match="end of file"):
             parse_uai("MARKOV\n2\n2 2\n1\n2 0 1\n4\n 1.0 1.0\n")
+
+    @pytest.mark.parametrize("card", ["-1", "0", "1"])
+    def test_cardinality_below_two_rejected_at_its_line(self, card):
+        text = f"MARKOV 2 2 {card} 0"
+        with pytest.raises(
+            ValidationError,
+            match=f"^line 1: cardinality of variable 1 must be >= 2, got {card}$",
+        ):
+            parse_uai(text)
+        with pytest.raises(ValidationError, match="^line 3: cardinality of variable 0"):
+            parse_uai(f"MARKOV\n2\n{card} 2\n0\n")
+
+    def test_table_larger_than_the_file_rejected_before_allocation(self):
+        text = "MARKOV\n2\n100000 100000\n1\n2 0 1\n10000000000\n 1 2 3\n"
+        with pytest.raises(
+            ValidationError,
+            match=r"^line 6: table of 10000000000 entries runs past the end of file \(3 tokens left\)$",
+        ):
+            parse_uai(text)
 
     def test_parse_after_emit_preserves_costs(self):
         rng = np.random.default_rng(1)

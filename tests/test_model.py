@@ -1,8 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+from helpers import random_model, reference_erdos_renyi_stream, reference_incidence
+
 import mapmp
 from mapmp import ValidationError, build_model, degree_stats, erdos_renyi_potts, map_value
+from mapmp.model import default_edge_prob
 
 
 def zeros_model(n, edges, d):
@@ -63,6 +69,54 @@ class TestBuildModel:
         m = zeros_model(2, [(0, 1)], 2)
         with pytest.raises(ValueError):
             m.vertex_costs[0, 0] = 1.0
+
+    def test_incidence_arrays_read_only(self):
+        m = zeros_model(3, [(0, 1), (1, 2)], 2)
+        for arrays in (m.incident_edges, m.incident_slots):
+            with pytest.raises(ValueError):
+                arrays[1][0] = 5
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shuffled_and_reversed_edges_give_the_same_model(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_model(rng, int(rng.integers(2, 12)), int(rng.integers(2, 5)), 0.4)
+        perm = rng.permutation(base.m)
+        flip = rng.random(base.m) < 0.5
+        edges = base.edges[perm].copy()
+        edges[flip] = edges[flip, ::-1]
+        costs = base.edge_costs[perm].copy()
+        costs[flip] = costs[flip].transpose(0, 2, 1)
+        given_costs = costs.copy()
+        degrees, inc_edges, inc_slots = reference_incidence(base.n, base.edges.tolist())
+        for given in (edges, [tuple(e) for e in edges.tolist()], edges.astype(np.int32)):
+            m = build_model(base.n, given, base.d, base.vertex_costs, costs)
+            assert np.array_equal(m.edges, base.edges)
+            assert np.array_equal(m.edge_costs, base.edge_costs)
+            assert np.array_equal(m.vertex_costs, base.vertex_costs)
+            assert m.degrees.dtype == np.int64 and m.degrees.tolist() == degrees
+            assert [a.tolist() for a in m.incident_edges] == inc_edges
+            assert [a.tolist() for a in m.incident_slots] == inc_slots
+            assert all(a.dtype == np.int64 for a in m.incident_edges + m.incident_slots)
+        assert np.array_equal(costs, given_costs)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (0, 9), (1, 1)], "self-loop at vertex 2"),
+            ([(0, 1), (5, 0), (1, 1)], "edge (5, 0) has an endpoint outside 0..2"),
+            ([(0, 1), (-1, 2), (5, 5)], "edge (-1, 2) has an endpoint outside 0..2"),
+            ([(0, 1), (3, 3), (2, 2)], "edge (3, 3) has an endpoint outside 0..2"),
+            ([(1, 2), (2, 1), (0, 1), (1, 0)], "duplicate edge (0, 1)"),
+            ([(0, 1), (1, 0), (1, 2), (2, 2)], "self-loop at vertex 2"),
+        ],
+    )
+    def test_first_bad_edge_is_named(self, edges, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            zeros_model(3, edges, 2)
+
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(ValidationError, match="pairs"):
+            zeros_model(3, [(0, 1, 2)], 2)
 
 
 class TestMapValue:
@@ -166,3 +220,39 @@ class TestErdosRenyiPotts:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             erdos_renyi_potts(10, 0.3, 3, -1)
+
+    @pytest.mark.parametrize(
+        "n, edge_prob, seed",
+        [
+            (2, 0.5, 0),
+            (3, 1.0, 5),
+            (12, 0.01, 0),  # nearly every vertex is repaired
+            (12, 0.01, 7),
+            (25, 1.0, 1),
+            (40, 0.2, 101),
+            (100, default_edge_prob(100), 3),
+            (400, default_edge_prob(400), 7),
+            (400, 0.001, 11),
+        ],
+    )
+    def test_matches_the_documented_scalar_stream(self, n, edge_prob, seed):
+        edge_list, vc, ec = reference_erdos_renyi_stream(n, edge_prob, 3, seed)
+        m = erdos_renyi_potts(n, edge_prob, 3, seed)
+        assert np.array_equal(m.edges, np.array(edge_list).reshape(-1, 2))
+        assert np.array_equal(m.vertex_costs, vc)
+        assert np.array_equal(m.edge_costs, ec)
+        degrees, inc_edges, inc_slots = reference_incidence(n, edge_list)
+        assert np.array_equal(m.degrees, degrees)
+        assert [a.tolist() for a in m.incident_edges] == inc_edges
+        assert [a.tolist() for a in m.incident_slots] == inc_slots
+
+
+class TestDefaultEdgeProb:
+    def test_sparse_regime_formula(self):
+        assert default_edge_prob(100) == 1.1 * math.log(100) / 100
+        assert default_edge_prob(2) == 1.1 * math.log(2) / 2
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_too_few_vertices_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"need n >= 2 vertices, got {n}"):
+            default_edge_prob(n)
