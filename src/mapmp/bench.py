@@ -100,6 +100,8 @@ class BenchConfig:
             raise ValidationError(f"stride must be >= 1, got {self.stride}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.opt_value is not None and not math.isfinite(self.opt_value):
+            raise ValidationError(f"opt_value must be finite, got {self.opt_value}")
         has_file = self.model_file is not None
         has_gen = self.n is not None or self.d is not None
         if has_file == has_gen:

@@ -207,7 +207,8 @@ def parse_uai(text: str) -> Model:
             raise ValidationError(f"line {ano}: pairwise scope repeats variable {scope[0]}")
         scopes.append((scope, ano))
 
-    vertex_costs = np.zeros((n, d))
+    table_tokens = reader.remaining()
+    unary = []
     edge_costs: dict[tuple[int, int], np.ndarray] = {}
     for scope, _ in scopes:
         size, sno = reader.take_int("table size")
@@ -231,7 +232,7 @@ def parse_uai(text: str) -> Model:
             entries[k] = value
         cost = -np.log(entries)
         if len(scope) == 1:
-            vertex_costs[scope[0]] += cost
+            unary.append((scope[0], cost))
         else:
             a, b = scope
             table = cost.reshape(d, d)  # first scope variable indexes rows
@@ -245,6 +246,15 @@ def parse_uai(text: str) -> Model:
     if reader.remaining():
         token, no = reader.take("end of file")
         raise ValidationError(f"line {no}: unexpected trailing token {token!r}")
+    # Every vertex is in a pairwise table of d^2 >= 2 d entries: a valid file has n d.
+    if n * d > table_tokens:
+        raise ValidationError(
+            f"{n} variables of cardinality {d} need at least {n * d} table entries, "
+            f"the file has {table_tokens} table tokens"
+        )
+    vertex_costs = np.zeros((n, d))
+    for var, cost in unary:
+        vertex_costs[var] += cost
 
     edge_list = sorted(edge_costs)
     ec = np.array([edge_costs[e] for e in edge_list]).reshape(len(edge_list), d, d)

@@ -80,7 +80,7 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     if d < 2:
         raise ValidationError(f"need at least two labels per vertex, got d={d}")
 
-    vc = np.ascontiguousarray(vertex_costs, dtype=np.float64)
+    vc = np.array(vertex_costs, dtype=np.float64, order="C")
     if vc.shape != (n, d):
         raise ValidationError(
             f"vertex_costs has shape {vc.shape}, expected {(n, d)}"

@@ -25,6 +25,7 @@ probabilities are materialized only on demand, so eta up to ~1e4 is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +73,15 @@ def _lse(a: np.ndarray, axis):
     return out.squeeze(axis)
 
 
+def _lse_all(a: np.ndarray):
+    """``_lse`` over every axis of one block, by the same six steps as full
+    ``axis=None`` reductions returning NumPy scalars; bit-identical to it."""
+    amax = np.maximum.reduce(a, axis=None)
+    shifted = a - amax
+    np.exp(shifted, out=shifted)
+    return np.log(np.add.reduce(shifted, axis=None)) + amax
+
+
 def _check_marginal_shapes(model: Model, mu: Marginals) -> None:
     if mu.vertex.shape != (model.n, model.d):
         raise ValidationError(
@@ -116,7 +126,7 @@ def _dual_state(model: Model, lam: np.ndarray, eta: float) -> _DualState:
 
 def _check_eta(eta: float) -> float:
     eta = float(eta)
-    if not (eta > 0.0 and np.isfinite(eta)):
+    if not (eta > 0.0 and math.isfinite(eta)):
         raise ValidationError(f"eta must be a positive finite number, got {eta}")
     return eta
 

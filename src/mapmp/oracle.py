@@ -76,6 +76,29 @@ def _index_to_assignment(model: Model, index: int) -> np.ndarray:
     return labels
 
 
+def _scan(model: Model):
+    """One pass over all d^n assignments: the lexicographically first
+    minimizer's index, the minimum, how many assignments attain it, and the
+    smallest value above it (inf if none)."""
+    total = _check_brute_guard(model)
+    best, best_index, best_count, second = np.inf, -1, 0, np.inf
+    for start in range(0, total, _CHUNK):
+        values = _chunk_values(model, start, min(start + _CHUNK, total))
+        chunk_min = values.min()
+        if chunk_min < best:
+            above = values[values > chunk_min]
+            second = min(above.min() if above.size else np.inf, best)
+            best, best_index = chunk_min, start + int(np.argmax(values == chunk_min))
+            best_count = int((values == chunk_min).sum())
+        else:
+            if chunk_min == best:
+                best_count += int((values == chunk_min).sum())
+            above = values[values > best]
+            if above.size:
+                second = min(second, float(above.min()))
+    return best_index, best, best_count, second
+
+
 def brute_force_map(model: Model) -> BruteForceResult:
     """Exhaustive minimum over all d^n assignments.
 
@@ -83,22 +106,8 @@ def brute_force_map(model: Model) -> BruteForceResult:
     ``unique`` reports whether exactly one assignment attains the optimum.
     Guarded at d^n <= 1e7.
     """
-    total = _check_brute_guard(model)
-    best_value = np.inf
-    best_index = -1
-    best_count = 0
-    for start in range(0, total, _CHUNK):
-        values = _chunk_values(model, start, min(start + _CHUNK, total))
-        chunk_min = values.min()
-        if chunk_min < best_value:
-            best_value = chunk_min
-            best_index = start + int(np.argmax(values == chunk_min))
-            best_count = int((values == chunk_min).sum())
-        elif chunk_min == best_value:
-            best_count += int((values == chunk_min).sum())
-    return BruteForceResult(
-        _index_to_assignment(model, best_index), float(best_value), best_count == 1
-    )
+    index, value, count, _ = _scan(model)
+    return BruteForceResult(_index_to_assignment(model, index), float(value), count == 1)
 
 
 def gap_estimate(model: Model) -> float:
@@ -107,25 +116,7 @@ def gap_estimate(model: Model) -> float:
     vertices dominate (e.g. the tree test family).  Requires a unique
     optimum; scales linearly with the costs.
     """
-    total = _check_brute_guard(model)
-    best = np.inf
-    best_count = 0
-    second = np.inf
-    for start in range(0, total, _CHUNK):
-        values = _chunk_values(model, start, min(start + _CHUNK, total))
-        chunk_min = values.min()
-        if chunk_min < best:
-            above = values[values > chunk_min]
-            runner = above.min() if above.size else np.inf
-            second = min(runner, best)
-            best = chunk_min
-            best_count = int((values == chunk_min).sum())
-        else:
-            if chunk_min == best:
-                best_count += int((values == chunk_min).sum())
-            above = values[values > best]
-            if above.size:
-                second = min(second, float(above.min()))
+    _, best, best_count, second = _scan(model)
     if best_count != 1:
         raise ValidationError(
             f"suboptimality gap undefined: optimum is not unique "

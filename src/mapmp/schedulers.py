@@ -19,8 +19,9 @@ the scalar draws in sequence; an early stop leaves the rest of a chunk
 unused.
 
 Standard loops install the exact block minimizer at the current iterate and
-return the visited iterate with the smallest slack score (sum of squared
-block l1 norms), tracked as a running minimum.  Accelerated loops maintain
+return the best recorded iterate: the one with the smallest slack score (sum
+of squared block l1 norms) among those recorded, so ``--stride`` can change
+what emp/smp/bcd return.  Accelerated loops maintain
 the extrapolation point y = theta * v + (1 - theta) * lam, install the block
 update evaluated at y, push a scaled slack step into v, and return the final
 iterate.  One update call per iteration, with ``with_slack=True``, returns
@@ -284,8 +285,9 @@ def standard_mp(
     ``update_kind``: "emp" installs the edge-block minimizer at a uniformly
     sampled (edge, endpoint) pair; "smp" installs the star minimizer at a
     degree-proportionally sampled vertex; "bcd" takes a 1/eta gradient step
-    on a uniformly sampled pair.  Returns the visited iterate with the
-    smallest recorded slack score (ties keep the earliest).
+    on a uniformly sampled pair.  Returns the best recorded iterate, the one
+    with the smallest recorded slack score (ties keep the earliest), so
+    ``--stride`` can change what emp/smp/bcd return.
 
     ``debug_checks`` re-evaluates the dual around every step and asserts the
     per-step improvement bounds (slow; for tests).
@@ -318,7 +320,7 @@ def standard_mp(
             lam[model.incident_edges[vertex], model.incident_slots[vertex]] = blocks
         else:
             edge, slot = sample
-            vertex = int(model.edges[edge, slot])
+            vertex = model.edges.item(edge, slot)
             if debug_checks:
                 before = dual_and_slack(model, lam, eta)[0]
                 nu_block = block_slack(model, lam, eta, edge, vertex)
@@ -355,8 +357,9 @@ def _accel_pair_loop(
 ) -> SolveTrace:
     """Accelerated skeleton over uniformly sampled (edge, endpoint) pairs;
     ``block_update(y, edge, vertex)`` supplies the installed block and the
-    slack block at y, ``(block, nu)``.  y is current only on the edges
-    incident to ``vertex``, which is all that ``block_update`` may read."""
+    slack block at y, ``(block, nu)``, as new arrays (``nu`` is scaled in
+    place).  y is current only on the edges incident to ``vertex``, which is
+    all that ``block_update`` may read."""
     iters = _check_iters(iters)
     rng = np.random.default_rng(seed)
     lam = zero_dual(model)
@@ -368,14 +371,15 @@ def _accel_pair_loop(
     if stop_slack_score is not None and score <= stop_slack_score:
         return rec.finish(lam, return_best=False)
 
+    edges, incident = model.edges, model.incident_edges
+    scale = 2.0 * model.m * eta  # keeps the association ((2 m) eta) theta
     for k, (edge, slot) in enumerate(_pair_stream(rng, model.m, iters)):
         theta = theta_state.advance()
-        vertex = int(model.edges[edge, slot])
-        _extrapolate(y, v, lam, theta, model.incident_edges[vertex])
+        vertex = edges.item(edge, slot)
+        _extrapolate(y, v, lam, theta, incident[vertex])
         lam[edge, slot], nu_block = block_update(y, edge, vertex)
-        v[edge, slot] += (
-            v_step_scale / (2.0 * model.m * eta * theta)
-        ) * nu_block
+        nu_block *= v_step_scale / (scale * theta)
+        v[edge, slot] += nu_block
         if rec.due(k + 1, iters):
             score = rec.record(k + 1, lam)
             if stop_slack_score is not None and score <= stop_slack_score:
@@ -483,7 +487,8 @@ def accel_smp(
     theta_state = ThetaState()
     cdf = _degree_cdf(model)
     n_total = float(model.degrees.sum())
-    min_deg = float(model.degrees.min())
+    numerator = v_step_scale * float(model.degrees.min())
+    two_p = [2.0 * (deg / n_total) for deg in model.degrees.tolist()]  # 2 p_i
     rec = _Recorder(model, eta, stride, observer)
     score = rec.record(0, lam)
     if stop_slack_score is not None and score <= stop_slack_score:
@@ -494,12 +499,10 @@ def accel_smp(
         ev = model.incident_edges[vertex]
         sv = model.incident_slots[vertex]
         _extrapolate(y, v, lam, theta, ev)
-        p_i = model.degrees[vertex] / n_total
         blocks, nu_star = smp_update(model, y, eta, vertex, with_slack=True)
         lam[ev, sv] = blocks
-        v[ev, sv] += (
-            v_step_scale * min_deg / (2.0 * p_i * theta * eta * n_total)
-        ) * nu_star
+        nu_star *= numerator / (two_p[vertex] * theta * eta * n_total)
+        v[ev, sv] += nu_star
         if rec.due(k + 1, iters):
             score = rec.record(k + 1, lam)
             if stop_slack_score is not None and score <= stop_slack_score:

@@ -28,55 +28,58 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Model
-from .objective import _check_eta, _lse
+from .objective import _check_eta, _lse, _lse_all
 
 
 def _slot_of(model: Model, edge: int, vertex: int) -> int:
     edge = int(edge)
     if not (0 <= edge < model.m):
         raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
-    i, j = model.edges[edge]
-    if vertex == i:
-        return 0
-    if vertex == j:
-        return 1
-    raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
+    ends = model.edges[edge].tolist()
+    if vertex not in ends:
+        raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
+    return ends.index(vertex)
 
 
 def _vertex_log_marginal(model: Model, lam: np.ndarray, eta: float, vertex: int):
+    """(the vertex's incident blocks, log mu_i)."""
+    own = lam[model.incident_edges[vertex], model.incident_slots[vertex]]
+    logits = np.add.reduce(own, axis=0)
+    logits -= model.vertex_costs[vertex]
+    logits *= eta
+    logits -= _lse_all(logits)
+    return own, logits
+
+
+def _pair_log_marginals(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
+    """(slot, log S_{e,i}, log mu_i) for one (edge, vertex) pair, ``eta``
+    already checked; S_{e,i} sums the normalized edge joint onto the slot."""
+    slot = _slot_of(model, edge, vertex)
+    logits = model.edge_costs[edge] + lam[edge, 0, :, None]
+    logits += lam[edge, 1]
+    logits *= -eta
+    logits -= _lse_all(logits)
+    return slot, _lse(logits, axis=1 - slot), _vertex_log_marginal(model, lam, eta, vertex)[1]
+
+
+def _star_log_marginals(model: Model, lam: np.ndarray, eta: float, vertex: int):
+    """log S_{e,i} for every edge incident to ``vertex``, shape (deg, d); the
+    steps of ``_pair_log_marginals`` in its order, so each row has its bits.
+    The incidence lists edges in ascending order, so those in slot 1 (to
+    smaller vertices) come first and reduce over axis 1."""
     ev = model.incident_edges[vertex]
-    sv = model.incident_slots[vertex]
-    logits = eta * (lam[ev, sv].sum(axis=0) - model.vertex_costs[vertex])
-    return logits - _lse(logits, axis=0)
-
-
-def _edge_log_marginal(model: Model, lam: np.ndarray, eta: float, edge: int, slot: int):
-    """log S_{e,i}: the normalized edge joint summed onto endpoint slot."""
-    logits = -eta * (
-        model.edge_costs[edge] + lam[edge, 0][:, None] + lam[edge, 1][None, :]
-    )
-    joint = logits - _lse(logits, axis=(0, 1))
-    return _lse(joint, axis=1 - slot)
-
-
-def _star_log_marginals(model: Model, lam: np.ndarray, eta: float, edges, slots):
-    """log S_{e,i} for every (edge, slot) pair of the index arrays at once,
-    shape (len(edges), d).  The in-place steps repeat the operations of
-    ``_edge_log_marginal`` in its order, so each row is bit-identical to it."""
-    blocks = lam[edges]
-    logits = model.edge_costs[edges] + blocks[:, 0, :, None]
+    blocks = lam.take(ev, axis=0)
+    logits = model.edge_costs.take(ev, axis=0) + blocks[:, 0, :, None]
     logits += blocks[:, 1, None, :]
     logits *= -eta
     logits -= _lse(logits, axis=(1, 2))[:, None, None]
-    return np.where(slots[:, None] == 0, _lse(logits, axis=2), _lse(logits, axis=1))
+    k = np.count_nonzero(model.incident_slots[vertex])
+    return np.concatenate((_lse(logits[:k], axis=1), _lse(logits[k:], axis=2)))
 
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
-    eta = _check_eta(eta)
-    slot = _slot_of(model, edge, vertex)
-    log_s = _edge_log_marginal(model, lam, eta, edge, slot)
-    log_mu = _vertex_log_marginal(model, lam, eta, vertex)
+    _, log_s, log_mu = _pair_log_marginals(model, lam, _check_eta(eta), edge, vertex)
     return np.exp(log_s) - np.exp(log_mu)
 
 
@@ -84,11 +87,8 @@ def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """Slack blocks for every edge incident to ``vertex``, shape (deg, d),
     ordered like ``model.incident_edges[vertex]``."""
     eta = _check_eta(eta)
-    log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    log_s = _star_log_marginals(
-        model, lam, eta, model.incident_edges[vertex], model.incident_slots[vertex]
-    )
-    return np.exp(log_s) - np.exp(log_mu)[None, :]
+    log_s = _star_log_marginals(model, lam, eta, vertex)
+    return np.exp(log_s) - np.exp(_vertex_log_marginal(model, lam, eta, vertex)[1])
 
 
 def emp_update(
@@ -109,10 +109,10 @@ def emp_update(
     arguments.
     """
     eta = _check_eta(eta)
-    slot = _slot_of(model, edge, vertex)
-    log_s = _edge_log_marginal(model, lam, eta, edge, slot)
-    log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    block = lam[edge, slot] + (log_s - log_mu) / (2.0 * eta)
+    slot, log_s, log_mu = _pair_log_marginals(model, lam, eta, edge, vertex)
+    block = log_s - log_mu
+    block /= 2.0 * eta
+    block += lam[edge, slot]
     if with_slack:
         return block, np.exp(log_s) - np.exp(log_mu)
     return block
@@ -130,15 +130,16 @@ def smp_update(
     ``lam`` in the same order, equal bit for bit to ``star_slack``.
     """
     eta = _check_eta(eta)
-    ev = model.incident_edges[vertex]
-    sv = model.incident_slots[vertex]
-    deg = len(ev)
-    log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    log_s = _star_log_marginals(model, lam, eta, ev, sv)
-    shared = (log_mu + log_s.sum(axis=0)) / (eta * (deg + 1))
-    blocks = lam[ev, sv] + log_s / eta - shared[None, :]
+    own, log_mu = _vertex_log_marginal(model, lam, eta, vertex)
+    log_s = _star_log_marginals(model, lam, eta, vertex)
+    shared = np.add.reduce(log_s, axis=0)
+    shared += log_mu
+    shared /= eta * (len(log_s) + 1)
+    blocks = log_s / eta
+    blocks += own
+    blocks -= shared
     if with_slack:
-        return blocks, np.exp(log_s) - np.exp(log_mu)[None, :]
+        return blocks, np.exp(log_s) - np.exp(log_mu)
     return blocks
 
 
@@ -163,9 +164,10 @@ def block_grad_step(
         step = 1.0 / eta
     if step < 0:
         raise ValidationError(f"step must be nonnegative, got {step}")
-    slot = _slot_of(model, edge, vertex)
-    nu = block_slack(model, lam, eta, edge, vertex)
-    block = lam[edge, slot] + step * nu
+    slot, log_s, log_mu = _pair_log_marginals(model, lam, eta, edge, vertex)
+    nu = np.exp(log_s) - np.exp(log_mu)
+    block = step * nu
+    block += lam[edge, slot]
     if with_slack:
         return block, nu
     return block

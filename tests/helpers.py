@@ -282,6 +282,77 @@ def naive_smp_blocks(model: Model, lam, eta: float, i: int):
 
 
 # ---------------------------------------------------------------------------
+# The local kernels as first written, in NumPy only: one call per step, no
+# in-place reuse.  The package's kernels make fewer NumPy calls but must
+# perform the same floating-point operations, so they match these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_lse(a: np.ndarray, axis):
+    amax = np.maximum.reduce(a, axis=axis, keepdims=True)
+    shifted = a - amax
+    np.exp(shifted, out=shifted)
+    out = np.add.reduce(shifted, axis=axis, keepdims=True)
+    np.log(out, out=out)
+    out += amax
+    return out.squeeze(axis)
+
+
+def reference_vertex_log_marginal(model: Model, lam, eta: float, vertex: int):
+    ev = model.incident_edges[vertex]
+    sv = model.incident_slots[vertex]
+    logits = eta * (lam[ev, sv].sum(axis=0) - model.vertex_costs[vertex])
+    return logits - reference_lse(logits, axis=0)
+
+
+def reference_edge_log_marginal(model: Model, lam, eta: float, edge: int, slot: int):
+    logits = -eta * (
+        model.edge_costs[edge] + lam[edge, 0][:, None] + lam[edge, 1][None, :]
+    )
+    joint = logits - reference_lse(logits, axis=(0, 1))
+    return reference_lse(joint, axis=1 - slot)
+
+
+def reference_star_log_marginals(model: Model, lam, eta: float, edges, slots):
+    blocks = lam[edges]
+    logits = model.edge_costs[edges] + blocks[:, 0, :, None]
+    logits += blocks[:, 1, None, :]
+    logits *= -eta
+    logits -= reference_lse(logits, axis=(1, 2))[:, None, None]
+    return np.where(
+        slots[:, None] == 0, reference_lse(logits, axis=2), reference_lse(logits, axis=1)
+    )
+
+
+def reference_emp_update(model: Model, lam, eta: float, edge: int, vertex: int):
+    """(EMP block, slack block nu_{e,i}) at ``lam``."""
+    slot = 0 if vertex == model.edges[edge, 0] else 1
+    log_s = reference_edge_log_marginal(model, lam, eta, edge, slot)
+    log_mu = reference_vertex_log_marginal(model, lam, eta, vertex)
+    block = lam[edge, slot] + (log_s - log_mu) / (2.0 * eta)
+    return block, np.exp(log_s) - np.exp(log_mu)
+
+
+def reference_block_grad_step(model: Model, lam, eta: float, edge: int, vertex: int, step):
+    """(lam + step * nu on the block, nu)."""
+    slot = 0 if vertex == model.edges[edge, 0] else 1
+    _, nu = reference_emp_update(model, lam, eta, edge, vertex)
+    return lam[edge, slot] + step * nu, nu
+
+
+def reference_smp_update(model: Model, lam, eta: float, vertex: int):
+    """(star blocks, star slack blocks) at ``lam``, in incidence order."""
+    ev = model.incident_edges[vertex]
+    sv = model.incident_slots[vertex]
+    deg = len(ev)
+    log_mu = reference_vertex_log_marginal(model, lam, eta, vertex)
+    log_s = reference_star_log_marginals(model, lam, eta, ev, sv)
+    shared = (log_mu + log_s.sum(axis=0)) / (eta * (deg + 1))
+    blocks = lam[ev, sv] + log_s / eta - shared[None, :]
+    return blocks, np.exp(log_s) - np.exp(log_mu)[None, :]
+
+
+# ---------------------------------------------------------------------------
 # Straight-line transliterations of the accelerated loops.
 # ---------------------------------------------------------------------------
 

@@ -56,6 +56,14 @@ class TestBenchConfig:
             run_bench(small_config(seed=-1))
 
 
+    @pytest.mark.parametrize("opt", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_opt_value_rejected(self, opt):
+        with pytest.raises(ValidationError, match=f"opt_value must be finite, got {opt}"):
+            small_config(opt_value=opt).validate()
+        with pytest.raises(ValidationError, match="opt_value must be finite"):
+            run_bench(small_config(opt_value=opt))
+
+
 class TestRunBench:
     def test_zero_iterations_single_row_per_trial(self):
         res = run_bench(small_config(iters=0, trials=1))
@@ -244,6 +252,27 @@ class TestCli:
         bad.write_text("mapmp v1 100000000000 0 2\n")
         assert main(["solve", str(bad), "--eta", "1"]) == 2
         assert "header declares 100000000000 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_opt_file_is_validation_error(self, tmp_path, capsys, raw):
+        opt = tmp_path / "opt.txt"
+        opt.write_text(raw + "\n")
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--n", "5", "--d", "2", "--iters", "3", "--opt-file", str(opt),
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: opt_value must be finite, got {float(raw)}\n"
+        assert not out.exists()
+
+    def test_uai_without_enough_tables_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.uai"
+        bad.write_text("MARKOV\n2\n100000 100000\n0\n")
+        assert main(["convert", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 2 variables of cardinality 100000 need at least 200000 table entries, "
+            "the file has 0 table tokens\n"
+        )
 
     def test_bad_uai_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.uai"

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ class TestUaiFormat:
             match=r"^line 6: table of 10000000000 entries runs past the end of file \(3 tokens left\)$",
         ):
             parse_uai(text)
+
+    def test_more_vertex_costs_than_table_tokens_rejected_before_allocation(self):
+        # 3000 variables of cardinality 3000 and no tables: a 72 MB n x d
+        # allocation unless the guard runs first
+        text = "MARKOV\n3000\n" + " ".join(["3000"] * 3000) + "\n0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ValidationError,
+                match=r"^3000 variables of cardinality 3000 need at least 9000000 table "
+                r"entries, the file has 0 table tokens$",
+            ):
+                parse_uai(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_parse_after_emit_preserves_costs(self):
         rng = np.random.default_rng(1)

@@ -47,6 +47,17 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="finite"):
             build_model(2, [(0, 1)], 2, vc, np.zeros((1, 2, 2)))
 
+    def test_caller_vertex_costs_are_copied_not_frozen(self):
+        vc = np.zeros((2, 2))
+        ec = np.zeros((1, 2, 2))
+        m = build_model(2, [(0, 1)], 2, vc, ec)
+        assert vc.flags.writeable and ec.flags.writeable
+        assert m.vertex_costs is not vc and not m.vertex_costs.flags.writeable
+        vc[0, 0] = 5.0
+        assert m.vertex_costs[0, 0] == 0.0
+        fortran = build_model(2, [(0, 1)], 2, np.asfortranarray(np.eye(2)), ec)
+        assert fortran.vertex_costs.flags.c_contiguous
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
             build_model(2, [(0, 1)], 2, np.zeros((2, 3)), np.zeros((1, 2, 2)))
@@ -96,6 +107,8 @@ class TestBuildModel:
             assert m.degrees.dtype == np.int64 and m.degrees.tolist() == degrees
             assert [a.tolist() for a in m.incident_edges] == inc_edges
             assert [a.tolist() for a in m.incident_slots] == inc_slots
+            for ss in inc_slots:  # slot-1 edges (to smaller vertices) come first
+                assert ss == sorted(ss, reverse=True)
             assert all(a.dtype == np.int64 for a in m.incident_edges + m.incident_slots)
         assert np.array_equal(costs, given_costs)
 

@@ -19,7 +19,7 @@ from mapmp import (
     slack,
     zero_dual,
 )
-from mapmp.objective import _lse
+from mapmp.objective import _lse, _lse_all
 
 LOG2 = np.log(2.0)
 
@@ -277,6 +277,20 @@ class TestLogSumExp:
                 assert got[1] == -1.0 and np.isnan(got[2])
             blocks = np.stack([a, a.T])
             np.testing.assert_array_equal(_lse(blocks, (1, 2)), lse_reference(blocks, (1, 2)))
+
+    @pytest.mark.parametrize("shape", [(2,), (5,), (9,), (2, 2), (3, 3), (8, 8), (9, 9)])
+    def test_full_reduction_matches_lse_over_all_axes(self, shape):
+        rng = np.random.default_rng(23)
+        axes = tuple(range(len(shape)))
+        for scale in (1.0, 1e3, 1e9):
+            for _ in range(200):
+                a = rng.normal(size=shape) * scale
+                got = _lse_all(a)
+                assert np.ndim(got) == 0 and got == lse_reference(a, axes)
+                assert np.array_equal(got, _lse(a, axes))
+        a = np.full(shape, -np.inf)
+        a.flat[0] = 1.5
+        assert _lse_all(a) == 1.5
 
     def test_input_left_untouched(self):
         a = np.random.default_rng(22).normal(size=(3, 4))

@@ -6,6 +6,9 @@ from helpers import (
     naive_emp_block,
     naive_smp_blocks,
     random_model,
+    reference_block_grad_step,
+    reference_emp_update,
+    reference_smp_update,
 )
 
 import mapmp
@@ -330,3 +333,56 @@ class TestWithSlack:
             assert np.isfinite(blocks).all() and np.isfinite(fused_nu).all()
             assert np.array_equal(blocks, smp_update(m, lam, eta, vertex))
             assert np.array_equal(fused_nu, star_slack(m, lam, eta, vertex))
+
+
+class TestBitIdentity:
+    """Every kernel equals the reference formulas in ``helpers`` bit for bit,
+    whatever NumPy calls it saves."""
+
+    # degrees 5, 3, 4, 6, 4, 3, 2, 1: vertex 0 holds only slot 0, vertices 5
+    # and 7 only slot 1, the others both (vertex 3: three of each)
+    EDGES = [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (0, 1), (0, 2),
+             (0, 4), (0, 5), (1, 2), (2, 4), (4, 5), (6, 7)]
+
+    def assert_kernels_match(self, m, lam, eta):
+        for edge in range(m.m):
+            for vertex in m.edges[edge].tolist():
+                block, nu = reference_emp_update(m, lam, eta, edge, vertex)
+                assert np.array_equal(emp_update(m, lam, eta, edge, vertex), block)
+                fused = emp_update(m, lam, eta, edge, vertex, with_slack=True)
+                assert np.array_equal(fused[0], block) and np.array_equal(fused[1], nu)
+                assert np.array_equal(block_slack(m, lam, eta, edge, vertex), nu)
+                for step in (None, 0.37 / eta):
+                    ref = reference_block_grad_step(
+                        m, lam, eta, edge, vertex, 1.0 / eta if step is None else step
+                    )
+                    assert np.array_equal(block_grad_step(m, lam, eta, edge, vertex, step), ref[0])
+                    fused = block_grad_step(m, lam, eta, edge, vertex, step, with_slack=True)
+                    assert np.array_equal(fused[0], ref[0]) and np.array_equal(fused[1], ref[1])
+        for vertex in range(m.n):
+            blocks, nu = reference_smp_update(m, lam, eta, vertex)
+            assert np.array_equal(smp_update(m, lam, eta, vertex), blocks)
+            fused = smp_update(m, lam, eta, vertex, with_slack=True)
+            assert np.array_equal(fused[0], blocks) and np.array_equal(fused[1], nu)
+            assert np.array_equal(star_slack(m, lam, eta, vertex), nu)
+
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 9])
+    def test_all_kernels_match_the_reference_formulas(self, d, eta):
+        rng = np.random.default_rng([17, d])
+        n = 8
+        for scale in (1.0, 1e3, 1e6):
+            m = build_model(
+                n,
+                self.EDGES,
+                d,
+                scale * rng.normal(size=(n, d)),
+                scale * rng.normal(size=(len(self.EDGES), d, d)),
+            )
+            assert sorted(set(m.degrees.tolist())) == [1, 2, 3, 4, 5, 6]
+            lam = scale * rng.normal(size=(m.m, 2, d))
+            self.assert_kernels_match(m, lam, eta)
+            # random instances, and lam scaled apart from the costs
+            r = random_model(rng, 6, d, extra_edge_prob=0.4)
+            for lam_scale in (1.0, 1e3, 1e6):
+                self.assert_kernels_match(r, lam_scale * rng.normal(size=(r.m, 2, d)), eta)
