@@ -176,7 +176,7 @@ def parse_uai(text: str) -> Model:
     preamble, no = reader.take("preamble")
     if preamble != "MARKOV":
         raise ValidationError(f"line {no}: expected MARKOV preamble, got {preamble!r}")
-    n, _ = reader.take_int("variable count")
+    n, no = reader.take_int("variable count")
     if n < 1:
         raise ValidationError(f"line {no}: variable count must be positive")
     cards = []
@@ -191,7 +191,9 @@ def parse_uai(text: str) -> Model:
             raise ValidationError(
                 f"line {cno}: mixed cardinalities ({card} vs {d}) are not supported"
             )
-    n_funcs, _ = reader.take_int("function count")
+    n_funcs, no = reader.take_int("function count")
+    if n_funcs < 0:
+        raise ValidationError(f"line {no}: function count must be >= 0")
     scopes = []
     for f in range(n_funcs):
         arity, ano = reader.take_int(f"arity of function {f}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Model
-from .objective import Marginals, _check_marginal_shapes
+from .objective import Marginals, _check_marginal_shapes, _fold
 
 _MASS_TOL = 1e-10
 _SKIP_CORRECTION = 1e-14
@@ -47,8 +47,8 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
         raise ValidationError("matrices and targets must not have non-finite entries")
     if (r < -_MASS_TOL).any() or (c < -_MASS_TOL).any():
         raise ValidationError("row/column targets must be nonnegative")
-    for name, mass in (("matrix", p.sum(axis=(1, 2))), ("row targets", r.sum(axis=1)),
-                       ("column targets", c.sum(axis=1))):
+    for name, mass in (("matrix", p.sum(axis=(1, 2))), ("row targets", _fold(np.add, r, 1)),
+                       ("column targets", _fold(np.add, c, 1))):
         bad = np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL)
         if bad.size:
             raise ValidationError(
@@ -57,22 +57,25 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
     r = np.maximum(r, 0.0)
     c = np.maximum(c, 0.0)
 
-    row_sums = p.sum(axis=2)
+    row_sums = _fold(np.add, p, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(row_sums > 0.0, np.minimum(1.0, r / row_sums), 1.0)
     p *= scale[:, :, None]
-    col_sums = p.sum(axis=1)
+    col_sums = _fold(np.add, p, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(col_sums > 0.0, np.minimum(1.0, c / col_sums), 1.0)
     p *= scale[:, None, :]
 
     # Scaling never overshoots the targets, so both errors are nonnegative up
     # to roundoff; clamping keeps the rank-one correction sign-safe.
-    err_r = np.maximum(r - p.sum(axis=2), 0.0)
-    err_c = np.maximum(c - p.sum(axis=1), 0.0)
-    missing = err_r.sum(axis=1)
+    err_r = np.maximum(r - _fold(np.add, p, 2), 0.0)
+    err_c = np.maximum(c - _fold(np.add, p, 1), 0.0)
+    missing = _fold(np.add, err_r, 1)
+    # Rows below the threshold add -0.0, which leaves every entry's bits as they are.
     fix = missing > _SKIP_CORRECTION
-    p[fix] += err_r[fix, :, None] * err_c[fix, None, :] / missing[fix, None, None]
+    with np.errstate(invalid="ignore"):
+        correction = err_r[:, :, None] * err_c[:, None, :] / missing[:, None, None]
+    p += np.where(fix[:, None, None], correction, -0.0)
     return p[0] if single else p
 
 
@@ -89,14 +92,16 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
     point the total edge movement is at most twice the summed slack norms.
     """
     _check_marginal_shapes(model, mu)
-    if nu is None:
-        nu = np.zeros((model.m, 2, model.d))
-    if nu.shape != (model.m, 2, model.d):
-        raise ValidationError(
-            f"slack offset has shape {nu.shape}, expected {(model.m, 2, model.d)}"
-        )
-    targets = mu.vertex[model.edges] + nu
-    inside = (targets.min(axis=2) >= -_MASS_TOL) & (np.abs(targets.sum(axis=2) - 1.0) <= _MASS_TOL)
+    targets = mu.vertex[model.edges]
+    if nu is not None:
+        if nu.shape != (model.m, 2, model.d):
+            raise ValidationError(
+                f"slack offset has shape {nu.shape}, expected {(model.m, 2, model.d)}"
+            )
+        targets = targets + nu
+    inside = (_fold(np.minimum, targets, 2) >= -_MASS_TOL) & (
+        np.abs(_fold(np.add, targets, 2) - 1.0) <= _MASS_TOL
+    )
     if not inside.all():
         e, s = np.argwhere(~inside)[0]
         raise ValidationError(

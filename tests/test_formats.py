@@ -215,6 +215,17 @@ class TestUaiFormat:
         with pytest.raises(ValidationError, match="^line 3: cardinality of variable 0"):
             parse_uai(f"MARKOV\n2\n{card} 2\n0\n")
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_variable_count_rejected_at_its_line(self, count):
+        with pytest.raises(ValidationError, match="^line 4: variable count must be positive$"):
+            parse_uai(f"MARKOV\n\n\n{count}\n")
+
+    def test_negative_function_count_rejected_at_its_line(self):
+        with pytest.raises(ValidationError, match="^line 3: function count must be >= 0$"):
+            parse_uai("MARKOV 2\n2 2\n-1\n")
+        with pytest.raises(ValidationError, match="^line 1: function count must be >= 0$"):
+            parse_uai("MARKOV 2 2 2 -1")
+
     def test_table_larger_than_the_file_rejected_before_allocation(self):
         text = "MARKOV\n2\n100000 100000\n1\n2 0 1\n10000000000\n 1 2 3\n"
         with pytest.raises(
