@@ -19,7 +19,8 @@ from mapmp import (
     slack,
     zero_dual,
 )
-from mapmp.objective import _lse, _lse_all
+from mapmp import objective
+from mapmp.objective import _fold, _lse, _lse_all
 
 LOG2 = np.log(2.0)
 
@@ -297,3 +298,27 @@ class TestLogSumExp:
         before = a.copy()
         _lse(a, 1)
         assert np.array_equal(a, before)
+
+
+class TestFold:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 9])
+    @pytest.mark.parametrize("rows", [1, 4, 20])
+    def test_matches_ufunc_reduce(self, d, rows):
+        # the Fortran and transposed layouts fold along strided axes
+        rng = np.random.default_rng([47, d, rows])
+        base = rng.normal(size=(rows, d, d)) * 10.0 ** rng.integers(-3, 4, size=(rows, d, d))
+        for a in (base, np.asfortranarray(base), base.transpose(0, 2, 1)):
+            for ufunc in (np.add, np.maximum, np.minimum):
+                for axis in (0, 1, 2, (1, 2)):
+                    for keepdims in (False, True):
+                        got = _fold(ufunc, a, axis, keepdims)
+                        ref = ufunc.reduce(a, axis=axis, keepdims=keepdims)
+                        assert got.shape == ref.shape
+                        assert got.tobytes() == ref.tobytes()
+
+    def test_lse_over_a_folded_axis_matches_the_wrapper_formula(self):
+        rng = np.random.default_rng(53)
+        for shape, axis in (((300, 3), 1), ((60, 3, 3), 1), ((60, 3, 3), 2)):
+            a = rng.normal(size=shape) * 1e3
+            assert a.size >= objective._FOLD_MIN_SIZE
+            np.testing.assert_array_equal(_lse(a, axis), lse_reference(a, axis))

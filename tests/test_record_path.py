@@ -1,7 +1,8 @@
 """The record path (dual value, slack, primal recovery, slack score and
 projection) equals its first-written NumPy form in ``helpers`` bit for bit,
 on both sides of the 8-entry threshold where NumPy's add reduction switches
-from a left-to-right sum to pairwise summation."""
+from a left-to-right sum to pairwise summation, and whether ``_lse`` folds
+or reduces."""
 
 import numpy as np
 import pytest
@@ -29,11 +30,20 @@ from mapmp import (
     slack_score,
     zero_dual,
 )
+from mapmp import objective
 from mapmp.model import Model
 from mapmp.objective import _lambda_aggregate
 
 DS = [2, 3, 5, 7, 8, 9]
 ETAS = [1.0, 1e3, 1e9]
+
+
+@pytest.fixture(params=[None, 0], ids=["default-fold-size", "fold-every-size"])
+def fold_min_size(request, monkeypatch):
+    """The test models are small, so most of their arrays stay below the
+    size at which ``_lse`` folds; the second run folds them all."""
+    if request.param is not None:
+        monkeypatch.setattr(objective, "_FOLD_MIN_SIZE", request.param)
 
 
 def assert_same_bits(got, ref):
@@ -88,6 +98,7 @@ def unit_mass_blocks(rng, shape, zero_frac):
     return blocks / blocks.sum(axis=axes, keepdims=True)
 
 
+@pytest.mark.usefixtures("fold_min_size")
 class TestRecordPathBitIdentity:
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("d", DS)
