@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -60,6 +59,11 @@ RATIO_HEADER = ("iter", "log_ratio_mean", "log_ratio_std", "trials_used")
 _GAP_FLOOR = 1e-12
 
 
+def _check_algorithm(name: str) -> None:
+    if name not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+
+
 @dataclass
 class BenchConfig:
     """One benchmark run. Provide either ``model_file`` or generation
@@ -81,10 +85,7 @@ class BenchConfig:
     timing: bool = False
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValidationError(
-                f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}"
-            )
+        _check_algorithm(self.algorithm)
         if self.ratio and self.algorithm not in RATIO_PAIR:
             raise ValidationError(
                 "ratio mode pairs a standard algorithm with its accelerated "
@@ -152,16 +153,13 @@ class BenchResult:
     ratio_rows: list = field(default_factory=list)
 
 
-def _resolve_model(config: BenchConfig) -> Model:
+def resolve_model(config: BenchConfig) -> Model:
+    """The run's instance: loaded from ``model_file`` or generated from
+    (n, d, edge_prob) with the run seed."""
     if config.model_file is not None:
-        from .formats import load_model
+        from .formats import load_model, read_text
 
-        try:
-            with open(config.model_file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {config.model_file}: {exc}") from None
-        return load_model(text)
+        return load_model(read_text(config.model_file))
     edge_prob = config.edge_prob
     if edge_prob is None:
         edge_prob = default_edge_prob(config.n)
@@ -177,20 +175,21 @@ def _resolve_opt_value(config: BenchConfig, model: Model) -> float | None:
         return None
 
 
-def _solver(name: str) -> Callable[..., SolveTrace]:
-    if name == "emp":
-        return lambda *a, **kw: standard_mp(a[0], "emp", *a[1:], **kw)
-    if name == "smp":
-        return lambda *a, **kw: standard_mp(a[0], "smp", *a[1:], **kw)
-    if name == "bcd":
-        return lambda *a, **kw: standard_mp(a[0], "bcd", *a[1:], **kw)
-    return {"accel-emp": accel_emp, "accel-smp": accel_smp, "accel-bcd": accel_block_grad}[name]
+def solve(algorithm: str, model: Model, eta: float, iters: int, seed, **options) -> SolveTrace:
+    """Run the solver named ``algorithm`` (one of ``ALGORITHMS``) from
+    lam = 0; ``options`` are that solver's keyword options.  The solver
+    functions are looked up in this module at each call."""
+    _check_algorithm(algorithm)
+    accelerated = {"accel-emp": accel_emp, "accel-smp": accel_smp, "accel-bcd": accel_block_grad}
+    if algorithm in accelerated:
+        return accelerated[algorithm](model, eta, iters, seed, **options)
+    return standard_mp(model, algorithm, eta, iters, seed, **options)
 
 
 def run_bench(config: BenchConfig) -> BenchResult:
     """Execute a benchmark run; see the module docstring for the protocol."""
     config.validate()
-    model = _resolve_model(config)
+    model = resolve_model(config)
     opt_value = _resolve_opt_value(config, model)
     algorithms = [config.algorithm]
     if config.ratio:
@@ -215,13 +214,8 @@ def run_bench(config: BenchConfig) -> BenchResult:
                     MetricRow(trial, k, alg, 0.0, primal, gap, 0.0, 0.0)
                 )
 
-            trace = _solver(alg)(
-                model,
-                config.eta,
-                config.iters,
-                seed,
-                stride=config.stride,
-                observer=observe,
+            trace = solve(
+                alg, model, config.eta, config.iters, seed, stride=config.stride, observer=observe
             )
             for idx, row in enumerate(trial_rows):
                 row.dual_value = float(trace.dual_values[idx])

@@ -14,20 +14,12 @@ import sys
 
 from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError
-from .formats import emit_model, load_model, parse_uai
+from .formats import emit_model, load_model, parse_uai, read_text
 from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
 from .objective import dual_and_slack, primal_objective, recover_primal, slack_score
 from .oracle import brute_force_map, lp_solve_l2, tree_map
 from .projection import proj, vertex_round
 from .schedulers import eta_for_epsilon
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -39,7 +31,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_any(path: str) -> Model:
-    text = _read(path)
+    text = read_text(path)
     if text.lstrip().startswith("MARKOV"):
         return parse_uai(text)
     return load_model(text)
@@ -70,7 +62,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    model = parse_uai(_read(args.input))
+    model = parse_uai(read_text(args.input))
     text = emit_model(model)
     if args.out:
         _write(args.out, text)
@@ -83,8 +75,7 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     model = _load_any(args.input)
     eta = _resolve_eta(args, model)
-    solver = bench_mod._solver(args.algo)
-    trace = solver(model, eta, args.iters, args.seed, stride=args.stride)
+    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=args.stride)
     dual, nu = dual_and_slack(model, trace.solution, eta)
     mu_hat = proj(model, recover_primal(model, trace.solution, eta))
     primal = primal_objective(model, mu_hat)
@@ -103,7 +94,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     opt_value = None
     if args.opt_file:
-        raw = _read(args.opt_file).strip()
+        raw = read_text(args.opt_file).strip()
         try:
             opt_value = float(raw)
         except ValueError:
@@ -126,7 +117,7 @@ def _cmd_bench(args) -> int:
         timing=args.timing,
     )
     if args.epsilon is not None:
-        model = bench_mod._resolve_model(config)
+        model = bench_mod.resolve_model(config)
         config.eta = eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
     result = bench_mod.run_bench(config)
     _write(args.out, bench_mod.metrics_csv(result))

@@ -32,6 +32,15 @@ _NATIVE_MAGIC = "mapmp"
 _NATIVE_VERSION = "v1"
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; an unreadable file is a validation error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 

@@ -2,7 +2,7 @@
 Nesterov-style accelerated variants, gradient baselines, and the eta /
 iteration budgeting formulas.
 
-All loops start from lam = 0 and share one seeded sample stream per solve
+Both loops start from lam = 0 and draw one seeded sample stream per solve
 (NumPy PCG64 via ``default_rng``).  Block sampling is pinned so that
 independent re-implementations can reproduce a run exactly:
 
@@ -18,21 +18,27 @@ Both streams are drawn in chunks of ``_SAMPLE_CHUNK`` values
 the scalar draws in sequence; an early stop leaves the rest of a chunk
 unused.
 
-Standard loops install the exact block minimizer at the current iterate and
-return the best recorded iterate: the one with the smallest slack score (sum
-of squared block l1 norms) among those recorded, so ``--stride`` can change
-what emp/smp/bcd return.  Accelerated loops maintain
-the extrapolation point y = theta * v + (1 - theta) * lam, install the block
-update evaluated at y, push a scaled slack step into v, and return the final
-iterate.  One update call per iteration, with ``with_slack=True``, returns
-both the block(s) and the slack at y from one evaluation of the local
-log-marginals.  The v-step uses the literal constants 1 / (2 m eta theta)
-for the edge variant and min_deg / (2 p_i theta eta N) for the star
-variant; ``v_step_scale`` rescales them (0.5 gives the estimate-sequence
-constants derived in the convergence analysis, which differ by a factor
-of 2).
+Two loops run every solver, a standard and an accelerated one, each given a
+block update (``emp_update``, ``smp_update`` or ``block_grad_step``) and a
+sampling scheme.  Per iteration a scheme yields the sampled vertex, the lam
+index the update writes and the update's arguments after (model, lam, eta):
+``(edge, slot)`` and ``(edge, vertex)`` for pair sampling,
+``(incident_edges[v], incident_slots[v])`` and ``(v,)`` for star sampling.
 
-The accelerated loops form y only on the rows (edges) incident to the
+The standard loop installs the update at the current iterate and returns the
+best recorded iterate: the one with the smallest slack score (sum of squared
+block l1 norms) among those recorded, so ``--stride`` can change what
+emp/smp/bcd return.  The accelerated loop maintains the extrapolation point
+y = theta * v + (1 - theta) * lam, installs the update evaluated at y,
+pushes a scaled slack step into v, and returns the final iterate.  One
+update call per iteration, with ``with_slack=True``, returns both the
+block(s) and the slack at y from one evaluation of the local log-marginals.
+The v-step uses the literal constants 1 / (2 m eta theta) for pair sampling
+and min_deg / (2 p_i theta eta N) for star sampling; ``v_step_scale``
+rescales them (0.5 gives the estimate-sequence constants derived in the
+convergence analysis, which differ by a factor of 2).
+
+The accelerated loop forms y only on the rows (edges) incident to the
 sampled vertex, so an iteration costs O(deg d^2) rather than O(m d).  This is
 exact: the update and slack at (edge, vertex) or at a star read y only on the
 edges incident to that vertex (the vertex's incident blocks and both blocks
@@ -46,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -53,6 +60,8 @@ import numpy as np
 from .errors import ValidationError
 from .model import Model
 from .objective import _check_eta, dual_and_slack, slack_score, zero_dual
+# block_slack and star_slack are not called here; they stay bound because
+# benchmarks/workloads.py wraps the kernel names of this module.
 from .updates import block_grad_step, block_slack, emp_update, smp_update, star_slack
 
 STANDARD_UPDATE_KINDS = ("emp", "smp", "bcd")
@@ -170,14 +179,19 @@ class SolveTrace:
 
 
 class _Recorder:
-    """Stride-based trace recording with running-minimum best tracking."""
+    """Stride-based trace recording over ``iters`` iterations, with
+    running-minimum best tracking and the slack-score stop test."""
 
-    def __init__(self, model, eta, stride, observer):
+    def __init__(self, model, eta, iters, stride, stop_slack_score, observer):
+        self.total = int(iters)
+        if self.total < 0:
+            raise ValidationError(f"iteration count must be >= 0, got {self.total}")
         if stride < 1:
             raise ValidationError(f"stride must be >= 1, got {stride}")
         self.model = model
         self.eta = eta
         self.stride = stride
+        self.stop_slack_score = stop_slack_score
         self.observer = observer
         self.iters: list[int] = []
         self.duals: list[float] = []
@@ -190,10 +204,11 @@ class _Recorder:
         self.best_iteration = -1
         self.t0 = time.perf_counter()
 
-    def due(self, k: int, total: int) -> bool:
-        return k == total or k % self.stride == 0
-
-    def record(self, k: int, lam: np.ndarray) -> float:
+    def record(self, k: int, lam: np.ndarray) -> bool:
+        """Record iterate ``k`` if it is due (0, the last, or a multiple of
+        the stride); True when its slack score reaches the stop threshold."""
+        if k != self.total and k % self.stride:
+            return False
         start = time.perf_counter()
         dual, nu = dual_and_slack(self.model, lam, self.eta)
         score = slack_score(nu)
@@ -209,7 +224,7 @@ class _Recorder:
             self.observer(k, lam.copy())
         self.instrumentation_s += time.perf_counter() - start
         self.instrumentation_ms.append(self.instrumentation_s * 1e3)
-        return score
+        return self.stop_slack_score is not None and score <= self.stop_slack_score
 
     def finish(self, lam: np.ndarray, return_best: bool) -> SolveTrace:
         return SolveTrace(
@@ -226,46 +241,94 @@ class _Recorder:
         )
 
 
-def _check_iters(iters: int) -> int:
-    iters = int(iters)
-    if iters < 0:
-        raise ValidationError(f"iteration count must be >= 0, got {iters}")
-    return iters
-
-
-def _pair_stream(rng, m: int, iters: int):
-    """(edge, slot) for each of ``iters`` iterations: the uniform pair
-    indices of ``rng.integers(2 m)`` draws, drawn ``_SAMPLE_CHUNK`` at a time."""
+def _pair_stream(rng, model: Model, iters: int):
+    """For each of ``iters`` iterations, the sampled vertex, the lam index
+    of its block ``(edge, slot)`` and the update arguments ``(edge, vertex)``:
+    uniform pair indices of ``rng.integers(2 m)`` draws, drawn
+    ``_SAMPLE_CHUNK`` at a time."""
+    edges = model.edges
     for start in range(0, iters, _SAMPLE_CHUNK):
-        for pair in rng.integers(2 * m, size=min(_SAMPLE_CHUNK, iters - start)).tolist():
-            yield pair // 2, pair % 2
+        for pair in rng.integers(2 * model.m, size=min(_SAMPLE_CHUNK, iters - start)).tolist():
+            edge, slot = pair // 2, pair % 2
+            vertex = edges.item(edge, slot)
+            yield vertex, (edge, slot), (edge, vertex)
 
 
-def _degree_cdf(model: Model) -> np.ndarray:
-    return np.cumsum(model.degrees / model.degrees.sum())
-
-
-def _vertex_stream(rng, cdf: np.ndarray, iters: int):
-    """A vertex for each of ``iters`` iterations: ``cdf`` inverted at
-    ``rng.random()`` draws, drawn ``_SAMPLE_CHUNK`` at a time."""
+def _vertex_stream(rng, model: Model, iters: int):
+    """For each of ``iters`` iterations, the sampled vertex, the lam index
+    of its star ``(incident_edges[v], incident_slots[v])`` and the update
+    arguments ``(vertex,)``: the degree CDF inverted at ``rng.random()``
+    draws, drawn ``_SAMPLE_CHUNK`` at a time."""
+    cdf = np.cumsum(model.degrees / model.degrees.sum())
+    incident, slots = model.incident_edges, model.incident_slots
     last = len(cdf) - 1
     for start in range(0, iters, _SAMPLE_CHUNK):
         u = rng.random(min(_SAMPLE_CHUNK, iters - start))
-        yield from np.minimum(np.searchsorted(cdf, u, side="right"), last).tolist()
+        for vertex in np.minimum(np.searchsorted(cdf, u, side="right"), last).tolist():
+            yield vertex, (incident[vertex], slots[vertex]), (vertex,)
 
 
-def _extrapolate(y, v, lam, theta: float, rows) -> None:
-    """y = theta * v + (1 - theta) * lam on the edge rows ``rows`` only.
+def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_score, observer):
+    """Install ``update`` at the current iterate, one sampled block (pair,
+    or star if ``star``) per iteration; returns the best recorded iterate."""
+    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
+    stream = _vertex_stream if star else _pair_stream
+    samples = stream(np.random.default_rng(seed), model, rec.total)
+    lam = zero_dual(model)
+    if not rec.record(0, lam):
+        for k, (_, at, args) in enumerate(samples, 1):
+            lam[at] = update(model, lam, eta, *args)
+            if rec.record(k, lam):
+                break
+    return rec.finish(lam, return_best=True)
 
-    ``take`` gathers faster than fancy indexing and the in-place products
-    save temporaries; each entry is the same two products and one sum, so
-    the bits match the whole-vector expression."""
-    rows_y = v.take(rows, axis=0)
-    rows_y *= theta
-    rows_lam = lam.take(rows, axis=0)
-    rows_lam *= 1.0 - theta
-    rows_y += rows_lam
-    y[rows] = rows_y
+
+def _accelerated_loop(
+    model, eta, iters, seed, update, star, stride, stop_slack_score, observer, v_step_scale
+):
+    """Extrapolate y on the sampled vertex's incident edges (all that
+    ``update`` may read), install ``update`` at y into lam and push its
+    scaled slack at y into v; returns the final iterate."""
+    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
+    stream = _vertex_stream if star else _pair_stream
+    samples = stream(np.random.default_rng(seed), model, rec.total)
+    if star:
+        n_total = float(model.degrees.sum())
+        numerator = v_step_scale * float(model.degrees.min())
+        two_p = [2.0 * (deg / n_total) for deg in model.degrees.tolist()]  # 2 p_i
+
+        def v_coef(vertex, theta):
+            return numerator / (two_p[vertex] * theta * eta * n_total)
+
+    else:
+        scale = 2.0 * model.m * eta  # keeps the association ((2 m) eta) theta
+
+        def v_coef(vertex, theta):
+            return v_step_scale / (scale * theta)
+
+    lam = zero_dual(model)
+    v = zero_dual(model)
+    y = zero_dual(model)
+    theta_state = ThetaState()
+    if not rec.record(0, lam):
+        for k, (vertex, at, args) in enumerate(samples, 1):
+            theta = theta_state.advance()
+            # y = theta v + (1 - theta) lam on the incident rows only; ``take``
+            # gathers faster than fancy indexing, and each entry is the same
+            # two products and one sum as in the whole-vector expression.
+            rows = model.incident_edges[vertex]
+            rows_y = v.take(rows, axis=0)
+            rows_y *= theta
+            rows_lam = lam.take(rows, axis=0)
+            rows_lam *= 1.0 - theta
+            rows_y += rows_lam
+            y[rows] = rows_y
+            lam[at], nu = update(model, y, eta, *args, with_slack=True)
+            nu *= v_coef(vertex, theta)
+            v[at] += nu
+            if rec.record(k, lam):
+                break
+    return rec.finish(lam, return_best=False)
 
 
 def standard_mp(
@@ -278,7 +341,6 @@ def standard_mp(
     stride: int = 1,
     stop_slack_score: float | None = None,
     observer: Callable[[int, np.ndarray], None] | None = None,
-    debug_checks: bool = False,
 ) -> SolveTrace:
     """Randomized block-minimization loop from lam = 0.
 
@@ -288,103 +350,15 @@ def standard_mp(
     on a uniformly sampled pair.  Returns the best recorded iterate, the one
     with the smallest recorded slack score (ties keep the earliest), so
     ``--stride`` can change what emp/smp/bcd return.
-
-    ``debug_checks`` re-evaluates the dual around every step and asserts the
-    per-step improvement bounds (slow; for tests).
     """
     if update_kind not in STANDARD_UPDATE_KINDS:
         raise ValidationError(
             f"unknown update kind {update_kind!r}, expected one of {STANDARD_UPDATE_KINDS}"
         )
-    iters = _check_iters(iters)
-    rng = np.random.default_rng(seed)
-    lam = zero_dual(model)
-    if update_kind == "smp":
-        samples = _vertex_stream(rng, _degree_cdf(model), iters)
-    else:
-        samples = _pair_stream(rng, model.m, iters)
-    rec = _Recorder(model, eta, stride, observer)
-    score = rec.record(0, lam)
-    if stop_slack_score is not None and score <= stop_slack_score:
-        return rec.finish(lam, return_best=True)
-
-    for k, sample in enumerate(samples):
-        if update_kind == "smp":
-            vertex = sample
-            if debug_checks:
-                before = dual_and_slack(model, lam, eta)[0]
-                bound = (
-                    np.abs(star_slack(model, lam, eta, vertex)).sum(axis=1) ** 2
-                ).sum() / (8.0 * model.degrees[vertex] * eta)
-            blocks = smp_update(model, lam, eta, vertex)
-            lam[model.incident_edges[vertex], model.incident_slots[vertex]] = blocks
-        else:
-            edge, slot = sample
-            vertex = model.edges.item(edge, slot)
-            if debug_checks:
-                before = dual_and_slack(model, lam, eta)[0]
-                nu_block = block_slack(model, lam, eta, edge, vertex)
-                bound = np.abs(nu_block).sum() ** 2 / (4.0 * eta)
-            if update_kind == "emp":
-                lam[edge, slot] = emp_update(model, lam, eta, edge, vertex)
-            else:
-                lam[edge, slot] = block_grad_step(model, lam, eta, edge, vertex)
-        if debug_checks and update_kind != "bcd":
-            after = dual_and_slack(model, lam, eta)[0]
-            if not before - after >= bound - 1e-9:
-                raise AssertionError(
-                    f"improvement bound violated at iteration {k}: "
-                    f"{before - after} < {bound}"
-                )
-        if rec.due(k + 1, iters):
-            score = rec.record(k + 1, lam)
-            if stop_slack_score is not None and score <= stop_slack_score:
-                break
-    return rec.finish(lam, return_best=True)
-
-
-def _accel_pair_loop(
-    model: Model,
-    eta: float,
-    iters: int,
-    seed,
-    block_update: Callable[[np.ndarray, int, int], tuple[np.ndarray, np.ndarray]],
-    *,
-    stride: int = 1,
-    stop_slack_score: float | None = None,
-    observer=None,
-    v_step_scale: float = 1.0,
-) -> SolveTrace:
-    """Accelerated skeleton over uniformly sampled (edge, endpoint) pairs;
-    ``block_update(y, edge, vertex)`` supplies the installed block and the
-    slack block at y, ``(block, nu)``, as new arrays (``nu`` is scaled in
-    place).  y is current only on the edges incident to ``vertex``, which is
-    all that ``block_update`` may read."""
-    iters = _check_iters(iters)
-    rng = np.random.default_rng(seed)
-    lam = zero_dual(model)
-    v = zero_dual(model)
-    y = zero_dual(model)
-    theta_state = ThetaState()
-    rec = _Recorder(model, eta, stride, observer)
-    score = rec.record(0, lam)
-    if stop_slack_score is not None and score <= stop_slack_score:
-        return rec.finish(lam, return_best=False)
-
-    edges, incident = model.edges, model.incident_edges
-    scale = 2.0 * model.m * eta  # keeps the association ((2 m) eta) theta
-    for k, (edge, slot) in enumerate(_pair_stream(rng, model.m, iters)):
-        theta = theta_state.advance()
-        vertex = edges.item(edge, slot)
-        _extrapolate(y, v, lam, theta, incident[vertex])
-        lam[edge, slot], nu_block = block_update(y, edge, vertex)
-        nu_block *= v_step_scale / (scale * theta)
-        v[edge, slot] += nu_block
-        if rec.due(k + 1, iters):
-            score = rec.record(k + 1, lam)
-            if stop_slack_score is not None and score <= stop_slack_score:
-                break
-    return rec.finish(lam, return_best=False)
+    update = {"emp": emp_update, "smp": smp_update, "bcd": block_grad_step}[update_kind]
+    return _standard_loop(
+        model, eta, iters, seed, update, update_kind == "smp", stride, stop_slack_score, observer
+    )
 
 
 def accel_emp(
@@ -406,20 +380,8 @@ def accel_emp(
     y is formed only on the edges incident to the sampled vertex: the
     minimizer and the slack at (edge, vertex) read nothing else, so the
     iterates are those of the whole-vector extrapolation, bit for bit."""
-
-    def update(y, edge, vertex):
-        return emp_update(model, y, eta, edge, vertex, with_slack=True)
-
-    return _accel_pair_loop(
-        model,
-        eta,
-        iters,
-        seed,
-        update,
-        stride=stride,
-        stop_slack_score=stop_slack_score,
-        observer=observer,
-        v_step_scale=v_step_scale,
+    return _accelerated_loop(
+        model, eta, iters, seed, emp_update, False, stride, stop_slack_score, observer, v_step_scale
     )
 
 
@@ -439,20 +401,9 @@ def accel_block_grad(
     block minimizer replaced by a gradient step at y (default step 1/eta).
     As in ``accel_emp``, y is formed only on the sampled vertex's incident
     edges, the only rows the step and the slack read."""
-
-    def update(y, edge, vertex):
-        return block_grad_step(model, y, eta, edge, vertex, step, with_slack=True)
-
-    return _accel_pair_loop(
-        model,
-        eta,
-        iters,
-        seed,
-        update,
-        stride=stride,
-        stop_slack_score=stop_slack_score,
-        observer=observer,
-        v_step_scale=v_step_scale,
+    update = partial(block_grad_step, step=step)
+    return _accelerated_loop(
+        model, eta, iters, seed, update, False, stride, stop_slack_score, observer, v_step_scale
     )
 
 
@@ -479,32 +430,6 @@ def accel_smp(
     incident edge, nothing else, so the iterates are those of the
     whole-vector extrapolation, bit for bit.
     """
-    iters = _check_iters(iters)
-    rng = np.random.default_rng(seed)
-    lam = zero_dual(model)
-    v = zero_dual(model)
-    y = zero_dual(model)
-    theta_state = ThetaState()
-    cdf = _degree_cdf(model)
-    n_total = float(model.degrees.sum())
-    numerator = v_step_scale * float(model.degrees.min())
-    two_p = [2.0 * (deg / n_total) for deg in model.degrees.tolist()]  # 2 p_i
-    rec = _Recorder(model, eta, stride, observer)
-    score = rec.record(0, lam)
-    if stop_slack_score is not None and score <= stop_slack_score:
-        return rec.finish(lam, return_best=False)
-
-    for k, vertex in enumerate(_vertex_stream(rng, cdf, iters)):
-        theta = theta_state.advance()
-        ev = model.incident_edges[vertex]
-        sv = model.incident_slots[vertex]
-        _extrapolate(y, v, lam, theta, ev)
-        blocks, nu_star = smp_update(model, y, eta, vertex, with_slack=True)
-        lam[ev, sv] = blocks
-        nu_star *= numerator / (two_p[vertex] * theta * eta * n_total)
-        v[ev, sv] += nu_star
-        if rec.due(k + 1, iters):
-            score = rec.record(k + 1, lam)
-            if stop_slack_score is not None and score <= stop_slack_score:
-                break
-    return rec.finish(lam, return_best=False)
+    return _accelerated_loop(
+        model, eta, iters, seed, smp_update, True, stride, stop_slack_score, observer, v_step_scale
+    )

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import mapmp
-from mapmp import ValidationError
+from mapmp import ValidationError, bench, schedulers
 from mapmp.bench import (
+    ALGORITHMS,
     BenchConfig,
     METRIC_HEADER,
     metrics_csv,
@@ -169,6 +172,75 @@ class TestRunBench:
             )
         )
         assert res.model.m == m.m
+
+
+class TestSolverBindings:
+    """A benchmark run instruments the package by rebinding names: the block
+    updates in ``mapmp.schedulers`` and the solvers in ``mapmp.bench``.  A
+    solve must call exactly those bindings: one update per iteration, one
+    solver per solve."""
+
+    MARKED = {"emp": "emp_update", "smp": "smp_update", "bcd": "block_grad_step"}
+    SOLVERS = {"accel-emp": "accel_emp", "accel-smp": "accel_smp", "accel-bcd": "accel_block_grad"}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, names in (
+            (schedulers, self.MARKED.values()),
+            (bench, ("standard_mp", *self.SOLVERS.values())),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    def expected(self, algorithm):
+        marked = self.MARKED[algorithm.removeprefix("accel-")]
+        return marked, self.SOLVERS.get(algorithm, "standard_mp")
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_solve_calls_one_update_per_iteration(self, calls, algorithm, early_stop):
+        model = mapmp.erdos_renyi_potts(12, 0.4, 3, 5)
+        eta, iters = 20.0, 120
+        stop = None
+        if early_stop:
+            stop = float(np.median(bench.solve(algorithm, model, eta, iters, 3).slack_scores))
+            calls.clear()
+        trace = bench.solve(algorithm, model, eta, iters, 3, stop_slack_score=stop)
+        done = int(trace.iterations[-1])
+        assert 0 < done < iters if early_stop else done == iters
+        marked, solver = self.expected(algorithm)
+        assert calls == Counter({marked: done, solver: 1})
+
+    @pytest.mark.parametrize("standard", ["emp", "smp", "bcd"])
+    def test_ratio_run_bench_calls_one_update_per_iteration(self, calls, standard):
+        config = small_config(algorithm=standard, ratio=True, iters=30, trials=2)
+        run_bench(config)
+        expected = Counter()
+        for algorithm in (standard, bench.RATIO_PAIR[standard]):
+            marked, solver = self.expected(algorithm)
+            expected[marked] += config.trials * config.iters
+            expected[solver] += config.trials
+        assert calls == expected
+
+    def test_traced_kernel_names_stay_bound(self):
+        assert schedulers.block_slack is mapmp.updates.block_slack
+        assert schedulers.star_slack is mapmp.updates.star_slack
+        assert schedulers.dual_and_slack is mapmp.objective.dual_and_slack
+
+    def test_unknown_algorithm_rejected(self):
+        model = mapmp.erdos_renyi_potts(6, 0.5, 2, 0)
+        with pytest.raises(ValidationError, match="unknown algorithm"):
+            bench.solve("nope", model, 1.0, 1, 0)
 
 
 class TestCli:

@@ -33,7 +33,6 @@ from mapmp import (
     zero_dual,
 )
 from mapmp import schedulers
-from mapmp.schedulers import _accel_pair_loop
 
 
 def zeros_model(n, edges, d):
@@ -174,13 +173,29 @@ class TestStandardMp:
             np.testing.assert_allclose(np.diff(trace.dual_values), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["emp", "smp"])
-    def test_monotone_descent_with_debug_checks(self, kind):
+    def test_monotone_descent_and_improvement_bound(self, kind):
+        # each step lowers the dual by at least |nu|_1^2 / (4 eta) (EMP) or
+        # sum_e |nu_e|_1^2 / (8 deg eta) (SMP), nu the slack before the step
+        eta, iters = 20.0, 100
         rng = np.random.default_rng(2)
         for _ in range(5):
             m = random_model(rng, 6, 3)
             seed = int(rng.integers(2**31))
-            trace = standard_mp(m, kind, 20.0, 100, seed=seed, debug_checks=True)
+            iterates = []
+            trace = standard_mp(
+                m, kind, eta, iters, seed=seed, observer=lambda k, lam: iterates.append(lam)
+            )
             assert np.all(np.diff(trace.dual_values) <= 1e-10)
+            stream = schedulers._vertex_stream if kind == "smp" else schedulers._pair_stream
+            samples = stream(np.random.default_rng(seed), m, iters)
+            for k, (vertex, _, args) in enumerate(samples):
+                if kind == "smp":
+                    nu = star_slack(m, iterates[k], eta, vertex)
+                    bound = (np.abs(nu).sum(axis=1) ** 2).sum() / (8.0 * m.degrees[vertex] * eta)
+                else:
+                    bound = np.abs(block_slack(m, iterates[k], eta, *args)).sum() ** 2 / (4.0 * eta)
+                drop = trace.dual_values[k] - trace.dual_values[k + 1]
+                assert drop >= bound - 1e-9, f"iteration {k}: {drop} < {bound}"
 
     def test_best_iterate_is_running_minimum(self):
         rng = np.random.default_rng(3)
@@ -257,16 +272,20 @@ class TestAcceleratedLoops:
         cdf = np.cumsum(m.degrees / m.degrees.sum())
         np.testing.assert_allclose(cdf, [0.25, 0.5, 0.75, 1.0], atol=1e-15)
 
-    def test_accel_block_grad_skeleton_reproduces_accel_emp(self):
+    def test_accel_block_grad_skeleton_reproduces_accel_emp(self, monkeypatch):
+        # with the gradient step swapped for the EMP minimizer, the gradient
+        # baseline runs the same loop as accel_emp, bit for bit
         rng = np.random.default_rng(10)
         m = random_model(rng, 5, 3)
 
-        def emp_block(y, edge, vertex):
-            return emp_update(m, y, 6.0, edge, vertex, with_slack=True)
+        def emp_as_step(model, lam, eta, edge, vertex, step=None, *, with_slack=False):
+            return emp_update(model, lam, eta, edge, vertex, with_slack=with_slack)
 
-        swapped = _accel_pair_loop(m, 6.0, 50, 77, emp_block)
         native = accel_emp(m, 6.0, 50, 77)
+        monkeypatch.setattr(schedulers, "block_grad_step", emp_as_step)
+        swapped = accel_block_grad(m, 6.0, 50, 77)
         np.testing.assert_array_equal(swapped.final_lambda, native.final_lambda)
+        np.testing.assert_array_equal(swapped.dual_values, native.dual_values)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
@@ -422,33 +441,39 @@ class TestSampleStream:
     scalar-draw sequence, whatever the chunk size."""
 
     def test_pair_stream_matches_scalar_draws_across_chunks(self):
-        m, seed = 265, 3
+        model, seed = erdos_renyi_potts(100, 0.05, 2, 1), 3
         iters = 2 * schedulers._SAMPLE_CHUNK + 5
         rng = np.random.default_rng(seed)
         expected = []
         for _ in range(iters):
-            pair = int(rng.integers(2 * m))
-            expected.append((pair // 2, pair % 2))
-        got = list(schedulers._pair_stream(np.random.default_rng(seed), m, iters))
+            pair = int(rng.integers(2 * model.m))
+            edge, slot = pair // 2, pair % 2
+            vertex = int(model.edges[edge, slot])
+            expected.append((vertex, (edge, slot), (edge, vertex)))
+        got = list(schedulers._pair_stream(np.random.default_rng(seed), model, iters))
         assert got == expected
 
     def test_vertex_stream_matches_scalar_draws_across_chunks(self):
         model = erdos_renyi_potts(40, 0.1, 2, 4)
-        cdf = schedulers._degree_cdf(model)
+        cdf = np.cumsum(model.degrees / model.degrees.sum())
         iters = 2 * schedulers._SAMPLE_CHUNK + 5
         rng = np.random.default_rng(5)
         expected = [
             min(int(np.searchsorted(cdf, rng.random(), side="right")), model.n - 1)
             for _ in range(iters)
         ]
-        got = list(schedulers._vertex_stream(np.random.default_rng(5), cdf, iters))
-        assert got == expected
+        got = list(schedulers._vertex_stream(np.random.default_rng(5), model, iters))
+        assert [vertex for vertex, _, _ in got] == expected
+        for vertex, (ev, sv), args in got[:50]:
+            assert ev is model.incident_edges[vertex] and sv is model.incident_slots[vertex]
+            assert args == (vertex,)
 
     def test_streams_draw_nothing_for_zero_iterations(self):
+        model = zeros_model(2, [(0, 1)], 2)
         rng = np.random.default_rng(6)
         state = rng.bit_generator.state
-        assert list(schedulers._pair_stream(rng, 0, 0)) == []
-        assert list(schedulers._vertex_stream(rng, np.array([1.0]), 0)) == []
+        assert list(schedulers._pair_stream(rng, model, 0)) == []
+        assert list(schedulers._vertex_stream(rng, model, 0)) == []
         assert rng.bit_generator.state == state
 
     ACCELERATED = {"accel-emp": accel_emp, "accel-smp": accel_smp, "accel-bcd": accel_block_grad}
