@@ -278,56 +278,24 @@ def _cell(value) -> str:
     return str(value)
 
 
-def metrics_csv(result: BenchResult) -> str:
-    lines = [",".join(METRIC_HEADER)]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.trial,
-                    r.iteration,
-                    r.algorithm,
-                    r.dual_value,
-                    r.projected_primal,
-                    r.primal_gap,
-                    r.slack_score,
-                    r.elapsed_ms,
-                )
-            )
-        )
+def _csv(header: tuple, rows: list) -> str:
+    """One line per row dataclass, its fields in declaration order (the
+    order of ``header``)."""
+    lines = [",".join(header)]
+    lines += [",".join(_cell(v) for v in vars(r).values()) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def metrics_csv(result: BenchResult) -> str:
+    return _csv(METRIC_HEADER, result.rows)
 
 
 def summary_csv(result: BenchResult) -> str:
-    lines = [",".join(SUMMARY_HEADER)]
-    for r in result.summary:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.algorithm,
-                    r.iteration,
-                    r.primal_mean,
-                    r.primal_std,
-                    r.gap_mean,
-                    r.gap_std,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(SUMMARY_HEADER, result.summary)
 
 
 def ratio_csv(result: BenchResult) -> str:
-    lines = [",".join(RATIO_HEADER)]
-    for r in result.ratio_rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (r.iteration, r.log_ratio_mean, r.log_ratio_std, r.trials_used)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(RATIO_HEADER, result.ratio_rows)
 
 
 def parse_metrics_csv(text: str) -> list[MetricRow]:

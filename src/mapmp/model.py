@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,41 @@ class Model:
     degrees: np.ndarray  # (n,) int64, number of incident edges
     incident_edges: tuple  # per vertex: int64 array of incident edge indices
     incident_slots: tuple  # per vertex: int64 array of endpoint slots (0 or 1)
+
+    @cached_property
+    def incident_blocks(self) -> tuple:
+        """Per vertex, the positions in ``lam.ravel()`` of its own blocks, (deg,
+        d) in incidence order: [p, x] = (2 e + s) d + x for its p-th edge e in
+        slot s.  Built on first use as read-only views of one array."""
+        pairs = 2 * np.concatenate(self.incident_edges) + np.concatenate(self.incident_slots)
+        return self._per_vertex(pairs[:, None] * self.d + np.arange(self.d), 1)
+
+    @cached_property
+    def incident_rows(self) -> tuple:
+        """Per vertex, the positions in ``lam.ravel()`` of both blocks of each
+        incident edge, (deg 2 d,) in incidence order; built likewise."""
+        width = 2 * self.d
+        rows = np.concatenate(self.incident_edges)[:, None] * width + np.arange(width)
+        return self._per_vertex(rows.ravel(), width)
+
+    @cached_property
+    def star_orientation(self) -> tuple:
+        """Per vertex, positions in its star's (deg, d, d) stack of edge joints
+        [e, x_i, x_j] that gather it with the other endpoint's label on axis 1.
+        Slot-1 edges come first in incidence order, so vertices with the same
+        degree and number k of them share one read-only array."""
+        d, own, other = self.d, np.arange(self.d), np.arange(self.d)[:, None]
+        slot_one = np.bincount(self.edges[:, 1], minlength=self.n)
+        keys = list(zip(self.degrees.tolist(), slot_one.tolist()))
+        patterns = {}
+        for deg, k in set(keys):
+            p = np.arange(deg)[:, None, None]
+            joint = np.where(p < k, other * d + own, own * d + other)
+            patterns[deg, k] = _readonly(p * d * d + joint)
+        return tuple(patterns[key] for key in keys)
+
+    def _per_vertex(self, base: np.ndarray, width: int) -> tuple:
+        return tuple(np.split(_readonly(base), np.cumsum(self.degrees * width)[:-1]))
 
     @property
     def m(self) -> int:

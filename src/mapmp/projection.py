@@ -43,17 +43,31 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
         raise ValidationError(
             f"expected square matrices with matching targets, got {p.shape}, {r.shape}, {c.shape}"
         )
-    if not (np.isfinite(p).all() and np.isfinite(r).all() and np.isfinite(c).all()):
+    if not (np.isfinite(r).all() and np.isfinite(c).all()):
         raise ValidationError("matrices and targets must not have non-finite entries")
     if (r < -_MASS_TOL).any() or (c < -_MASS_TOL).any():
         raise ValidationError("row/column targets must be nonnegative")
-    for name, mass in (("matrix", p.sum(axis=(1, 2))), ("row targets", _fold(np.add, r, 1)),
-                       ("column targets", _fold(np.add, c, 1))):
-        bad = np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL)
-        if bad.size:
-            raise ValidationError(
-                f"{name} mass {mass[bad[0]]} (block {bad[0]}) differs from 1 beyond {_MASS_TOL}"
-            )
+    _check_mass("row targets", _fold(np.add, r, 1))
+    _check_mass("column targets", _fold(np.add, c, 1))
+    p = _transport(p, r, c)
+    return p[0] if single else p
+
+
+def _check_mass(name: str, mass: np.ndarray) -> None:
+    bad = np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL)
+    if bad.size:
+        raise ValidationError(
+            f"{name} mass {mass[bad[0]]} (block {bad[0]}) differs from 1 beyond {_MASS_TOL}"
+        )
+
+
+def _transport(p: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rounding of ``round_to_transport`` on a (k, d, d) stack ``p``,
+    which it overwrites, for (k, d) targets the caller has checked; checks
+    only that the matrices are finite and of unit mass."""
+    if not np.isfinite(p).all():
+        raise ValidationError("matrices and targets must not have non-finite entries")
+    _check_mass("matrix", p.sum(axis=(1, 2)))
     r = np.maximum(r, 0.0)
     c = np.maximum(c, 0.0)
 
@@ -76,7 +90,7 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         correction = err_r[:, :, None] * err_c[:, None, :] / missing[:, None, None]
     p += np.where(fix[:, None, None], correction, -0.0)
-    return p[0] if single else p
+    return p
 
 
 def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals:
@@ -85,9 +99,10 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
 
     Vertex blocks are returned untouched; each edge block is independently
     rounded to the transportation polytope of (mu_i + nu[e, 0],
-    mu_j + nu[e, 1]), all edges in one stacked ``round_to_transport`` call.
-    Every offset target must be a finite distribution within 1e-10
-    (automatic for recovered marginals with nu = 0).  With nu = 0 the
+    mu_j + nu[e, 1]) by the ``round_to_transport`` rounding, all edges in one
+    stacked pass.  Every offset target must be a finite distribution within
+    1e-10 (automatic for recovered marginals with nu = 0); checked here once,
+    with the first offending edge named.  With nu = 0 the
     output lies in the local polytope, and when mu was recovered from a dual
     point the total edge movement is at most twice the summed slack norms.
     """
@@ -107,7 +122,8 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
         raise ValidationError(
             f"edge {e}: offset {('row', 'column')[s]} targets leave the simplex beyond {_MASS_TOL}"
         )
-    return Marginals(mu.vertex.copy(), round_to_transport(mu.edge, targets[:, 0], targets[:, 1]))
+    edge = _transport(np.array(mu.edge, dtype=np.float64), targets[:, 0], targets[:, 1])
+    return Marginals(mu.vertex.copy(), edge)
 
 
 def vertex_round(mu: Marginals) -> np.ndarray:

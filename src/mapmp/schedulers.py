@@ -20,10 +20,13 @@ unused.
 
 Two loops run every solver, a standard and an accelerated one, each given a
 block update (``emp_update``, ``smp_update`` or ``block_grad_step``) and a
-sampling scheme.  Per iteration a scheme yields the sampled vertex, the lam
-index the update writes and the update's arguments after (model, lam, eta):
-``(edge, slot)`` and ``(edge, vertex)`` for pair sampling,
-``(incident_edges[v], incident_slots[v])`` and ``(v,)`` for star sampling.
+sampling scheme.  Per iteration a scheme yields the sampled vertex, ``at``
+and the update's arguments after (model, lam, eta).  ``at`` holds the flat
+positions in ``lam.ravel()`` of the blocks the update returns, in its
+order: (2 edge + slot) d + arange(d), shape (d,), with ``(edge, vertex)``
+for pair sampling; ``model.incident_blocks[v]``, shape (deg, d), with
+``(v,)`` for star sampling.  The loops read and write lam, y and v through
+flat views, as one 1-D index costs a fraction of (edge, slot) indexing.
 
 The standard loop installs the update at the current iterate and returns the
 best recorded iterate: the one with the smallest slack score (sum of squared
@@ -242,42 +245,51 @@ class _Recorder:
 
 
 def _pair_stream(rng, model: Model, iters: int):
-    """For each of ``iters`` iterations, the sampled vertex, the lam index
-    of its block ``(edge, slot)`` and the update arguments ``(edge, vertex)``:
-    uniform pair indices of ``rng.integers(2 m)`` draws, drawn
-    ``_SAMPLE_CHUNK`` at a time."""
+    """For each of ``iters`` iterations, the sampled vertex, the flat lam
+    positions of its block (edge, slot), shape (d,), and the update
+    arguments ``(edge, vertex)``: uniform pair indices of ``rng.integers(2 m)``
+    draws, drawn ``_SAMPLE_CHUNK`` at a time."""
     edges = model.edges
+    blocks = np.arange(model.dual_dim).reshape(-1, model.d)
     for start in range(0, iters, _SAMPLE_CHUNK):
         for pair in rng.integers(2 * model.m, size=min(_SAMPLE_CHUNK, iters - start)).tolist():
-            edge, slot = pair // 2, pair % 2
-            vertex = edges.item(edge, slot)
-            yield vertex, (edge, slot), (edge, vertex)
+            edge = pair // 2
+            vertex = edges.item(edge, pair % 2)
+            yield vertex, blocks[pair], (edge, vertex)
 
 
 def _vertex_stream(rng, model: Model, iters: int):
-    """For each of ``iters`` iterations, the sampled vertex, the lam index
-    of its star ``(incident_edges[v], incident_slots[v])`` and the update
-    arguments ``(vertex,)``: the degree CDF inverted at ``rng.random()``
-    draws, drawn ``_SAMPLE_CHUNK`` at a time."""
+    """For each of ``iters`` iterations, the sampled vertex, the flat lam
+    positions of its star ``incident_blocks[v]``, shape (deg, d), and the
+    update arguments ``(vertex,)``: the degree CDF inverted at
+    ``rng.random()`` draws, drawn ``_SAMPLE_CHUNK`` at a time."""
     cdf = np.cumsum(model.degrees / model.degrees.sum())
-    incident, slots = model.incident_edges, model.incident_slots
+    blocks = model.incident_blocks
     last = len(cdf) - 1
     for start in range(0, iters, _SAMPLE_CHUNK):
         u = rng.random(min(_SAMPLE_CHUNK, iters - start))
         for vertex in np.minimum(np.searchsorted(cdf, u, side="right"), last).tolist():
-            yield vertex, (incident[vertex], slots[vertex]), (vertex,)
+            yield vertex, blocks[vertex], (vertex,)
+
+
+def _samples(model: Model, iters: int, seed, star: bool):
+    """The solve's star or pair stream from ``default_rng(seed)``; a negative
+    integer seed is a ``ValidationError``, not NumPy's bare ``ValueError``."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return (_vertex_stream if star else _pair_stream)(np.random.default_rng(seed), model, iters)
 
 
 def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_score, observer):
     """Install ``update`` at the current iterate, one sampled block (pair,
     or star if ``star``) per iteration; returns the best recorded iterate."""
     rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
-    stream = _vertex_stream if star else _pair_stream
-    samples = stream(np.random.default_rng(seed), model, rec.total)
+    samples = _samples(model, rec.total, seed, star)
     lam = zero_dual(model)
+    flat = lam.ravel()
     if not rec.record(0, lam):
         for k, (_, at, args) in enumerate(samples, 1):
-            lam[at] = update(model, lam, eta, *args)
+            flat[at] = update(model, lam, eta, *args)
             if rec.record(k, lam):
                 break
     return rec.finish(lam, return_best=True)
@@ -290,8 +302,7 @@ def _accelerated_loop(
     ``update`` may read), install ``update`` at y into lam and push its
     scaled slack at y into v; returns the final iterate."""
     rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
-    stream = _vertex_stream if star else _pair_stream
-    samples = stream(np.random.default_rng(seed), model, rec.total)
+    samples = _samples(model, rec.total, seed, star)
     if star:
         n_total = float(model.degrees.sum())
         numerator = v_step_scale * float(model.degrees.min())
@@ -307,23 +318,23 @@ def _accelerated_loop(
             return v_step_scale / (scale * theta)
 
     lam = zero_dual(model)
-    v = zero_dual(model)
     y = zero_dual(model)
+    lam_flat, v, y_flat = lam.ravel(), zero_dual(model).ravel(), y.ravel()
     theta_state = ThetaState()
     if not rec.record(0, lam):
         for k, (vertex, at, args) in enumerate(samples, 1):
             theta = theta_state.advance()
-            # y = theta v + (1 - theta) lam on the incident rows only; ``take``
-            # gathers faster than fancy indexing, and each entry is the same
-            # two products and one sum as in the whole-vector expression.
-            rows = model.incident_edges[vertex]
-            rows_y = v.take(rows, axis=0)
+            # y = theta v + (1 - theta) lam on the incident rows only: each
+            # entry is the same two products and one sum as in the
+            # whole-vector expression.
+            rows = model.incident_rows[vertex]
+            rows_y = v[rows]
             rows_y *= theta
-            rows_lam = lam.take(rows, axis=0)
+            rows_lam = lam_flat[rows]
             rows_lam *= 1.0 - theta
             rows_y += rows_lam
-            y[rows] = rows_y
-            lam[at], nu = update(model, y, eta, *args, with_slack=True)
+            y_flat[rows] = rows_y
+            lam_flat[at], nu = update(model, y, eta, *args, with_slack=True)
             nu *= v_coef(vertex, theta)
             v[at] += nu
             if rec.record(k, lam):

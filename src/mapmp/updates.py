@@ -20,6 +20,11 @@ closed form shifts block (e, i) by
 which for deg_i = 1 reduces to the EMP move.  Log ratios are always formed
 as differences of log-domain accumulators, never as quotients of
 materialized probabilities.
+
+For d < 8 a star's log S_{e,i} come from one gather (``Model.star_orientation``)
+that puts the other endpoint's label on axis 1 of every joint, and one
+log-sum-exp over that axis, with the bits of per-slot reductions; from d = 8
+on NumPy sums a contiguous axis pairwise, so slot-0 joints keep their axis.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ def _slot_of(model: Model, edge: int, vertex: int) -> int:
 
 def _vertex_log_marginal(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """(the vertex's incident blocks, log mu_i)."""
-    own = lam[model.incident_edges[vertex], model.incident_slots[vertex]]
+    own = lam.take(model.incident_blocks[vertex])
     logits = np.add.reduce(own, axis=0)
     logits -= model.vertex_costs[vertex]
     logits *= eta
@@ -65,14 +70,17 @@ def _pair_log_marginals(model: Model, lam: np.ndarray, eta: float, edge: int, ve
 def _star_log_marginals(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """log S_{e,i} for every edge incident to ``vertex``, shape (deg, d); the
     steps of ``_pair_log_marginals`` in its order, so each row has its bits.
-    The incidence lists edges in ascending order, so those in slot 1 (to
-    smaller vertices) come first and reduce over axis 1."""
+    For d >= 8 (see the module docstring): the incidence lists edges in
+    ascending order, so those in slot 1 (to smaller vertices) come first and
+    reduce over axis 1, those in slot 0 over axis 2."""
     ev = model.incident_edges[vertex]
     blocks = lam.take(ev, axis=0)
     logits = model.edge_costs.take(ev, axis=0) + blocks[:, 0, :, None]
     logits += blocks[:, 1, None, :]
     logits *= -eta
     logits -= _lse(logits, axis=(1, 2))[:, None, None]
+    if model.d < 8:
+        return _lse(logits.take(model.star_orientation[vertex]), axis=1)
     k = np.count_nonzero(model.incident_slots[vertex])
     return np.concatenate((_lse(logits[:k], axis=1), _lse(logits[k:], axis=2)))
 

@@ -242,6 +242,12 @@ class TestSolverBindings:
         with pytest.raises(ValidationError, match="unknown algorithm"):
             bench.solve("nope", model, 1.0, 1, 0)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_negative_seed_rejected(self, algorithm):
+        model = mapmp.erdos_renyi_potts(6, 0.5, 2, 0)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            bench.solve(algorithm, model, 1.0, 0, -1)
+
 
 class TestCli:
     def test_gen_solve_oracle_round(self, tmp_path, capsys):

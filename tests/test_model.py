@@ -8,7 +8,8 @@ from helpers import random_model, reference_erdos_renyi_stream, reference_incide
 
 import mapmp
 from mapmp import ValidationError, build_model, degree_stats, erdos_renyi_potts, map_value
-from mapmp.model import default_edge_prob
+from mapmp.formats import emit_model, load_model
+from mapmp.model import Model, default_edge_prob
 
 
 def zeros_model(n, edges, d):
@@ -130,6 +131,79 @@ class TestBuildModel:
     def test_edges_must_be_pairs(self):
         with pytest.raises(ValidationError, match="pairs"):
             zeros_model(3, [(0, 1, 2)], 2)
+
+
+class TestFlatIndices:
+    """``incident_blocks``, ``incident_rows`` and ``star_orientation`` address
+    exactly each vertex's blocks, rows and oriented joints in the flattened
+    arrays, and nobody can write through them."""
+
+    def assert_indices_match(self, model):
+        rng = np.random.default_rng(model.n)
+        lam = rng.normal(size=(model.m, 2, model.d))
+        joints = rng.normal(size=(model.m, model.d, model.d))
+        blocks, rows = model.incident_blocks, model.incident_rows
+        assert len(blocks) == len(rows) == len(model.star_orientation) == model.n
+        for v in range(model.n):
+            ev, sv = model.incident_edges[v], model.incident_slots[v]
+            assert blocks[v].shape == (len(ev), model.d)
+            assert np.array_equal(lam.ravel()[blocks[v]], lam[ev, sv])
+            assert rows[v].shape == (len(ev) * 2 * model.d,)
+            assert np.array_equal(lam.ravel()[rows[v]], lam[ev].ravel())
+            oriented = joints[ev].ravel()[model.star_orientation[v]]
+            want = [joints[e] if s else joints[e].T for e, s in zip(ev.tolist(), sv.tolist())]
+            assert np.array_equal(oriented, np.array(want).reshape(len(ev), model.d, model.d))
+            for index in (blocks[v], rows[v], model.star_orientation[v]):
+                assert index.dtype == np.int64 and not index.flags.writeable
+                with pytest.raises(ValueError):
+                    index[...] = 0
+        # every block of lam is some vertex's, exactly once
+        every = np.sort(np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, np.int64)]))
+        assert np.array_equal(every, np.arange(model.dual_dim))
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_random_models(self, d):
+        rng = np.random.default_rng(d)
+        for n in (2, 5, 9):
+            self.assert_indices_match(random_model(rng, n, d))
+        self.assert_indices_match(erdos_renyi_potts(60, 0.1, d, d))
+
+    def test_views_of_one_array_built_once(self):
+        model = erdos_renyi_potts(30, 0.2, 3, 1)
+        for index in (model.incident_blocks, model.incident_rows):
+            assert all(view.base is index[0].base for view in index)
+        assert model.incident_blocks is model.incident_blocks
+        assert model.star_orientation is model.star_orientation
+
+    def test_orientation_shared_per_pattern(self):
+        # vertex 0 holds only slot 0, vertex 3 only slot 1, vertices 1 and 2 both
+        model = zeros_model(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3)
+        orient = model.star_orientation
+        assert len({id(a) for a in orient}) == 4
+        model = zeros_model(4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2)  # a 4-cycle
+        orient = model.star_orientation
+        assert orient[1] is orient[2] and orient[0] is not orient[3]
+
+    def test_edgeless_model(self):
+        empty = np.zeros(0, dtype=np.int64)
+        n, d = 3, 2
+        model = Model(n=n, d=d, edges=np.zeros((0, 2), dtype=np.int64),
+                      vertex_costs=np.zeros((n, d)), edge_costs=np.zeros((0, d, d)),
+                      degrees=np.zeros(n, dtype=np.int64),
+                      incident_edges=(empty,) * n, incident_slots=(empty,) * n)
+        assert [b.shape for b in model.incident_blocks] == [(0, d)] * n
+        assert [r.shape for r in model.incident_rows] == [(0,)] * n
+        assert [o.shape for o in model.star_orientation] == [(0, d, d)] * n
+        self.assert_indices_match(model)
+
+    def test_after_text_round_trip(self):
+        model = erdos_renyi_potts(25, 0.2, 3, 2)
+        loaded = load_model(emit_model(model))
+        self.assert_indices_match(loaded)
+        for mine, theirs in zip(model.incident_blocks, loaded.incident_blocks):
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(model.incident_rows, loaded.incident_rows):
+            assert np.array_equal(mine, theirs)
 
 
 class TestMapValue:

@@ -236,6 +236,23 @@ class TestStandardMp:
         with pytest.raises(ValidationError):
             standard_mp(m, "nope", 1.0, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda m, seed: standard_mp(m, "emp", 1.0, 5, seed),
+            lambda m, seed: standard_mp(m, "smp", 1.0, 5, seed),
+            lambda m, seed: accel_emp(m, 1.0, 5, seed),
+            lambda m, seed: accel_smp(m, 1.0, 5, seed),
+            lambda m, seed: accel_block_grad(m, 1.0, 5, seed),
+        ],
+        ids=["standard_mp-emp", "standard_mp-smp", "accel_emp", "accel_smp", "accel_block_grad"],
+    )
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_rejected(self, solve, seed):
+        m = zeros_model(3, [(0, 1), (1, 2)], 2)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            solve(m, seed)
+
 
 class TestAcceleratedLoops:
     def test_zero_iterations(self):
@@ -438,10 +455,13 @@ class TestLocalExtrapolation:
 
 class TestSampleStream:
     """The sample streams are drawn in chunks and must yield exactly the
-    scalar-draw sequence, whatever the chunk size."""
+    scalar-draw sequence, whatever the chunk size.  Each sample's ``at``
+    holds the flat positions in ``lam.ravel()`` of the blocks the update
+    writes."""
 
     def test_pair_stream_matches_scalar_draws_across_chunks(self):
         model, seed = erdos_renyi_potts(100, 0.05, 2, 1), 3
+        lam = np.random.default_rng(8).normal(size=(model.m, 2, model.d))
         iters = 2 * schedulers._SAMPLE_CHUNK + 5
         rng = np.random.default_rng(seed)
         expected = []
@@ -451,10 +471,15 @@ class TestSampleStream:
             vertex = int(model.edges[edge, slot])
             expected.append((vertex, (edge, slot), (edge, vertex)))
         got = list(schedulers._pair_stream(np.random.default_rng(seed), model, iters))
-        assert got == expected
+        assert len(got) == iters
+        for (vertex, at, args), (want_vertex, (edge, slot), want_args) in zip(got, expected):
+            assert (vertex, args) == (want_vertex, want_args)
+            assert at.shape == (model.d,)
+            assert np.array_equal(lam.ravel()[at], lam[edge, slot])
 
     def test_vertex_stream_matches_scalar_draws_across_chunks(self):
         model = erdos_renyi_potts(40, 0.1, 2, 4)
+        lam = np.random.default_rng(9).normal(size=(model.m, 2, model.d))
         cdf = np.cumsum(model.degrees / model.degrees.sum())
         iters = 2 * schedulers._SAMPLE_CHUNK + 5
         rng = np.random.default_rng(5)
@@ -464,8 +489,9 @@ class TestSampleStream:
         ]
         got = list(schedulers._vertex_stream(np.random.default_rng(5), model, iters))
         assert [vertex for vertex, _, _ in got] == expected
-        for vertex, (ev, sv), args in got[:50]:
-            assert ev is model.incident_edges[vertex] and sv is model.incident_slots[vertex]
+        for vertex, at, args in got:
+            star = lam[model.incident_edges[vertex], model.incident_slots[vertex]]
+            assert np.array_equal(lam.ravel()[at], star)
             assert args == (vertex,)
 
     def test_streams_draw_nothing_for_zero_iterations(self):

@@ -386,3 +386,26 @@ class TestBitIdentity:
             r = random_model(rng, 6, d, extra_edge_prob=0.4)
             for lam_scale in (1.0, 1e3, 1e6):
                 self.assert_kernels_match(r, lam_scale * rng.normal(size=(r.m, 2, d)), eta)
+
+    # vertex 4 is a hub of degree 11, in slot 1 towards 0-3 and slot 0
+    # towards 5-11; vertex 0 holds only slot 0 (k = 0), vertex 11 only slot 1
+    # (k = deg), so the star's shared sum runs over 11 rows
+    HUB_EDGES = [(i, 4) for i in range(4)] + [(4, j) for j in range(5, 12)] + [
+        (0, 1), (0, 2), (0, 3), (5, 6), (5, 11), (6, 11), (7, 8), (8, 9), (9, 10), (10, 11)]
+
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 9])
+    def test_hub_vertex_matches_the_reference_formulas(self, d, eta):
+        rng = np.random.default_rng([19, d])
+        n = 12
+        for scale in (1.0, 1e3, 1e6):
+            m = build_model(
+                n,
+                self.HUB_EDGES,
+                d,
+                scale * rng.normal(size=(n, d)),
+                scale * rng.normal(size=(len(self.HUB_EDGES), d, d)),
+            )
+            assert m.degrees[4] == 11 and np.count_nonzero(m.incident_slots[4]) == 4
+            assert not m.incident_slots[0].any() and m.incident_slots[11].all()
+            self.assert_kernels_match(m, scale * rng.normal(size=(m.m, 2, d)), eta)
