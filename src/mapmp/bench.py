@@ -186,10 +186,11 @@ def solve(algorithm: str, model: Model, eta: float, iters: int, seed, **options)
     return standard_mp(model, algorithm, eta, iters, seed, **options)
 
 
-def run_bench(config: BenchConfig) -> BenchResult:
-    """Execute a benchmark run; see the module docstring for the protocol."""
+def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
+    """Execute a benchmark run; see the module docstring for the protocol.
+    ``model``, when given, is ``resolve_model(config)`` already built."""
     config.validate()
-    model = resolve_model(config)
+    model = resolve_model(config) if model is None else model
     opt_value = _resolve_opt_value(config, model)
     algorithms = [config.algorithm]
     if config.ratio:

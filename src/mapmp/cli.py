@@ -116,10 +116,11 @@ def _cmd_bench(args) -> int:
         opt_value=opt_value,
         timing=args.timing,
     )
+    model = None
     if args.epsilon is not None:
         model = bench_mod.resolve_model(config)
         config.eta = eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
-    result = bench_mod.run_bench(config)
+    result = bench_mod.run_bench(config, model)
     _write(args.out, bench_mod.metrics_csv(result))
     summary_path = args.out + ".summary.csv"
     _write(summary_path, bench_mod.summary_csv(result))

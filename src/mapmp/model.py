@@ -69,7 +69,7 @@ class Model:
         return tuple(patterns[key] for key in keys)
 
     def _per_vertex(self, base: np.ndarray, width: int) -> tuple:
-        return tuple(np.split(_readonly(base), np.cumsum(self.degrees * width)[:-1]))
+        return _split(base, self.degrees * width)
 
     @property
     def m(self) -> int:
@@ -95,6 +95,14 @@ class Model:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _split(a: np.ndarray, sizes) -> tuple:
+    """Read-only views of ``a``'s consecutive runs of ``sizes`` rows: the
+    pieces of ``np.split`` without its per-piece overhead."""
+    _readonly(a)
+    ends = np.cumsum(sizes).tolist()
+    return tuple(a[start:end] for start, end in zip([0] + ends, ends))
 
 
 def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
@@ -165,9 +173,8 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     if isolated.size:
         raise ValidationError(f"isolated vertex {int(isolated[0])} has no incident edge")
     by_vertex = np.argsort(endpoints, kind="stable")
-    bounds = np.cumsum(degrees)[:-1]
-    incident_edges = tuple(map(_readonly, np.split(by_vertex // 2, bounds)))
-    incident_slots = tuple(map(_readonly, np.split(by_vertex % 2, bounds)))
+    incident_edges = _split(by_vertex // 2, degrees)
+    incident_slots = _split(by_vertex % 2, degrees)
     return Model(
         n=n,
         d=d,
@@ -227,6 +234,9 @@ def default_edge_prob(n: int) -> float:
     return 1.1 * math.log(n) / n
 
 
+_PAIR_BLOCK = 1 << 18
+
+
 def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     """Random Erdos-Renyi instance with multi-label Potts-style costs.
 
@@ -242,9 +252,9 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     lexicographic order, then one integer draw per repaired vertex in
     ascending order, then the (n, d) vertex-cost uniforms, then the
     (m, d, d) edge-sign uniforms with edges in canonical sorted order.  The
-    pair uniforms are drawn one row at a time, ``random(n - i - 1)`` for the
-    pairs (i, j > i); that yields exactly the stream of one scalar draw per
-    pair, in O(n) memory.
+    pair uniforms are drawn in blocks of ``_PAIR_BLOCK`` that may span rows
+    (``random(k)`` is exactly the stream of k scalar draws), in O(block + m)
+    memory; one ``searchsorted`` on the row ends maps hits back to (i, j).
     """
     n = int(n)
     d = int(d)
@@ -256,9 +266,14 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
-    later = [np.flatnonzero(rng.random(n - i - 1) < edge_prob) + (i + 1) for i in range(n)]
-    first = np.repeat(np.arange(n), [js.size for js in later])
-    second = np.concatenate(later)
+    row_ends = np.cumsum(np.arange(n - 1, -1, -1))  # pair index one past row i
+    pairs = int(row_ends[-1])
+    hits = np.concatenate([
+        np.flatnonzero(rng.random(min(_PAIR_BLOCK, pairs - start)) < edge_prob) + start
+        for start in range(0, pairs, _PAIR_BLOCK)
+    ])
+    first = np.searchsorted(row_ends, hits, side="right")
+    second = hits - row_ends[first] + n
     covered = np.zeros(n, dtype=bool)
     covered[first] = covered[second] = True
     repairs = []

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from mapmp import build_model
+from mapmp import ValidationError, build_model
 from mapmp.model import Model
 
 
@@ -139,6 +139,132 @@ def reference_emit_model(model: Model) -> str:
         i, j = model.edges[e]
         lines.append(f"e {i} {j} {fmt(model.edge_costs[e].ravel())}")
     return "\n".join(lines) + "\n"
+
+
+# Verbatim copies of the list-building set-up code the streaming versions
+# replaced: the row-by-row generator, the one-list emitter and the token-list
+# loader.  The package must keep producing exactly their models, bytes and
+# error messages.
+
+
+def row_by_row_erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
+    """``erdos_renyi_potts`` drawing the pair uniforms one row at a time."""
+    rng = np.random.default_rng(seed)
+    later = [np.flatnonzero(rng.random(n - i - 1) < edge_prob) + (i + 1) for i in range(n)]
+    first = np.repeat(np.arange(n), [js.size for js in later])
+    second = np.concatenate(later)
+    covered = np.zeros(n, dtype=bool)
+    covered[first] = covered[second] = True
+    repairs = []
+    for v in range(n):
+        if not covered[v]:
+            u = int(rng.integers(n - 1))
+            if u >= v:
+                u += 1
+            repairs.append((min(u, v), max(u, v)))
+            covered[u] = covered[v] = True
+
+    edges = np.concatenate(
+        [np.stack([first, second], axis=1), np.array(repairs, dtype=np.int64).reshape(-1, 2)]
+    )
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    vc = rng.uniform(-0.01, 0.01, size=(n, d))
+    ec = np.where(rng.random((len(edges), d, d)) < 0.5, -1.0, 1.0)
+    return build_model(n, edges, d, vc, ec)
+
+
+def line_list_emit_model(model: Model) -> str:
+    """The native writer holding one list of every line."""
+    d = model.d
+    v_line = "v %d" + " %.17g" * d
+    e_line = "e %d %d" + " %.17g" * (d * d)
+    lines = [f"mapmp v1 {model.n} {model.m} {d}"]
+    lines += [v_line % (i, *row) for i, row in enumerate(model.vertex_costs.tolist())]
+    costs = model.edge_costs.reshape(model.m, d * d).tolist()
+    lines += [e_line % (*edge, *row) for edge, row in zip(model.edges.tolist(), costs)]
+    return "\n".join(lines) + "\n"
+
+
+def _token_list_floats(tokens, count, lineno, what):
+    if len(tokens) != count:
+        raise ValidationError(
+            f"line {lineno}: expected {count} {what} values, got {len(tokens)}"
+        )
+    try:
+        return list(map(float, tokens))
+    except ValueError as exc:
+        raise ValidationError(f"line {lineno}: bad float in {what}: {exc}") from None
+
+
+def token_list_load_model(text: str) -> Model:
+    """The native reader holding every line's tokens and one float list."""
+    lines = [
+        (no, line.split())
+        for no, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    if not lines:
+        raise ValidationError("empty model file")
+    header_no, header = lines[0]
+    if len(header) != 5 or header[0] != "mapmp":
+        raise ValidationError(f"line {header_no}: expected header 'mapmp v1 n m d'")
+    if header[1] != "v1":
+        raise ValidationError(
+            f"line {header_no}: unsupported format version {header[1]!r}, expected 'v1'"
+        )
+    try:
+        n, m, d = (int(t) for t in header[2:])
+    except ValueError:
+        raise ValidationError(f"line {header_no}: header sizes must be integers") from None
+
+    for name, value, least in (("n", n, 1), ("m", m, 0), ("d", d, 2)):
+        if value < least:
+            raise ValidationError(f"line {header_no}: header needs {name} >= {least}, got {value}")
+    records = lines[1:]
+    if n > len(records):
+        raise ValidationError(
+            f"line {header_no}: header declares {n} vertices but the file has {len(records)} records"
+        )
+
+    vertex_rows = [None] * n
+    edges = []
+    edge_values = []
+    for no, tokens in records:
+        kind = tokens[0]
+        if kind == "v":
+            if len(tokens) < 2:
+                raise ValidationError(f"line {no}: vertex line needs an index")
+            try:
+                i = int(tokens[1])
+            except ValueError:
+                raise ValidationError(f"line {no}: bad vertex index {tokens[1]!r}") from None
+            if not 0 <= i < n:
+                raise ValidationError(f"line {no}: vertex index {i} outside 0..{n - 1}")
+            if vertex_rows[i] is not None:
+                raise ValidationError(f"line {no}: duplicate vertex line for {i}")
+            vertex_rows[i] = _token_list_floats(tokens[2:], d, no, "vertex cost")
+        elif kind == "e":
+            if len(tokens) < 3:
+                raise ValidationError(f"line {no}: edge line needs two endpoints")
+            try:
+                i, j = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ValidationError(f"line {no}: bad edge endpoints") from None
+            if not i < j:
+                raise ValidationError(
+                    f"line {no}: edge ({i}, {j}) violates the canonical i < j orientation"
+                )
+            edges.append((i, j))
+            edge_values += _token_list_floats(tokens[3:], d * d, no, "edge cost")
+        else:
+            raise ValidationError(f"line {no}: unknown record kind {kind!r}")
+    if None in vertex_rows:
+        raise ValidationError(f"missing vertex line for {vertex_rows.index(None)}")
+    if len(edges) != m:
+        raise ValidationError(f"header declares {m} edges but file has {len(edges)}")
+    return build_model(
+        n, edges, d, np.array(vertex_rows), np.array(edge_values).reshape(m, d, d)
+    )
 
 
 def fd_gradient(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from mapmp.bench import (
 )
 from mapmp.cli import main
 from mapmp.formats import emit_model
+from mapmp.model import default_edge_prob
 
 
 def small_config(**overrides):
@@ -380,6 +382,55 @@ class TestCli:
         assert main(argv + ["--epsilon", "1"]) == 2
         assert capsys.readouterr().err.count(f"error: cannot read {missing}: ") == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "BAD", "--eta", "1"],
+            ["convert", "BAD"],
+            ["oracle", "BAD", "--method", "brute"],
+            ["bench", "--model", "BAD", "--iters", "3", "--out", "OUT"],
+            ["bench", "--model", "GOOD", "--iters", "3", "--opt-file", "BAD", "--out", "OUT"],
+        ],
+        ids=["solve", "convert", "oracle", "bench-model", "bench-opt-file"],
+    )
+    def test_non_utf8_input_is_validation_error(self, tmp_path, capsys, argv):
+        bad, good, out = tmp_path / "bad.txt", tmp_path / "good.mapmp", tmp_path / "m.csv"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["gen", "--n", "5", "--d", "2", "--out", str(good)]) == 0
+        capsys.readouterr()
+        paths = {"BAD": str(bad), "GOOD": str(good), "OUT": str(out)}
+        assert main([paths.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    def test_bench_epsilon_generates_the_instance_once(self, tmp_path, monkeypatch):
+        calls = []
+        generate = bench.erdos_renyi_potts
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(bench, "erdos_renyi_potts", counted)
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--n", "30", "--d", "3", "--epsilon", "0.5", "--algo", "smp",
+                "--ratio", "--iters", "200", "--trials", "3", "--seed", "4", "--stride", "20",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == [(30, default_edge_prob(30), 3, 4)]
+        model = generate(*calls[0])
+        eta = mapmp.eta_for_epsilon(model.m, model.n, model.d, 0.5)
+        config = BenchConfig(algorithm="smp", ratio=True, eta=eta, iters=200, trials=3,
+                             seed=4, stride=20, n=30, d=3)
+        assert out.read_text() == metrics_csv(run_bench(config))
+        # the bytes the CLI wrote when it built the instance twice
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "bdffabea9a5bb669ae8d24d0da5d8e10f1c327e3e33d1091df76e5774d089254"
 
     def test_guard_exit_code(self, tmp_path, capsys):
         big = mapmp.build_model(

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_model, reference_emit_model
+from helpers import (
+    line_list_emit_model,
+    random_model,
+    reference_emit_model,
+    token_list_load_model,
+)
 
 import mapmp
 from mapmp import (
@@ -18,6 +23,8 @@ from mapmp import (
     load_model,
     parse_uai,
 )
+from mapmp.formats import read_text
+from mapmp.model import Model
 
 
 def models_equal(a, b) -> bool:
@@ -117,6 +124,135 @@ class TestNativeFormat:
             load_model("mapmp v1 2 1 2\nv 0 0 0\ne 0 1 0 0 0 0\n")
         with pytest.raises(ValidationError, match="declares"):
             load_model("mapmp v1 2 2 2\nv 0 0 0\nv 1 0 0\ne 0 1 0 0 0 0\n")
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 1e16]
+
+
+def extreme_model(d: int, n: int = 5):
+    rng = np.random.default_rng(d)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 3]
+    values = rng.permutation(np.resize(EXTREMES, n * d + len(edges) * d * d))
+    return build_model(n, edges, d, values[: n * d].reshape(n, d),
+                       values[n * d :].reshape(len(edges), d, d))
+
+
+class TestStreamingIo:
+    """The chunked writer and the streaming reader give the bytes, models and
+    error messages of the list-building versions they replaced, in memory
+    bounded by the file rather than by its token count."""
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    def test_emit_bytes_match_the_line_list_writer(self, monkeypatch, d, chunk):
+        monkeypatch.setattr(mapmp.formats, "_EMIT_CHUNK", chunk)
+        for m in (extreme_model(d), erdos_renyi_potts(40, 0.2, d, d)):
+            text = emit_model(m)
+            assert text == line_list_emit_model(m)
+            assert models_equal(m, load_model(text))
+        tokens = set(emit_model(extreme_model(d)).split())
+        assert {format(x, ".17g") for x in EXTREMES} <= tokens and "-0" in tokens
+
+    def test_emit_of_an_edgeless_model(self):
+        n, d = 3, 2
+        empty = np.zeros(0, dtype=np.int64)
+        model = Model(n=n, d=d, edges=np.zeros((0, 2), dtype=np.int64),
+                      vertex_costs=np.array([[-0.0, 5e-324], [1e308, -1e308], [1.5, 2.0]]),
+                      edge_costs=np.zeros((0, d, d)), degrees=np.zeros(n, dtype=np.int64),
+                      incident_edges=(empty,) * n, incident_slots=(empty,) * n)
+        assert emit_model(model) == line_list_emit_model(model)
+        assert emit_model(model) == "mapmp v1 3 0 2\nv 0 -0 4.9406564584124654e-324\n" \
+            "v 1 1e+308 -1e+308\nv 2 1.5 2\n"
+
+    def test_vertex_lines_in_any_order_and_blank_lines(self):
+        m = erdos_renyi_potts(12, 0.3, 3, 4)
+        header, *lines = emit_model(m).splitlines()
+        rng = np.random.default_rng(0)
+        shuffled = [lines[k] for k in rng.permutation(len(lines))]
+        text = "\n \t\n" + header + "\n\n" + "\n   \n".join(shuffled) + "\n\n"
+        assert models_equal(m, load_model(text))
+        assert models_equal(m, token_list_load_model(text))
+
+    def test_record_count_skips_blank_lines(self):
+        text = "mapmp v1 3 0 2\nv 0 0 0\n\n \n\t\nv 1 0 0\n"
+        message = "line 1: header declares 3 vertices but the file has 2 records"
+        for load in (load_model, token_list_load_model):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                load(text)
+
+    def test_messages_match_the_token_list_reader(self):
+        """Mutated files: the same model or the same message, line number
+        included, as the reader that held every token."""
+        base = emit_model(build_model(
+            4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2, np.arange(8.0).reshape(4, 2) / 4,
+            -np.arange(16.0).reshape(4, 2, 2) / 8,
+        )).splitlines()
+        junk = ["", "   ", "v", "e", "e 1", "x 1 2", "v 9 0 0", "v -1 0 0", "v 1 0 0",
+                "v a 0 0", "v 0 0", "v 0 0 0 0", "v 0 0 nan", "v 0 0 inf", "v 0 0 x",
+                "e 1 0 0 0 0 0", "e 0 0 0 0 0 0", "e 0 1 0 0 0 0", "e 0 4 0 0 0 0",
+                "e 0 2 1 2 3", "e 0 2 1 2 3 x", "e 0 b 1 2 3 4", "e 0 2 1e999 0 0 0",
+                "mapmp v1 4 4 2", "mapmp v1 4 4", "mapmp v2 4 4 2", "mapmp v1 4 x 2",
+                "mapmp v1 9 4 2", "mapmp v1 4 5 2", "mapmp v1 4 3 2", "mapmp v1 1 0 2"]
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(600):
+            lines = list(base)
+            for _ in range(int(rng.integers(1, 4))):
+                k = int(rng.integers(len(lines) + 1))
+                action = int(rng.integers(3))
+                if action == 0 and lines:
+                    del lines[min(k, len(lines) - 1)]
+                elif action == 1:
+                    lines.insert(k, junk[int(rng.integers(len(junk)))])
+                elif lines:
+                    lines[min(k, len(lines) - 1)] = junk[int(rng.integers(len(junk)))]
+            text = "\n".join(lines) + "\n"
+            try:
+                want = token_list_load_model(text)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    load_model(text)
+                assert str(got.value) == str(exc)
+                outcomes.add(re.sub(r"\d+", "#", str(exc)))
+            else:
+                assert models_equal(load_model(text), want)
+                outcomes.add("ok")
+        assert len(outcomes) >= 20  # many distinct checks were reached
+
+    @pytest.mark.parametrize("i, j", [(0, 2**63), (-(2**63) - 1, 1), (0, 10**30)])
+    def test_endpoint_beyond_int64_is_a_validation_error(self, i, j):
+        text = f"mapmp v1 2 1 2\nv 0 0 0\nv 1 0 0\ne {i} {j} 0 0 0 0\n"
+        with pytest.raises(ValidationError, match=re.escape(f"edge ({i}, {j}) has an endpoint outside 0..1")):
+            load_model(text)
+        with pytest.raises(ValidationError, match=re.escape(f"edge (0, {2**62}) has an endpoint outside")):
+            load_model(text.replace(f"e {i} {j}", f"e 0 {2**62}"))
+
+    def test_non_utf8_file_is_a_validation_error(self, tmp_path):
+        bad = tmp_path / "bad.mapmp"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(bad))}: "
+                           "'utf-8' codec can't decode byte 0xff in position 0"):
+            read_text(str(bad))
+
+    def test_transient_memory_is_bounded_by_the_file(self):
+        # n = 5000, m = 23526: the text is 1.17 MB.  Peaks measured with
+        # Python 3.11 / NumPy 2.4: emit 2.35 MB, twice the text (the
+        # list-building writer 14.4 MB); load 7.44 MB including the returned
+        # model (the token-list reader 33.8 MB).  The bounds leave 1.5x and
+        # 1.2x headroom: keeping the 2.8 MB line list alive through
+        # build_model, or 4096-line emit chunks, would cross them.
+        model = erdos_renyi_potts(5000, 1.1 * np.log(5000) / 5000, 3, 0)
+        peaks = []
+        for step in (lambda: emit_model(model), lambda: load_model(text)):
+            tracemalloc.start()
+            try:
+                text = step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3_500_000
+        assert peaks[1] < 9_000_000
 
 
 MINIMAL_UAI = """MARKOV

@@ -4,7 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_model, reference_erdos_renyi_stream, reference_incidence
+from helpers import (
+    random_model,
+    reference_erdos_renyi_stream,
+    reference_incidence,
+    row_by_row_erdos_renyi_potts,
+)
 
 import mapmp
 from mapmp import ValidationError, build_model, degree_stats, erdos_renyi_potts, map_value
@@ -332,6 +337,88 @@ class TestErdosRenyiPotts:
         assert np.array_equal(m.degrees, degrees)
         assert [a.tolist() for a in m.incident_edges] == inc_edges
         assert [a.tolist() for a in m.incident_slots] == inc_slots
+
+
+class TestBlockDrawnPairs:
+    """The pair uniforms drawn in blocks that span rows give exactly the
+    models of the row-by-row draws, including at block boundaries that fall
+    inside a row."""
+
+    def assert_same_as_row_by_row(self, n, edge_prob, d, seed):
+        m = erdos_renyi_potts(n, edge_prob, d, seed)
+        ref = row_by_row_erdos_renyi_potts(n, edge_prob, d, seed)
+        assert np.array_equal(m.edges, ref.edges) and m.edges.dtype == ref.edges.dtype
+        assert np.array_equal(m.vertex_costs, ref.vertex_costs)
+        assert np.array_equal(m.edge_costs, ref.edge_costs)
+        assert np.array_equal(m.degrees, ref.degrees)
+        for mine, theirs in zip(m.incident_edges + m.incident_slots, ref.incident_edges + ref.incident_slots):
+            assert np.array_equal(mine, theirs)
+        return m
+
+    @staticmethod
+    def boundaries_inside_rows(n, block):
+        pairs = n * (n - 1) // 2
+        row_ends = set(np.cumsum(np.arange(n - 1, 0, -1)).tolist())
+        return [b for b in range(block, pairs, block) if b not in row_ends]
+
+    @pytest.mark.parametrize(
+        "n, edge_prob, d, seed",
+        [
+            (725, 0.01, 3, 4),  # 262450 pairs: the one boundary falls inside a row
+            (800, default_edge_prob(800), 2, 9),
+            (760, 1.0, 2, 1),
+        ],
+    )
+    def test_default_block(self, n, edge_prob, d, seed):
+        assert self.boundaries_inside_rows(n, mapmp.model._PAIR_BLOCK)
+        self.assert_same_as_row_by_row(n, edge_prob, d, seed)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64, 1000])
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(mapmp.model, "_PAIR_BLOCK", block)
+        inside = 0
+        for n, edge_prob, d, seed in [
+            (2, 0.5, 2, 0),
+            (3, 1.0, 2, 5),
+            (12, 0.01, 3, 0),  # nearly every vertex is repaired
+            (25, 1.0, 4, 1),
+            (47, 0.2, 3, 101),
+            (90, default_edge_prob(90), 5, 3),
+        ]:
+            inside += len(self.boundaries_inside_rows(n, block))
+            m = self.assert_same_as_row_by_row(n, edge_prob, d, seed)
+            if edge_prob == 1.0:
+                assert m.m == n * (n - 1) // 2
+        assert inside
+
+    def test_repairs_follow_the_block_draws(self):
+        # p small enough that most vertices need a repair draw after the pairs
+        m = self.assert_same_as_row_by_row(300, 0.0005, 3, 2)
+        assert m.m >= 150
+
+
+class TestSplit:
+    @pytest.mark.parametrize(
+        "sizes, width",
+        [([3, 1, 4, 1, 5], 1), ([0, 2, 0, 0, 3], 2), ([7], 3), ([0, 0, 0], 1)],
+    )
+    def test_matches_np_split(self, sizes, width):
+        base = np.arange(sum(sizes) * width).reshape(-1, width).copy()
+        want = np.split(base.copy(), np.cumsum(sizes)[:-1])
+        got = mapmp.model._split(base, np.array(sizes))
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
+            assert mine.base is base and not mine.flags.writeable
+        assert not base.flags.writeable
+
+    def test_model_incidence_is_views_of_one_array(self):
+        m = erdos_renyi_potts(40, 0.1, 3, 6)
+        for views in (m.incident_edges, m.incident_slots):
+            assert all(v.base is views[0].base and not v.flags.writeable for v in views)
+        bounds = np.cumsum(m.degrees)[:-1]
+        assert all(np.array_equal(a, b) for a, b in zip(
+            m.incident_edges, np.split(np.concatenate(m.incident_edges), bounds)))
 
 
 class TestDefaultEdgeProb:
