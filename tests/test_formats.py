@@ -162,8 +162,9 @@ class TestStreamingIo:
                       edge_costs=np.zeros((0, d, d)), degrees=np.zeros(n, dtype=np.int64),
                       incident_edges=(empty,) * n, incident_slots=(empty,) * n)
         assert emit_model(model) == line_list_emit_model(model)
-        assert emit_model(model) == "mapmp v1 3 0 2\nv 0 -0 4.9406564584124654e-324\n" \
-            "v 1 1e+308 -1e+308\nv 2 1.5 2\n"
+        assert emit_model(model) == (
+            "mapmp v1 3 0 2\nv 0 -0 4.9406564584124654e-324\nv 1 1e+308 -1e+308\nv 2 1.5 2\n"
+        )
 
     def test_vertex_lines_in_any_order_and_blank_lines(self):
         m = erdos_renyi_potts(12, 0.3, 3, 4)
