@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleGuardError, ValidationError
+from .formats import read_model
 from .model import Model, default_edge_prob, erdos_renyi_potts
 from .objective import primal_objective, recover_primal
 from .oracle import lp_solve_l2
@@ -154,12 +155,10 @@ class BenchResult:
 
 
 def resolve_model(config: BenchConfig) -> Model:
-    """The run's instance: loaded from ``model_file`` or generated from
-    (n, d, edge_prob) with the run seed."""
+    """The run's instance: read from ``model_file`` (native or UAI) or
+    generated from (n, d, edge_prob) with the run seed."""
     if config.model_file is not None:
-        from .formats import load_model, read_text
-
-        return load_model(read_text(config.model_file))
+        return read_model(config.model_file)
     edge_prob = config.edge_prob
     if edge_prob is None:
         edge_prob = default_edge_prob(config.n)

@@ -14,7 +14,7 @@ import sys
 
 from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError
-from .formats import emit_model, load_model, parse_uai, read_text
+from .formats import emit_model, parse_uai, read_model, read_text
 from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
 from .objective import dual_and_slack, primal_objective, recover_primal, slack_score
 from .oracle import brute_force_map, lp_solve_l2, tree_map
@@ -28,13 +28,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
-
-
-def _load_any(path: str) -> Model:
-    text = read_text(path)
-    if text.lstrip().startswith("MARKOV"):
-        return parse_uai(text)
-    return load_model(text)
 
 
 def _resolve_eta(args, model: Model) -> float:
@@ -73,7 +66,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    model = _load_any(args.input)
+    model = read_model(args.input)
     eta = _resolve_eta(args, model)
     trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=args.stride)
     dual, nu = dual_and_slack(model, trace.solution, eta)
@@ -137,7 +130,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    model = _load_any(args.input)
+    model = read_model(args.input)
     if args.method == "brute":
         res = brute_force_map(model)
         print(f"value      {res.value}")
@@ -195,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="multi-trial benchmark, CSV output")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", default=None, help="native model file")
+    src.add_argument("--model", default=None, help="native or UAI model file")
     src.add_argument("--n", type=int, default=None, help="generate: vertices")
     p.add_argument("--d", type=int, default=None, help="generate: labels per vertex")
     p.add_argument("--edge-prob", type=float, default=None)

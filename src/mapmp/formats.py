@@ -17,10 +17,12 @@ m = 23526 (1.17 MB) that is about 0.09 s and 2.4 MB traced to write, 0.12 s
 and 7.4 MB with the model to read (single-threaded, 2-core x86-64 host).
 
 UAI MARKOV files are accepted when all variables share one cardinality and
-every function scope has arity 1 or 2.  Potential tables convert to costs as
-C = -log(phi), so every table entry must be strictly positive; tables on a
-repeated scope multiply, i.e. their costs add.  A pairwise scope listed as
-(j, i) with j > i is transposed onto the canonical (i, j) orientation.
+every function scope has arity 1 or 2.  Potentials convert to costs
+C = -log(phi), so every table entry must be strictly positive; the costs of
+a repeated scope add in file order, onto +0.0 (unary) or -0.0 (pairwise),
+and a scope (j, i) with j > i is transposed onto (i, j).  ``emit_uai``
+rejects a cost whose exp(-C) is 0 or overflows.  The n = 5000 file (4.79 MB)
+parses in about 0.3 s and 40 MB traced, and is written in 0.27 s and 13 MB.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _chunked_lines(fmt, ids, values):
@@ -159,156 +157,150 @@ def load_model(text: str) -> Model:
     return build_model(n, edge_array, d, vertex_costs, np.frombuffer(edge_values).reshape(m, d, d))
 
 
-def _tokenize_with_lines(text: str):
-    return [
-        (token, no)
-        for no, line in enumerate(text.splitlines(), start=1)
-        for token in line.split()
-    ]
-
-
-class _TokenReader:
-    def __init__(self, text: str):
-        self.tokens = _tokenize_with_lines(text)
-        self.pos = 0
-
-    def take(self, what: str) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ValidationError(
-                f"line {self.tokens[-1][1] if self.tokens else 1}: unexpected end of file, expected {what}"
-            )
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def take_int(self, what: str) -> tuple[int, int]:
-        token, no = self.take(what)
-        try:
-            return int(token), no
-        except ValueError:
-            raise ValidationError(f"line {no}: expected {what}, got {token!r}") from None
-
-    def take_float(self, what: str) -> tuple[float, int]:
-        token, no = self.take(what)
-        try:
-            return float(token), no
-        except ValueError:
-            raise ValidationError(f"line {no}: expected {what}, got {token!r}") from None
-
-    def remaining(self) -> int:
-        return len(self.tokens) - self.pos
+def read_model(path: str) -> Model:
+    """The model in the file at ``path``: UAI MARKOV when its text starts
+    with ``MARKOV``, the native format otherwise."""
+    text = read_text(path)
+    return parse_uai(text) if text.lstrip().startswith("MARKOV") else load_model(text)
 
 
 def parse_uai(text: str) -> Model:
     """Parse a UAI MARKOV file into a model, converting potentials to costs."""
-    reader = _TokenReader(text)
-    preamble, no = reader.take("preamble")
-    if preamble != "MARKOV":
-        raise ValidationError(f"line {no}: expected MARKOV preamble, got {preamble!r}")
-    n, no = reader.take_int("variable count")
+    tokens = text.split()  # the tokens of every line of text.splitlines(), in order
+    pos = 0
+
+    def fail(k: int, message: str):
+        no = 0  # the line of token k, line 1 for k < 0: found by a rescan, on this error path only
+        for no, line in enumerate(text.splitlines(), start=1):
+            k -= len(line.split())
+            if k < 0:
+                break
+        raise ValidationError(f"line {max(no, 1)}: {message}")
+
+    def take(what: str, kind=str):
+        nonlocal pos
+        if pos == len(tokens):
+            fail(pos - 1, f"unexpected end of file, expected {what}")
+        pos += 1
+        try:
+            return kind(tokens[pos - 1])
+        except ValueError:
+            fail(pos - 1, f"expected {what}, got {tokens[pos - 1]!r}")
+
+    if take("preamble") != "MARKOV":
+        fail(0, f"expected MARKOV preamble, got {tokens[0]!r}")
+    n = take("variable count", int)
     if n < 1:
-        raise ValidationError(f"line {no}: variable count must be positive")
+        fail(1, "variable count must be positive")
     cards = []
     for k in range(n):
-        card, cno = reader.take_int(f"cardinality of variable {k}")
-        if card < 2:
-            raise ValidationError(f"line {cno}: cardinality of variable {k} must be >= 2, got {card}")
-        cards.append((card, cno))
-    d = cards[0][0]
-    for card, cno in cards:
+        cards.append(take(f"cardinality of variable {k}", int))
+        if cards[k] < 2:
+            fail(pos - 1, f"cardinality of variable {k} must be >= 2, got {cards[k]}")
+    d = cards[0]
+    for k, card in enumerate(cards):
         if card != d:
-            raise ValidationError(
-                f"line {cno}: mixed cardinalities ({card} vs {d}) are not supported"
-            )
-    n_funcs, no = reader.take_int("function count")
+            fail(2 + k, f"mixed cardinalities ({card} vs {d}) are not supported")
+    n_funcs = take("function count", int)
     if n_funcs < 0:
-        raise ValidationError(f"line {no}: function count must be >= 0")
+        fail(pos - 1, "function count must be >= 0")
     scopes = []
     for f in range(n_funcs):
-        arity, ano = reader.take_int(f"arity of function {f}")
+        arity = take(f"arity of function {f}", int)
         if arity not in (1, 2):
-            raise ValidationError(f"line {ano}: unsupported arity {arity}")
+            fail(pos - 1, f"unsupported arity {arity}")
         scope = []
         for _ in range(arity):
-            var, vno = reader.take_int("scope variable")
-            if not 0 <= var < n:
-                raise ValidationError(f"line {vno}: scope variable {var} outside 0..{n - 1}")
-            scope.append(var)
+            scope.append(take("scope variable", int))
+            if not 0 <= scope[-1] < n:
+                fail(pos - 1, f"scope variable {scope[-1]} outside 0..{n - 1}")
         if arity == 2 and scope[0] == scope[1]:
-            raise ValidationError(f"line {ano}: pairwise scope repeats variable {scope[0]}")
-        scopes.append((scope, ano))
+            fail(pos - 3, f"pairwise scope repeats variable {scope[0]}")  # at the arity
+        scopes.append(scope)
 
-    table_tokens = reader.remaining()
-    unary = []
-    edge_costs: dict[tuple[int, int], np.ndarray] = {}
-    for scope, _ in scopes:
-        size, sno = reader.take_int("table size")
-        expected = d ** len(scope)
-        if size != expected:
-            raise ValidationError(
-                f"line {sno}: table for scope {tuple(scope)} has {size} entries, expected {expected}"
-            )
-        if size > reader.remaining():
-            raise ValidationError(
-                f"line {sno}: table of {size} entries runs past the end of file "
-                f"({reader.remaining()} tokens left)"
-            )
-        entries = np.empty(size)
-        for k in range(size):
-            value, vno = reader.take_float("table entry")
+    # Walk the table sizes; a fault here is raised after any bad entry
+    # before it, so the first fault in file order wins.
+    first = stop = pos
+    heads, fault = [], None
+    try:
+        for scope in scopes:
+            size, expected = take("table size", int), d ** len(scope)
+            if size != expected:
+                fail(pos - 1, f"table for scope {tuple(scope)} has {size} entries, expected {expected}")
+            if size > len(tokens) - pos:
+                fail(pos - 1, f"table of {size} entries runs past the end of file "
+                              f"({len(tokens) - pos} tokens left)")
+            heads.append(pos - 1)
+            stop = pos = pos + size
+        if pos < len(tokens):
+            fail(pos, f"unexpected trailing token {tokens[pos]!r}")
+    except ValidationError as exc:
+        fault = exc
+    try:  # table sizes passed int() and equal d or d^2, so they read as valid floats
+        flat = np.frombuffer(array("d", map(float, islice(tokens, first, stop))))
+        valid = bool(((flat > 0.0) & (flat < np.inf)).all())
+    except ValueError:
+        valid = False
+    if not valid:  # find the first bad entry; take reads tokens[pos]
+        for pos in range(first, stop):
+            value = take("table entry", float)
             if not (value > 0.0) or not math.isfinite(value):
-                raise ValidationError(
-                    f"line {vno}: potential entries must be strictly positive, got {value}"
-                )
-            entries[k] = value
-        cost = -np.log(entries)
-        if len(scope) == 1:
-            unary.append((scope[0], cost))
-        else:
-            a, b = scope
-            table = cost.reshape(d, d)  # first scope variable indexes rows
-            if a > b:
-                a, b = b, a
-                table = table.T
-            if (a, b) in edge_costs:
-                edge_costs[(a, b)] += table
-            else:
-                edge_costs[(a, b)] = table
-    if reader.remaining():
-        token, no = reader.take("end of file")
-        raise ValidationError(f"line {no}: unexpected trailing token {token!r}")
+                fail(pos - 1, f"potential entries must be strictly positive, got {value}")
+    if fault is not None:
+        raise fault
     # Every vertex is in a pairwise table of d^2 >= 2 d entries: a valid file has n d.
-    if n * d > table_tokens:
+    if n * d > len(tokens) - first:
         raise ValidationError(
             f"{n} variables of cardinality {d} need at least {n * d} table entries, "
-            f"the file has {table_tokens} table tokens"
+            f"the file has {len(tokens) - first} table tokens"
         )
-    vertex_costs = np.zeros((n, d))
-    for var, cost in unary:
-        vertex_costs[var] += cost
+    cost = -np.log(np.delete(flat, np.array(heads, dtype=np.intp) - first))
+    pair = np.repeat(np.array([len(s) == 2 for s in scopes]), [d ** len(s) for s in scopes])
+    vertex_costs = np.zeros((n, d))  # unary costs add onto +0.0 in file order
+    unary = np.array([s[0] for s in scopes if len(s) == 1], dtype=np.intp)
+    np.add.at(vertex_costs, unary, cost[~pair].reshape(-1, d))
+    tables = cost[pair].reshape(-1, d, d)  # first scope variable indexes rows
+    ij = np.array([s for s in scopes if len(s) == 2], dtype=np.int64).reshape(-1, 2)
+    flip = ij[:, 0] > ij[:, 1]
+    tables[flip] = tables[flip].transpose(0, 2, 1)
+    ij.sort(axis=1)
+    edges, which = np.unique(ij, axis=0, return_inverse=True)
+    edge_costs = np.full((len(edges), d, d), -0.0)  # pairwise costs add onto -0.0 in file order
+    np.add.at(edge_costs, which.ravel(), tables)
+    return build_model(n, edges, d, vertex_costs, edge_costs)
 
-    edge_list = sorted(edge_costs)
-    ec = np.array([edge_costs[e] for e in edge_list]).reshape(len(edge_list), d, d)
-    return build_model(n, edge_list, d, vertex_costs, ec)
+
+def _potential(cost: float) -> float:
+    """exp(-cost), inf where ``math.exp`` overflows."""
+    try:
+        return math.exp(-cost)
+    except OverflowError:
+        return math.inf
 
 
 def emit_uai(model: Model) -> str:
     """Write a model as a UAI MARKOV file with potentials exp(-C).
 
-    Representable when all |C| are small enough that exp(-C) stays positive
-    and finite (|C| below ~700); parsing the result recovers the costs to
-    ~1e-12 per entry.
+    Every potential must be positive and finite, so every cost must lie in
+    about [-709.78, 745.13]; the first cost outside that range, in file
+    order, raises ``ValidationError``.  Parsing the result recovers the
+    costs to ~1e-12 per entry.
     """
-    lines = ["MARKOV", str(model.n), " ".join([str(model.d)] * model.n)]
-    lines.append(str(model.n + model.m))
-    for i in range(model.n):
-        lines.append(f"1 {i}")
-    for e in range(model.m):
-        lines.append(f"2 {model.edges[e, 0]} {model.edges[e, 1]}")
-    for i in range(model.n):
-        lines.append(str(model.d))
-        lines.append(" ".join(_fmt(math.exp(-c)) for c in model.vertex_costs[i]))
-    for e in range(model.m):
-        lines.append(str(model.d * model.d))
-        lines.append(" ".join(_fmt(math.exp(-c)) for c in model.edge_costs[e].ravel()))
-    return "\n".join(lines) + "\n"
+    n, m, d = model.n, model.m, model.d
+    costs = np.concatenate([model.vertex_costs.ravel(), model.edge_costs.ravel()])
+    phi = np.fromiter(map(_potential, costs.tolist()), np.float64, costs.size)
+    bad = np.flatnonzero(~((phi > 0.0) & (phi < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        e, x = divmod(k - n * d, d * d)
+        where = (f"vertex {k // d} label {k % d}" if k < n * d
+                 else f"edge {tuple(model.edges[e].tolist())} labels {divmod(x, d)}")
+        raise ValidationError(f"{where}: cost {float(costs[k])} has no positive finite potential exp(-cost)")
+    none = np.empty((n + m, 0))  # rows with no ids or no values
+    return "".join([
+        f"MARKOV\n{n}\n{' '.join([str(d)] * n)}\n{n + m}\n",
+        *_chunked_lines("1 %d", np.arange(n)[:, None], none[:n]),
+        *_chunked_lines("2 %d %d", model.edges, none[:m]),
+        *_chunked_lines(f"{d}\n" + " ".join(["%.17g"] * d), none[:n], phi[: n * d].reshape(n, d)),
+        *_chunked_lines(f"{d * d}\n" + " ".join(["%.17g"] * d * d), none[:m], phi[n * d :].reshape(m, d * d)),
+    ])

@@ -116,7 +116,7 @@ def _lse_all(a: np.ndarray):
     return np.log(np.add.reduce(shifted, axis=None)) + amax
 
 
-def _check_marginal_shapes(model: Model, mu: Marginals) -> None:
+def _check_marginal_shapes(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> None:
     if mu.vertex.shape != (model.n, model.d):
         raise ValidationError(
             f"vertex blocks have shape {mu.vertex.shape}, expected {(model.n, model.d)}"
@@ -124,6 +124,10 @@ def _check_marginal_shapes(model: Model, mu: Marginals) -> None:
     if mu.edge.shape != (model.m, model.d, model.d):
         raise ValidationError(
             f"edge blocks have shape {mu.edge.shape}, expected {(model.m, model.d, model.d)}"
+        )
+    if nu is not None and nu.shape != (model.m, 2, model.d):
+        raise ValidationError(
+            f"slack offset has shape {nu.shape}, expected {(model.m, 2, model.d)}"
         )
 
 
@@ -258,7 +262,7 @@ def in_slack_polytope(
     """Local-polytope membership with consistency targets offset by nu:
     edge block e must have row sums mu_i + nu[e, 0] and column sums
     mu_j + nu[e, 1], within ``tol`` entrywise."""
-    _check_marginal_shapes(model, mu)
+    _check_marginal_shapes(model, mu, nu)
     if tol < 0:
         raise ValidationError("tol must be nonnegative")
     if mu.vertex.min(initial=0.0) < -tol:

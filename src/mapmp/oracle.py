@@ -207,41 +207,21 @@ def lp_solve_l2(model: Model) -> LpResult:
     nv = n * d
     cost = np.concatenate([model.vertex_costs.ravel(), model.edge_costs.ravel()])
 
-    rows, cols, vals = [], [], []
-    b = []
-    row = 0
-    for i in range(n):  # sum_x mu_i(x) = 1
-        for x in range(d):
-            rows.append(row)
-            cols.append(i * d + x)
-            vals.append(1.0)
-        b.append(1.0)
-        row += 1
-    for e in range(m):
-        i, j = map(int, model.edges[e])
-        base = nv + e * d * d
-        for xi in range(d):  # sum_xj mu_e(xi, xj) - mu_i(xi) = 0
-            for xj in range(d):
-                rows.append(row)
-                cols.append(base + xi * d + xj)
-                vals.append(1.0)
-            rows.append(row)
-            cols.append(i * d + xi)
-            vals.append(-1.0)
-            b.append(0.0)
-            row += 1
-        for xj in range(d):  # sum_xi mu_e(xi, xj) - mu_j(xj) = 0
-            for xi in range(d):
-                rows.append(row)
-                cols.append(base + xi * d + xj)
-                vals.append(1.0)
-            rows.append(row)
-            cols.append(j * d + xj)
-            vals.append(-1.0)
-            b.append(0.0)
-            row += 1
-    a_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(row, nv + m * d * d))
-    b_eq = np.array(b)
+    # Rows: sum_x mu_i(x) = 1 per vertex, then per edge d rows
+    # sum_xj mu_e(xi, xj) - mu_i(xi) = 0 and d rows sum_xi mu_e(xi, xj) - mu_j(xj) = 0,
+    # each edge row listing its d joint entries and then its vertex entry.
+    labels = np.arange(d)
+    joint = nv + np.arange(m)[:, None, None] * d * d + labels[:, None] * d + labels
+    cols = np.empty((m, 2, d, d + 1), dtype=np.int64)
+    cols[:, 0, :, :d] = joint
+    cols[:, 1, :, :d] = joint.transpose(0, 2, 1)
+    cols[:, :, :, d] = model.edges[:, :, None] * d + labels
+    cols = np.concatenate([np.arange(nv), cols.ravel()])
+    rows = np.concatenate([np.repeat(np.arange(n), d), np.repeat(np.arange(n, n + 2 * m * d), d + 1)])
+    vals = np.ones(cols.size)
+    vals[nv + d :: d + 1] = -1.0
+    a_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(n + 2 * m * d, nv + m * d * d))
+    b_eq = np.concatenate([np.ones(n), np.zeros(2 * m * d)])
 
     res = linprog(cost, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:

@@ -106,13 +106,9 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
     output lies in the local polytope, and when mu was recovered from a dual
     point the total edge movement is at most twice the summed slack norms.
     """
-    _check_marginal_shapes(model, mu)
+    _check_marginal_shapes(model, mu, nu)
     targets = mu.vertex[model.edges]
     if nu is not None:
-        if nu.shape != (model.m, 2, model.d):
-            raise ValidationError(
-                f"slack offset has shape {nu.shape}, expected {(model.m, 2, model.d)}"
-            )
         targets = targets + nu
     inside = (_fold(np.minimum, targets, 2) >= -_MASS_TOL) & (
         np.abs(_fold(np.add, targets, 2) - 1.0) <= _MASS_TOL

@@ -11,6 +11,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy import sparse
 
 from mapmp import ValidationError, build_model
 from mapmp.model import Model
@@ -265,6 +266,211 @@ def token_list_load_model(text: str) -> Model:
     return build_model(
         n, edges, d, np.array(vertex_rows), np.array(edge_values).reshape(m, d, d)
     )
+
+
+# Verbatim copies of the UAI reader and writer that held a (token, line)
+# tuple per token and formatted one entry at a time.
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _tokenize_with_lines(text: str):
+    return [
+        (token, no)
+        for no, line in enumerate(text.splitlines(), start=1)
+        for token in line.split()
+    ]
+
+
+class _TokenReader:
+    def __init__(self, text: str):
+        self.tokens = _tokenize_with_lines(text)
+        self.pos = 0
+
+    def take(self, what: str) -> tuple[str, int]:
+        if self.pos >= len(self.tokens):
+            raise ValidationError(
+                f"line {self.tokens[-1][1] if self.tokens else 1}: unexpected end of file, expected {what}"
+            )
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def take_int(self, what: str) -> tuple[int, int]:
+        token, no = self.take(what)
+        try:
+            return int(token), no
+        except ValueError:
+            raise ValidationError(f"line {no}: expected {what}, got {token!r}") from None
+
+    def take_float(self, what: str) -> tuple[float, int]:
+        token, no = self.take(what)
+        try:
+            return float(token), no
+        except ValueError:
+            raise ValidationError(f"line {no}: expected {what}, got {token!r}") from None
+
+    def remaining(self) -> int:
+        return len(self.tokens) - self.pos
+
+
+def token_reader_parse_uai(text: str) -> Model:
+    """Parse a UAI MARKOV file into a model, converting potentials to costs."""
+    reader = _TokenReader(text)
+    preamble, no = reader.take("preamble")
+    if preamble != "MARKOV":
+        raise ValidationError(f"line {no}: expected MARKOV preamble, got {preamble!r}")
+    n, no = reader.take_int("variable count")
+    if n < 1:
+        raise ValidationError(f"line {no}: variable count must be positive")
+    cards = []
+    for k in range(n):
+        card, cno = reader.take_int(f"cardinality of variable {k}")
+        if card < 2:
+            raise ValidationError(f"line {cno}: cardinality of variable {k} must be >= 2, got {card}")
+        cards.append((card, cno))
+    d = cards[0][0]
+    for card, cno in cards:
+        if card != d:
+            raise ValidationError(
+                f"line {cno}: mixed cardinalities ({card} vs {d}) are not supported"
+            )
+    n_funcs, no = reader.take_int("function count")
+    if n_funcs < 0:
+        raise ValidationError(f"line {no}: function count must be >= 0")
+    scopes = []
+    for f in range(n_funcs):
+        arity, ano = reader.take_int(f"arity of function {f}")
+        if arity not in (1, 2):
+            raise ValidationError(f"line {ano}: unsupported arity {arity}")
+        scope = []
+        for _ in range(arity):
+            var, vno = reader.take_int("scope variable")
+            if not 0 <= var < n:
+                raise ValidationError(f"line {vno}: scope variable {var} outside 0..{n - 1}")
+            scope.append(var)
+        if arity == 2 and scope[0] == scope[1]:
+            raise ValidationError(f"line {ano}: pairwise scope repeats variable {scope[0]}")
+        scopes.append((scope, ano))
+
+    table_tokens = reader.remaining()
+    unary = []
+    edge_costs: dict[tuple[int, int], np.ndarray] = {}
+    for scope, _ in scopes:
+        size, sno = reader.take_int("table size")
+        expected = d ** len(scope)
+        if size != expected:
+            raise ValidationError(
+                f"line {sno}: table for scope {tuple(scope)} has {size} entries, expected {expected}"
+            )
+        if size > reader.remaining():
+            raise ValidationError(
+                f"line {sno}: table of {size} entries runs past the end of file "
+                f"({reader.remaining()} tokens left)"
+            )
+        entries = np.empty(size)
+        for k in range(size):
+            value, vno = reader.take_float("table entry")
+            if not (value > 0.0) or not math.isfinite(value):
+                raise ValidationError(
+                    f"line {vno}: potential entries must be strictly positive, got {value}"
+                )
+            entries[k] = value
+        cost = -np.log(entries)
+        if len(scope) == 1:
+            unary.append((scope[0], cost))
+        else:
+            a, b = scope
+            table = cost.reshape(d, d)  # first scope variable indexes rows
+            if a > b:
+                a, b = b, a
+                table = table.T
+            if (a, b) in edge_costs:
+                edge_costs[(a, b)] += table
+            else:
+                edge_costs[(a, b)] = table
+    if reader.remaining():
+        token, no = reader.take("end of file")
+        raise ValidationError(f"line {no}: unexpected trailing token {token!r}")
+    # Every vertex is in a pairwise table of d^2 >= 2 d entries: a valid file has n d.
+    if n * d > table_tokens:
+        raise ValidationError(
+            f"{n} variables of cardinality {d} need at least {n * d} table entries, "
+            f"the file has {table_tokens} table tokens"
+        )
+    vertex_costs = np.zeros((n, d))
+    for var, cost in unary:
+        vertex_costs[var] += cost
+
+    edge_list = sorted(edge_costs)
+    ec = np.array([edge_costs[e] for e in edge_list]).reshape(len(edge_list), d, d)
+    return build_model(n, edge_list, d, vertex_costs, ec)
+
+
+def entry_loop_emit_uai(model: Model) -> str:
+    """Write a model as a UAI MARKOV file with potentials exp(-C).
+
+    Representable when all |C| are small enough that exp(-C) stays positive
+    and finite (|C| below ~700); parsing the result recovers the costs to
+    ~1e-12 per entry.
+    """
+    lines = ["MARKOV", str(model.n), " ".join([str(model.d)] * model.n)]
+    lines.append(str(model.n + model.m))
+    for i in range(model.n):
+        lines.append(f"1 {i}")
+    for e in range(model.m):
+        lines.append(f"2 {model.edges[e, 0]} {model.edges[e, 1]}")
+    for i in range(model.n):
+        lines.append(str(model.d))
+        lines.append(" ".join(_fmt(math.exp(-c)) for c in model.vertex_costs[i]))
+    for e in range(model.m):
+        lines.append(str(model.d * model.d))
+        lines.append(" ".join(_fmt(math.exp(-c)) for c in model.edge_costs[e].ravel()))
+    return "\n".join(lines) + "\n"
+
+
+def loop_lp_constraints(model: Model):
+    """Verbatim copy of the loop builder of ``lp_solve_l2``'s equality
+    constraints: (A_eq as CSR, b_eq)."""
+    n, m, d = model.n, model.m, model.d
+    nv = n * d
+
+    rows, cols, vals = [], [], []
+    b = []
+    row = 0
+    for i in range(n):  # sum_x mu_i(x) = 1
+        for x in range(d):
+            rows.append(row)
+            cols.append(i * d + x)
+            vals.append(1.0)
+        b.append(1.0)
+        row += 1
+    for e in range(m):
+        i, j = map(int, model.edges[e])
+        base = nv + e * d * d
+        for xi in range(d):  # sum_xj mu_e(xi, xj) - mu_i(xi) = 0
+            for xj in range(d):
+                rows.append(row)
+                cols.append(base + xi * d + xj)
+                vals.append(1.0)
+            rows.append(row)
+            cols.append(i * d + xi)
+            vals.append(-1.0)
+            b.append(0.0)
+            row += 1
+        for xj in range(d):  # sum_xi mu_e(xi, xj) - mu_j(xj) = 0
+            for xi in range(d):
+                rows.append(row)
+                cols.append(base + xi * d + xj)
+                vals.append(1.0)
+            rows.append(row)
+            cols.append(j * d + xj)
+            vals.append(-1.0)
+            b.append(0.0)
+            row += 1
+    a_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(row, nv + m * d * d))
+    b_eq = np.array(b)
+    return a_eq.tocsr(), b_eq
 
 
 def fd_gradient(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:

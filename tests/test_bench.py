@@ -279,6 +279,22 @@ class TestCli:
         m = mapmp.load_model(out.read_text())
         assert m.m == 1
 
+    def test_every_model_input_reads_uai(self, tmp_path, capsys):
+        """solve, oracle and bench --model read a UAI file as the native
+        file that convert makes of it."""
+        uai, native = tmp_path / "model.uai", tmp_path / "model.mapmp"
+        uai.write_text(mapmp.emit_uai(mapmp.erdos_renyi_potts(6, 0.5, 2, 3)))
+        assert main(["convert", str(uai), "--out", str(native)]) == 0
+        csv, outputs = tmp_path / "bench.csv", []
+        for path in (uai, native):
+            capsys.readouterr()
+            assert main(["solve", str(path), "--eta", "30", "--iters", "50"]) == 0
+            assert main(["oracle", str(path), "--method", "lp"]) == 0
+            assert main(["bench", "--model", str(path), "--iters", "20", "--trials", "1",
+                         "--out", str(csv)]) == 0
+            outputs.append((capsys.readouterr().out, csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_bench_csv_determinism_and_schema(self, tmp_path):
         args = [
             "bench", "--n", "6", "--d", "2", "--algo", "smp", "--ratio",

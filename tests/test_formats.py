@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    entry_loop_emit_uai,
     line_list_emit_model,
     random_model,
     reference_emit_model,
     token_list_load_model,
+    token_reader_parse_uai,
 )
 
 import mapmp
@@ -266,7 +268,51 @@ MINIMAL_UAI = """MARKOV
 """
 
 
+def same_bits(a, b) -> bool:
+    """Equal models, signs of zero included (``np.array_equal`` has -0.0 == 0.0)."""
+    return (
+        (a.n, a.m, a.d) == (b.n, b.m, b.d)
+        and a.edges.tobytes() == b.edges.tobytes()
+        and a.vertex_costs.tobytes() == b.vertex_costs.tobytes()
+        and a.edge_costs.tobytes() == b.edge_costs.tobytes()
+    )
+
+
+def assert_parses_like_the_token_reader(text):
+    """The model of ``parse_uai(text)`` bit for bit, or its message, equals
+    the token-list reader's; returns that model or message."""
+    try:
+        want = token_reader_parse_uai(text)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            mapmp.formats.parse_uai(text)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = mapmp.formats.parse_uai(text)
+    assert same_bits(got, want)
+    return got
+
+
+def checked_parse_uai(text):
+    outcome = assert_parses_like_the_token_reader(text)
+    if isinstance(outcome, str):
+        raise ValidationError(outcome)
+    return outcome
+
+
+def checked_emit_uai(model):
+    text = mapmp.formats.emit_uai(model)
+    assert text == entry_loop_emit_uai(model)
+    return text
+
+
 class TestUaiFormat:
+    @pytest.fixture(autouse=True)
+    def _against_the_token_reader(self, monkeypatch):
+        """Every test here also checks the replaced reader and writer."""
+        monkeypatch.setitem(globals(), "parse_uai", checked_parse_uai)
+        monkeypatch.setitem(globals(), "emit_uai", checked_emit_uai)
+
     def test_minimal_file_gives_zero_costs(self):
         m = parse_uai(MINIMAL_UAI)
         assert m.n == 2 and m.m == 1 and m.d == 2
@@ -402,3 +448,160 @@ class TestUaiFormat:
             m = erdos_renyi_potts(10, 0.3, 3, seed)
             back = parse_uai(emit_uai(m))
             np.testing.assert_allclose(back.edge_costs, m.edge_costs, atol=1e-12)
+
+
+UAI_BASE = """MARKOV
+4
+2 2 2 2
+7
+1 0
+1 2
+2 0 1
+2 2 1
+2 1 2
+2 2 3
+2 0 3
+2
+ 0.5 2
+2
+ 1 1
+4
+ 1 2 3 4
+4
+ 0.25 1 1 4
+4
+ 1 1 2 2
+4
+ 3 1e-300 1 7
+4
+ 1 1 1 1
+"""
+
+
+class TestArrayUai:
+    """The array reader and chunked writer give the models (signs of zero
+    included), messages and bytes of the token-list reader and the
+    entry-by-entry writer they replaced."""
+
+    def test_signed_zeros_of_unit_potentials(self):
+        model = parse_uai(MINIMAL_UAI)
+        assert np.signbit(model.edge_costs).all() and not np.signbit(model.vertex_costs).any()
+        assert same_bits(model, token_reader_parse_uai(MINIMAL_UAI))
+        assert emit_model(model).splitlines()[1:] == ["v 0 0 0", "v 1 0 0", "e 0 1 -0 -0 -0 -0"]
+        assert same_bits(parse_uai(UAI_BASE), token_reader_parse_uai(UAI_BASE))
+
+    def test_mutated_files_give_the_token_readers_model_or_message(self):
+        base = [line.split() for line in UAI_BASE.splitlines()]
+        junk = ["0", "-1", "nan", "inf", "-inf", "1e999", "x", "1e-320", "-0", "0.5", "7",
+                "1", "2", "3", "4", "5", "9", "10000000000", "1.0", "MARKOV", "BAYES"]
+        junk_lines = [["3", "0", "1", "2"], ["2", "1", "1"], ["2", "3", "0"], ["1", "4"],
+                      ["2", "1", "0"], ["1", "3"], ["4"], ["2"], [], ["4", "1", "1"]]
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for _ in range(400):
+            lines = [list(tokens) for tokens in base]
+            for _ in range(int(rng.integers(1, 4))):
+                k = int(rng.integers(len(lines)))
+                tokens = lines[k]
+                t = int(rng.integers(len(tokens) + 1))
+                action = int(rng.integers(6))
+                if action == 0 and tokens:
+                    tokens[min(t, len(tokens) - 1)] = junk[int(rng.integers(len(junk)))]
+                elif action == 1:
+                    tokens.insert(t, junk[int(rng.integers(len(junk)))])
+                elif action == 2 and tokens:
+                    del tokens[min(t, len(tokens) - 1)]
+                elif action == 3:
+                    lines.insert(k, list(junk_lines[int(rng.integers(len(junk_lines)))]))
+                elif action == 4:
+                    del lines[k]
+                else:  # the line breaks before token t
+                    lines.insert(k + 1, tokens[t:])
+                    del tokens[t:]
+            outcome = assert_parses_like_the_token_reader("\n".join(map(" ".join, lines)) + "\n")
+            outcomes.add(re.sub(r"\d+", "#", outcome) if isinstance(outcome, str) else "ok")
+        assert "ok" in outcomes and len(outcomes) >= 20  # many distinct checks were reached
+
+    @pytest.mark.parametrize("text", [
+        "", " \n\n", "MARKOV", "MARKOV 1 2 0", "MARKOV 2 2 2 2 1 0 1 1 2 1 1 2 1 1",
+        "MARKOV 2 2 2 2 2 1 0 2 0 1 4 1 2 3 4 4 5 6 7 8", "MARKOV 2 2 2 1 2 0 1 4 1 1 1 1e-320",
+        "MARKOV 2 2 2 1 2 0 1 04 1 1 1 1", "MARKOV 2 2 2 1 2 0 1 +4 1 1 1 1",
+        "MARKOV 2 2 2 1 2 0 1 4_0 1 1 1 1", "MARKOV 2 2 2 1 2 0 1 4 1 1 1 1e999 x",
+        "MARKOV\x0b2\x0c2 2\x1c1\u20282 0 1\x854 1 1 1 1 ",
+        "MARKOV\r\n2\x0c2 2\x1c1\u20282 0 1\x854 1\r1\n1 x",
+    ])
+    def test_edge_cases_give_the_token_readers_model_or_message(self, text):
+        assert_parses_like_the_token_reader(text)
+
+    def test_first_fault_in_file_order_wins(self):
+        # a bad entry in one table comes before a bad size in the next
+        text = MINIMAL_UAI + "4\n 1 1 1 1\n"
+        two = text.replace("1\n2 0 1\n", "2\n2 0 1\n1 0\n")
+        for bad_entry, message in (("1.0", "line 9: table for scope (0,) has 4 entries, expected 2"),
+                                   ("0", "line 8: potential entries must be strictly positive, "
+                                         "got 0.0"),
+                                   ("x", "line 8: expected table entry, got 'x'")):
+            broken = two.replace(" 1.0 1.0 1.0 1.0", f" 1.0 {bad_entry} 1.0 1.0", 1)
+            for reader in (parse_uai, token_reader_parse_uai):
+                with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                    reader(broken)
+        for reader in (parse_uai, token_reader_parse_uai):
+            with pytest.raises(ValidationError, match="^line 8: unexpected trailing token '4'$"):
+                reader(text)
+            with pytest.raises(ValidationError, match="^line 1: unexpected end of file"):
+                reader("  \n\n")
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    def test_emit_bytes_match_the_entry_writer(self, monkeypatch, d, chunk):
+        monkeypatch.setattr(mapmp.formats, "_EMIT_CHUNK", chunk)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1 / 3, -709.7, 745.1, 700.0, -1.5, 1e-300]
+        rng = np.random.default_rng(d)
+        for m in (extreme_model(d), erdos_renyi_potts(40, 0.2, d, d)):
+            n, k = m.n * d, m.m * d * d
+            values = rng.permutation(np.resize(special + list(rng.normal(0, 50, 7)), n + k))
+            m = build_model(m.n, m.edges, d, values[:n].reshape(m.n, d),
+                            values[n:].reshape(m.m, d, d))
+            text = emit_uai(m)
+            assert text == entry_loop_emit_uai(m)
+            assert same_bits(parse_uai(text), token_reader_parse_uai(text))
+
+    @pytest.mark.parametrize("where, cost, message", [
+        ("vertex", 800.0, "vertex 2 label 1: cost 800.0"),
+        ("vertex", -710.0, "vertex 2 label 1: cost -710.0"),
+        ("edge", 745.2, "edge (1, 2) labels (0, 1): cost 745.2"),
+        ("edge", -1e308, "edge (1, 2) labels (0, 1): cost -1e+308"),
+    ])
+    def test_emit_rejects_a_cost_without_a_potential(self, where, cost, message):
+        # exp(-cost) underflows to 0 above about 745.13, and math.exp
+        # overflows below about -709.78; the first such entry is named
+        m = erdos_renyi_potts(5, 1.0, 3, 0)
+        vc, ec = m.vertex_costs.copy(), m.edge_costs.copy()
+        if where == "vertex":
+            vc[2, 1] = cost
+        ec[-1, 2, 2] = -cost  # later in file order than either named entry
+        ec[list(map(tuple, m.edges.tolist())).index((1, 2)), 0, 1] = cost
+        bad = build_model(5, m.edges, 3, vc, ec)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)} has no positive finite "
+                           r"potential exp\(-cost\)$"):
+            emit_uai(bad)
+
+    def test_transient_memory_of_the_n5000_file(self):
+        # The 4.79 MB UAI file of the n = 5000 seed-0 instance.  Peaks
+        # measured with Python 3.11 / NumPy 2.4: emit 13.2 MB (the writer
+        # formatting entry by entry 19.2 MB); parse 40.1 MB including the
+        # returned model (the reader holding a (token, line) tuple per token
+        # 66.4 MB).  The bounds leave about 1.2x headroom; either old
+        # version crosses them.
+        model = erdos_renyi_potts(5000, 1.1 * np.log(5000) / 5000, 3, 0)
+        peaks = []
+        for step in (lambda: emit_uai(model), lambda: parse_uai(text)):
+            tracemalloc.start()
+            try:
+                text = step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 16_000_000
+        assert peaks[1] < 48_000_000
+        np.testing.assert_allclose(text.edge_costs, model.edge_costs, atol=1e-12)

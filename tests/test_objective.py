@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,15 @@ class TestPolytopeMembership:
         nu = np.zeros((m.m, 2, m.d))
         nu[0, 0, :] = 0.01  # block sums to 0.02, mass cannot balance
         assert not in_slack_polytope(m, mu, nu, 1e-6)
+
+    def test_wrongly_shaped_slack_rejected_like_proj(self):
+        m = random_model(np.random.default_rng(13), 4, 3)
+        mu = recover_primal(m, zero_dual(m), 1.0)
+        for shape in ((m.m, 2, 2), (m.m + 1, 2, 3), (3,)):
+            message = re.escape(f"slack offset has shape {shape}, expected {(m.m, 2, 3)}")
+            for check in (in_slack_polytope, mapmp.proj):
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    check(m, mu, np.zeros(shape))
 
 
 def lse_reference(a, axis):

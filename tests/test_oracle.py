@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from helpers import random_model, random_tree_model, random_tree_potts
+from helpers import loop_lp_constraints, random_model, random_tree_model, random_tree_potts
 
 import mapmp
 from mapmp import (
@@ -13,6 +14,7 @@ from mapmp import (
     in_local_polytope,
     lp_solve_l2,
     map_value,
+    oracle,
     tree_map,
 )
 
@@ -147,6 +149,33 @@ class TestLpSolve:
         for _ in range(20):
             m = random_model(rng, 5, 3)
             assert lp_solve_l2(m).value <= brute_force_map(m).value + 1e-7
+
+    def test_constraints_match_the_loop_builder(self, monkeypatch):
+        """The array-built A_eq and b_eq are the loop builder's, byte for
+        byte, and HiGHS returns the same point and value from either."""
+        captured = []
+
+        def capture(cost, A_eq, b_eq, **kwargs):
+            captured.append((A_eq, b_eq))
+            return linprog(cost, A_eq=A_eq, b_eq=b_eq, **kwargs)
+
+        monkeypatch.setattr(oracle, "linprog", capture)
+        rng = np.random.default_rng(14)
+        models = [random_model(rng, int(rng.integers(2, 9)), d) for d in (2, 3, 5) for _ in range(4)]
+        models += [random_tree_model(rng, 6, 3), mapmp.erdos_renyi_potts(30, 0.15, 2, 1)]
+        for m in models:
+            res = lp_solve_l2(m)
+            a_eq, b_eq = captured.pop()
+            want_a, want_b = loop_lp_constraints(m)
+            for got, want in ((a_eq.indptr, want_a.indptr), (a_eq.indices, want_a.indices),
+                              (a_eq.data, want_a.data), (b_eq, want_b)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert a_eq.shape == want_a.shape
+            cost = np.concatenate([m.vertex_costs.ravel(), m.edge_costs.ravel()])
+            want = linprog(cost, A_eq=want_a, b_eq=want_b, bounds=(0, None), method="highs")
+            assert res.value == want.fun
+            assert res.marginals.vertex.tobytes() == want.x[: m.n * m.d].tobytes()
+            assert res.marginals.edge.tobytes() == want.x[m.n * m.d :].tobytes()
 
     def test_guard_refusal(self):
         n = 200
