@@ -30,7 +30,7 @@ import numpy as np
 from .errors import OracleGuardError, ValidationError
 from .formats import read_model
 from .model import Model, default_edge_prob, erdos_renyi_potts
-from .objective import primal_objective, recover_primal
+from .objective import _check_eta, primal_objective, recover_primal
 from .oracle import lp_solve_l2
 from .projection import proj
 from .schedulers import SolveTrace, accel_block_grad, accel_emp, accel_smp, standard_mp
@@ -92,8 +92,7 @@ class BenchConfig:
                 "ratio mode pairs a standard algorithm with its accelerated "
                 f"variant; got {self.algorithm!r}"
             )
-        if not self.eta > 0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
+        _check_eta(self.eta)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.iters < 0:
@@ -185,6 +184,13 @@ def solve(algorithm: str, model: Model, eta: float, iters: int, seed, **options)
     return standard_mp(model, algorithm, eta, iters, seed, **options)
 
 
+def _mean_std(values) -> tuple:
+    """(mean, std) of ``values``, or (None, None) when it is empty."""
+    if not values:
+        return None, None
+    return float(np.mean(values)), float(np.std(values))
+
+
 def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
     """Execute a benchmark run; see the module docstring for the protocol.
     ``model``, when given, is ``resolve_model(config)`` already built."""
@@ -196,77 +202,43 @@ def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
         algorithms.append(RATIO_PAIR[config.algorithm])
 
     result = BenchResult(config=config, model=model, opt_value=opt_value)
-    per_alg_gaps: dict[str, list[list[float]]] = {}
-    recorded_grid: dict[str, list[int]] = {}
+    columns = []  # per algorithm, per record: the projected primal of each trial
     for alg in algorithms:
-        alg_rows_by_trial = []
+        primals_per_trial = []
         for trial in range(config.trials):
-            seed = np.random.SeedSequence(
-                [config.seed, ALGORITHMS.index(alg), trial]
-            )
-            trial_rows: list[MetricRow] = []
+            seed = np.random.SeedSequence([config.seed, ALGORITHMS.index(alg), trial])
+            primals: list[float] = []
 
             def observe(k: int, lam: np.ndarray) -> None:
                 mu_hat = proj(model, recover_primal(model, lam, config.eta))
-                primal = primal_objective(model, mu_hat)
-                gap = None if opt_value is None else primal - opt_value
-                trial_rows.append(
-                    MetricRow(trial, k, alg, 0.0, primal, gap, 0.0, 0.0)
-                )
+                primals.append(primal_objective(model, mu_hat))
 
             trace = solve(
                 alg, model, config.eta, config.iters, seed, stride=config.stride, observer=observe
             )
-            for idx, row in enumerate(trial_rows):
-                row.dual_value = float(trace.dual_values[idx])
-                row.slack_score = float(trace.slack_scores[idx])
-                row.elapsed_ms = float(trace.elapsed_ms[idx]) if config.timing else 0.0
-            result.rows.extend(trial_rows)
-            alg_rows_by_trial.append(trial_rows)
-
-        iterations = [row.iteration for row in alg_rows_by_trial[0]]
-        gaps_by_iter: list[list[float]] = [[] for _ in iterations]
-        for pos, iteration in enumerate(iterations):
-            primals = [rows[pos].projected_primal for rows in alg_rows_by_trial]
-            gaps = [rows[pos].primal_gap for rows in alg_rows_by_trial]
-            have_gaps = opt_value is not None
-            result.summary.append(
-                SummaryRow(
-                    alg,
-                    iteration,
-                    float(np.mean(primals)),
-                    float(np.std(primals)),
-                    float(np.mean(gaps)) if have_gaps else None,
-                    float(np.std(gaps)) if have_gaps else None,
-                )
+            elapsed = trace.elapsed_ms if config.timing else np.zeros(len(primals))
+            records = zip(
+                trace.iterations.tolist(), primals, trace.dual_values.tolist(),
+                trace.slack_scores.tolist(), elapsed.tolist(),
             )
-            if have_gaps:
-                gaps_by_iter[pos] = gaps
-        per_alg_gaps[alg] = gaps_by_iter
-        recorded_grid[alg] = iterations
+            for k, primal, dual, score, ms in records:
+                gap = None if opt_value is None else primal - opt_value
+                result.rows.append(MetricRow(trial, k, alg, dual, primal, gap, score, ms))
+            primals_per_trial.append(primals)
+
+        # Every trial records the same iterations: same iters and stride, no stop rule.
+        iterations = trace.iterations.tolist()
+        columns.append(list(zip(*primals_per_trial)))
+        for k, column in zip(iterations, columns[-1]):
+            gaps = [] if opt_value is None else [p - opt_value for p in column]
+            result.summary.append(SummaryRow(alg, k, *_mean_std(column), *_mean_std(gaps)))
 
     if config.ratio and opt_value is not None:
-        standard, accel = algorithms
-        if recorded_grid[standard] != recorded_grid[accel]:
-            raise ValidationError("paired algorithms recorded different iteration grids")
         floor = _GAP_FLOOR * (1.0 + abs(opt_value))
-        for pos, iteration in enumerate(recorded_grid[standard]):
-            ratios = [
-                math.log(gs / ga)
-                for gs, ga in zip(per_alg_gaps[standard][pos], per_alg_gaps[accel][pos])
-                if gs > floor and ga > floor
-            ]
-            if ratios:
-                result.ratio_rows.append(
-                    RatioRow(
-                        iteration,
-                        float(np.mean(ratios)),
-                        float(np.std(ratios)),
-                        len(ratios),
-                    )
-                )
-            else:
-                result.ratio_rows.append(RatioRow(iteration, None, None, 0))
+        for k, standard, accel in zip(iterations, *columns):
+            gaps = [(ps - opt_value, pa - opt_value) for ps, pa in zip(standard, accel)]
+            ratios = [math.log(gs / ga) for gs, ga in gaps if gs > floor and ga > floor]
+            result.ratio_rows.append(RatioRow(k, *_mean_std(ratios), len(ratios)))
     return result
 
 

@@ -35,34 +35,29 @@ def _resolve_eta(args, model: Model) -> float:
         return eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
     if args.eta is None:
         raise ValidationError("provide --eta or --epsilon")
-    if not args.eta > 0:
-        raise ValidationError(f"eta must be positive, got {args.eta}")
     return args.eta
+
+
+def _emit(model: Model, out: str | None) -> int:
+    """Write ``model`` in the native format to ``out``, or to stdout."""
+    text = emit_model(model)
+    if out:
+        _write(out, text)
+        print(f"wrote {out}: n={model.n} m={model.m} d={model.d}")
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def _cmd_gen(args) -> int:
     edge_prob = args.edge_prob
     if edge_prob is None:
         edge_prob = default_edge_prob(args.n)
-    model = erdos_renyi_potts(args.n, edge_prob, args.d, args.seed)
-    text = emit_model(model)
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out}: n={model.n} m={model.m} d={model.d}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(erdos_renyi_potts(args.n, edge_prob, args.d, args.seed), args.out)
 
 
 def _cmd_convert(args) -> int:
-    model = parse_uai(read_text(args.input))
-    text = emit_model(model)
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out}: n={model.n} m={model.m} d={model.d}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(parse_uai(read_text(args.input)), args.out)
 
 
 def _cmd_solve(args) -> int:
@@ -131,18 +126,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle(args) -> int:
     model = read_model(args.input)
+    res = {"brute": brute_force_map, "tree": tree_map, "lp": lp_solve_l2}[args.method](model)
+    print(f"value      {res.value}")
+    if args.method != "lp":
+        print(f"assignment {' '.join(str(x) for x in res.assignment)}")
     if args.method == "brute":
-        res = brute_force_map(model)
-        print(f"value      {res.value}")
-        print(f"assignment {' '.join(str(x) for x in res.assignment)}")
         print(f"unique     {res.unique}")
-    elif args.method == "tree":
-        res = tree_map(model)
-        print(f"value      {res.value}")
-        print(f"assignment {' '.join(str(x) for x in res.assignment)}")
-    else:
-        res = lp_solve_l2(model)
-        print(f"value      {res.value}")
     return 0
 
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -97,13 +96,11 @@ class ThetaState:
 
     theta_prev: float = 1.0
     delta: float = 1.0
-    steps: int = 0
 
     def advance(self) -> float:
         theta = theta_next(self.theta_prev)
         self.theta_prev = theta
         self.delta *= 1.0 - theta
-        self.steps += 1
         return theta
 
 
@@ -161,9 +158,9 @@ class SolveTrace:
 
     Parallel arrays hold one entry per recorded iterate (iterate 0 and the
     final iterate are always recorded; in between, every ``stride``-th).
-    ``best_lambda`` is the recorded iterate minimizing the slack score;
-    ``solution`` is what the algorithm returns: the best iterate for the
-    standard loops, the final iterate for the accelerated ones.
+    ``solution`` is what the algorithm returns: for the standard loops the
+    recorded iterate minimizing the slack score (``best_iteration``,
+    ``best_score``), for the accelerated ones the final iterate.
     ``elapsed_ms`` is solver time up to each record; ``instrumentation_ms``
     is the time spent in record passes and observer calls up to and
     including that record, which ``elapsed_ms`` leaves out.
@@ -175,7 +172,6 @@ class SolveTrace:
     elapsed_ms: np.ndarray
     instrumentation_ms: np.ndarray
     final_lambda: np.ndarray
-    best_lambda: np.ndarray
     best_iteration: int
     best_score: float
     solution: np.ndarray = field(repr=False, default=None)
@@ -203,7 +199,7 @@ class _Recorder:
         self.instrumentation_ms: list[float] = []
         self.instrumentation_s = 0.0
         self.best_score = math.inf
-        self.best_lambda = None
+        self.best = None
         self.best_iteration = -1
         self.t0 = time.perf_counter()
 
@@ -221,7 +217,7 @@ class _Recorder:
         self.ms.append((start - self.t0 - self.instrumentation_s) * 1e3)
         if score < self.best_score:
             self.best_score = score
-            self.best_lambda = lam.copy()
+            self.best = lam.copy()
             self.best_iteration = k
         if self.observer is not None:
             self.observer(k, lam.copy())
@@ -237,10 +233,9 @@ class _Recorder:
             elapsed_ms=np.array(self.ms),
             instrumentation_ms=np.array(self.instrumentation_ms),
             final_lambda=lam.copy(),
-            best_lambda=self.best_lambda.copy(),
             best_iteration=self.best_iteration,
             best_score=self.best_score,
-            solution=(self.best_lambda if return_best else lam).copy(),
+            solution=self.best if return_best else lam.copy(),
         )
 
 
@@ -406,15 +401,14 @@ def accel_block_grad(
     stop_slack_score: float | None = None,
     observer=None,
     v_step_scale: float = 1.0,
-    step: float | None = None,
 ) -> SolveTrace:
     """Accelerated gradient baseline: the edge-message skeleton with the
-    block minimizer replaced by a gradient step at y (default step 1/eta).
-    As in ``accel_emp``, y is formed only on the sampled vertex's incident
-    edges, the only rows the step and the slack read."""
-    update = partial(block_grad_step, step=step)
+    block minimizer replaced by a 1/eta gradient step at y.  As in
+    ``accel_emp``, y is formed only on the sampled vertex's incident edges,
+    the only rows the step and the slack read."""
     return _accelerated_loop(
-        model, eta, iters, seed, update, False, stride, stop_slack_score, observer, v_step_scale
+        model, eta, iters, seed, block_grad_step, False, stride, stop_slack_score, observer,
+        v_step_scale,
     )
 
 

@@ -157,24 +157,18 @@ def block_grad_step(
     eta: float,
     edge: int,
     vertex: int,
-    step: float | None = None,
     *,
     with_slack: bool = False,
 ):
-    """Gradient step on block (edge, vertex): lam' = lam + step * nu.
+    """Gradient step of 1/eta on block (edge, vertex): lam' = lam + (1 / eta) nu.
 
-    The dual gradient on the block is -nu, so this descends.  ``step``
-    defaults to 1/eta; step = 0 is permitted and returns the block unchanged.
-    With ``with_slack`` returns ``(block, nu)``, the step's own slack block.
+    The dual gradient on the block is -nu, so this descends.  With
+    ``with_slack`` returns ``(block, nu)``, the step's own slack block.
     """
     eta = _check_eta(eta)
-    if step is None:
-        step = 1.0 / eta
-    if step < 0:
-        raise ValidationError(f"step must be nonnegative, got {step}")
     slot, log_s, log_mu = _pair_log_marginals(model, lam, eta, edge, vertex)
     nu = np.exp(log_s) - np.exp(log_mu)
-    block = step * nu
+    block = (1.0 / eta) * nu
     block += lam[edge, slot]
     if with_slack:
         return block, nu

@@ -20,6 +20,8 @@ from mapmp.cli import main
 from mapmp.formats import emit_model
 from mapmp.model import default_edge_prob
 
+from helpers import two_phase_run_bench
+
 
 def small_config(**overrides):
     base = dict(
@@ -174,6 +176,48 @@ class TestRunBench:
             )
         )
         assert res.model.m == m.m
+
+
+class TestOnePassRows:
+    """``run_bench`` builds each row in one pass from the solver trace; its
+    CSVs keep the bytes of the two-phase version it replaced."""
+
+    # the standard algorithms alone and in ratio mode, the accelerated ones alone
+    RUNS = [(alg, ratio) for alg in ("emp", "smp", "bcd") for ratio in (False, True)]
+    RUNS += [("accel-emp", False), ("accel-smp", False), ("accel-bcd", False)]
+    # 9 or more trials is where the order of a mean's sum shows in its bits
+    TRIALS = (1, 2, 3, 9, 10, 17)
+
+    def config(self, algorithm, ratio, trials, iters, **overrides):
+        return small_config(
+            algorithm=algorithm, ratio=ratio, trials=trials, iters=iters, stride=4, **overrides
+        )
+
+    @pytest.mark.parametrize("reference", ["lp", "supplied", "none"])
+    @pytest.mark.parametrize(("algorithm", "ratio"), RUNS)
+    def test_csv_bytes_match_two_phase_rows(self, algorithm, ratio, reference):
+        # iters 0 records only lam = 0; iters 7 with stride 4 ends off-stride.
+        # With d = 30, n d + m d^2 is past the LP guard: no reference optimum.
+        overrides = {"lp": {}, "supplied": {"opt_value": -3.25}, "none": {"d": 30}}[reference]
+        for trials in self.TRIALS:
+            for iters in (0, 7):
+                one = run_bench(self.config(algorithm, ratio, trials, iters, **overrides))
+                two = two_phase_run_bench(self.config(algorithm, ratio, trials, iters, **overrides))
+                assert (one.opt_value is None) == (reference == "none")
+                assert metrics_csv(one) == metrics_csv(two)
+                assert summary_csv(one) == summary_csv(two)
+                assert ratio_csv(one) == ratio_csv(two)
+
+    @pytest.mark.parametrize(("algorithm", "ratio"), [("smp", True), ("accel-emp", False)])
+    def test_timed_rows_match_two_phase_rows_but_elapsed(self, algorithm, ratio):
+        one = run_bench(self.config(algorithm, ratio, 3, 25, timing=True))
+        two = two_phase_run_bench(self.config(algorithm, ratio, 3, 25, timing=True))
+        assert any(row.elapsed_ms > 0.0 for row in one.rows)
+        for row in one.rows + two.rows:
+            row.elapsed_ms = 0.0
+        assert metrics_csv(one) == metrics_csv(two)
+        assert summary_csv(one) == summary_csv(two)
+        assert ratio_csv(one) == ratio_csv(two)
 
 
 class TestSolverBindings:
@@ -339,6 +383,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", str(model), "--epsilon", "inf", "--iters", "3"]) == 2
         assert "epsilon must be a positive finite number, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_bench_non_finite_eta_fails_before_the_lp(self, tmp_path, capsys, monkeypatch, eta):
+        calls = []
+        monkeypatch.setattr(bench, "lp_solve_l2", lambda model: calls.append(model))
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--n", "6", "--d", "2", "--eta", eta, "--iters", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: eta must be a positive finite number, got {eta}\n"
+        assert calls == [] and not out.exists()
+
+    def test_solve_negative_eta_is_validation_error(self, tmp_path, capsys):
+        model = tmp_path / "model.mapmp"
+        assert main(["gen", "--n", "5", "--d", "2", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(model), "--eta", "-1", "--iters", "3"]) == 2
+        assert capsys.readouterr().err == "error: eta must be a positive finite number, got -1.0\n"
 
     def test_bad_native_header_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mapmp"

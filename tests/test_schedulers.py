@@ -295,7 +295,7 @@ class TestAcceleratedLoops:
         rng = np.random.default_rng(10)
         m = random_model(rng, 5, 3)
 
-        def emp_as_step(model, lam, eta, edge, vertex, step=None, *, with_slack=False):
+        def emp_as_step(model, lam, eta, edge, vertex, *, with_slack=False):
             return emp_update(model, lam, eta, edge, vertex, with_slack=with_slack)
 
         native = accel_emp(m, 6.0, 50, 77)

@@ -225,14 +225,6 @@ class TestBlockGradStep:
         lam = zero_dual(m)
         np.testing.assert_allclose(block_grad_step(m, lam, 1.0, 0, 0), 0.0, atol=1e-15)
 
-    def test_zero_step_is_identity(self):
-        rng = np.random.default_rng(9)
-        m = random_model(rng, 3, 2)
-        lam = rng.normal(size=(m.m, 2, m.d))
-        np.testing.assert_array_equal(
-            block_grad_step(m, lam, 1.0, 0, int(m.edges[0, 0]), step=0.0), lam[0, 0]
-        )
-
     def test_default_step_never_increases_dual(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -245,11 +237,6 @@ class TestBlockGradStep:
                 m, lam, edge, vertex, block_grad_step(m, lam, eta, edge, vertex)
             )
             assert dual_objective(m, stepped, eta) <= dual_objective(m, lam, eta) + 1e-12
-
-    def test_negative_step_rejected(self):
-        m = zeros_model(2, [(0, 1)], 2)
-        with pytest.raises(ValidationError):
-            block_grad_step(m, zero_dual(m), 1.0, 0, 0, step=-0.1)
 
 
 class TestLocality:
@@ -352,13 +339,10 @@ class TestBitIdentity:
                 fused = emp_update(m, lam, eta, edge, vertex, with_slack=True)
                 assert np.array_equal(fused[0], block) and np.array_equal(fused[1], nu)
                 assert np.array_equal(block_slack(m, lam, eta, edge, vertex), nu)
-                for step in (None, 0.37 / eta):
-                    ref = reference_block_grad_step(
-                        m, lam, eta, edge, vertex, 1.0 / eta if step is None else step
-                    )
-                    assert np.array_equal(block_grad_step(m, lam, eta, edge, vertex, step), ref[0])
-                    fused = block_grad_step(m, lam, eta, edge, vertex, step, with_slack=True)
-                    assert np.array_equal(fused[0], ref[0]) and np.array_equal(fused[1], ref[1])
+                ref = reference_block_grad_step(m, lam, eta, edge, vertex, 1.0 / eta)
+                assert np.array_equal(block_grad_step(m, lam, eta, edge, vertex), ref[0])
+                fused = block_grad_step(m, lam, eta, edge, vertex, with_slack=True)
+                assert np.array_equal(fused[0], ref[0]) and np.array_equal(fused[1], ref[1])
         for vertex in range(m.n):
             blocks, nu = reference_smp_update(m, lam, eta, vertex)
             assert np.array_equal(smp_update(m, lam, eta, vertex), blocks)
