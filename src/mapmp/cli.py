@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError
@@ -106,6 +107,7 @@ def _cmd_bench(args) -> int:
     )
     model = None
     if args.epsilon is not None:
+        replace(config, eta=1.0).validate()  # every check but eta's, before generating
         model = bench_mod.resolve_model(config)
         config.eta = eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
     result = bench_mod.run_bench(config, model)

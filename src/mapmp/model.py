@@ -11,6 +11,7 @@ smaller endpoint and slot 1 the larger one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,20 +54,14 @@ class Model:
         return self._per_vertex(rows.ravel(), width)
 
     @cached_property
-    def star_orientation(self) -> tuple:
-        """Per vertex, positions in its star's (deg, d, d) stack of edge joints
-        [e, x_i, x_j] that gather it with the other endpoint's label on axis 1.
-        Slot-1 edges come first in incidence order, so vertices with the same
-        degree and number k of them share one read-only array."""
-        d, own, other = self.d, np.arange(self.d), np.arange(self.d)[:, None]
+    def star_tables(self) -> tuple:
+        """Per vertex, the ``StarTable`` of its star's flat log-marginal pass
+        (``updates._star_pass``).  Slot-1 edges come first in incidence order,
+        so vertices with the same degree and number k of them share one."""
         slot_one = np.bincount(self.edges[:, 1], minlength=self.n)
         keys = list(zip(self.degrees.tolist(), slot_one.tolist()))
-        patterns = {}
-        for deg, k in set(keys):
-            p = np.arange(deg)[:, None, None]
-            joint = np.where(p < k, other * d + own, own * d + other)
-            patterns[deg, k] = _readonly(p * d * d + joint)
-        return tuple(patterns[key] for key in keys)
+        tables = {key: _star_table(self.d, *key) for key in set(keys)}
+        return tuple(tables[key] for key in keys)
 
     def _per_vertex(self, base: np.ndarray, width: int) -> tuple:
         return _split(base, self.degrees * width)
@@ -90,6 +85,27 @@ class Model:
         vmax = float(np.abs(self.vertex_costs).max()) if self.n else 0.0
         emax = float(np.abs(self.edge_costs).max()) if self.m else 0.0
         return max(vmax, emax)
+
+
+# Read-only positions for the flat pass over a star of deg edges, k of them
+# in slot 1; [p, a, b] is entry (a, b) of the p-th joint, a the label of its
+# slot-0 endpoint.  ``expand`` picks from the star's rows ``lam[ev].ravel()``
+# lam[e, 0, a] for every [p, a, b], then lam[e, 1, b], then the own (deg, d)
+# blocks; ``orient`` gathers the joints as [p, own label, other label];
+# ``starts`` begin the deg joints and the d vertex logits after them, and
+# ``row_starts`` the deg d rows of the oriented joints.
+StarTable = namedtuple("StarTable", "k expand orient starts row_starts")
+
+
+def _star_table(d: int, deg: int, k: int) -> StarTable:
+    p, own, other = np.arange(deg)[:, None, None], np.arange(d)[:, None], np.arange(d)
+    row, zero = 2 * d * p, np.zeros((deg, d, d), dtype=np.int64)
+    expand = (zero + row + own, zero + row + d + other, row[:, 0] + d * (p[:, 0] < k) + other)
+    orient = p * d * d + np.where(p < k, other * d + own, own * d + other)
+    return StarTable(k, *map(_readonly, (
+        np.concatenate([a.ravel() for a in expand]), orient.ravel(),
+        np.arange(deg + 1) * d * d, np.arange(deg * d) * d,
+    )))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

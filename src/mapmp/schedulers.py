@@ -181,7 +181,7 @@ class _Recorder:
     """Stride-based trace recording over ``iters`` iterations, with
     running-minimum best tracking and the slack-score stop test."""
 
-    def __init__(self, model, eta, iters, stride, stop_slack_score, observer):
+    def __init__(self, model, eta, iters, stride, stop_slack_score, observer, keep_best):
         self.total = int(iters)
         if self.total < 0:
             raise ValidationError(f"iteration count must be >= 0, got {self.total}")
@@ -192,6 +192,7 @@ class _Recorder:
         self.stride = stride
         self.stop_slack_score = stop_slack_score
         self.observer = observer
+        self.keep_best = keep_best  # copy the best iterate: the loop returns it
         self.iters: list[int] = []
         self.duals: list[float] = []
         self.scores: list[float] = []
@@ -217,7 +218,7 @@ class _Recorder:
         self.ms.append((start - self.t0 - self.instrumentation_s) * 1e3)
         if score < self.best_score:
             self.best_score = score
-            self.best = lam.copy()
+            self.best = lam.copy() if self.keep_best else None
             self.best_iteration = k
         if self.observer is not None:
             self.observer(k, lam.copy())
@@ -225,7 +226,7 @@ class _Recorder:
         self.instrumentation_ms.append(self.instrumentation_s * 1e3)
         return self.stop_slack_score is not None and score <= self.stop_slack_score
 
-    def finish(self, lam: np.ndarray, return_best: bool) -> SolveTrace:
+    def finish(self, lam: np.ndarray) -> SolveTrace:
         return SolveTrace(
             iterations=np.array(self.iters, dtype=np.int64),
             dual_values=np.array(self.duals),
@@ -235,7 +236,7 @@ class _Recorder:
             final_lambda=lam.copy(),
             best_iteration=self.best_iteration,
             best_score=self.best_score,
-            solution=self.best if return_best else lam.copy(),
+            solution=self.best if self.keep_best else lam.copy(),
         )
 
 
@@ -278,7 +279,7 @@ def _samples(model: Model, iters: int, seed, star: bool):
 def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_score, observer):
     """Install ``update`` at the current iterate, one sampled block (pair,
     or star if ``star``) per iteration; returns the best recorded iterate."""
-    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
+    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=True)
     samples = _samples(model, rec.total, seed, star)
     lam = zero_dual(model)
     flat = lam.ravel()
@@ -287,7 +288,7 @@ def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_sco
             flat[at] = update(model, lam, eta, *args)
             if rec.record(k, lam):
                 break
-    return rec.finish(lam, return_best=True)
+    return rec.finish(lam)
 
 
 def _accelerated_loop(
@@ -296,7 +297,7 @@ def _accelerated_loop(
     """Extrapolate y on the sampled vertex's incident edges (all that
     ``update`` may read), install ``update`` at y into lam and push its
     scaled slack at y into v; returns the final iterate."""
-    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
+    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=False)
     samples = _samples(model, rec.total, seed, star)
     if star:
         n_total = float(model.degrees.sum())
@@ -329,12 +330,12 @@ def _accelerated_loop(
             rows_lam *= 1.0 - theta
             rows_y += rows_lam
             y_flat[rows] = rows_y
-            lam_flat[at], nu = update(model, y, eta, *args, with_slack=True)
+            lam_flat[at], nu = update(model, y, eta, *args, True)  # with_slack
             nu *= v_coef(vertex, theta)
             v[at] += nu
             if rec.record(k, lam):
                 break
-    return rec.finish(lam, return_best=False)
+    return rec.finish(lam)
 
 
 def standard_mp(

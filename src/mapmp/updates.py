@@ -21,10 +21,14 @@ which for deg_i = 1 reduces to the EMP move.  Log ratios are always formed
 as differences of log-domain accumulators, never as quotients of
 materialized probabilities.
 
-For d < 8 a star's log S_{e,i} come from one gather (``Model.star_orientation``)
-that puts the other endpoint's label on axis 1 of every joint, and one
-log-sum-exp over that axis, with the bits of per-slot reductions; from d = 8
-on NumPy sums a contiguous axis pairwise, so slot-0 joints keep their axis.
+A star's log-marginals come from one pass of 1-D NumPy calls over the
+``Model.star_tables`` of its (degree, k slot-1 edges): the joint and vertex
+logits share one buffer, so one max, exp and log serve both, and joints are
+gathered as [edge, own label, other label], so each log S sums a row.  Every
+entry sees the operations of ``_pair_log_marginals`` in their order, and no
+sum uses ``reduceat``: NumPy sums a row of fewer than 8 entries left to
+right, as a strided axis, but a longer one pairwise, so for d >= 8 the k
+slot-1 rows, strided in the pair kernel, are accumulated left to right.
 """
 
 from __future__ import annotations
@@ -47,13 +51,12 @@ def _slot_of(model: Model, edge: int, vertex: int) -> int:
 
 
 def _vertex_log_marginal(model: Model, lam: np.ndarray, eta: float, vertex: int):
-    """(the vertex's incident blocks, log mu_i)."""
-    own = lam.take(model.incident_blocks[vertex])
-    logits = np.add.reduce(own, axis=0)
+    """log mu_i, from the vertex's incident blocks."""
+    logits = np.add.reduce(lam.take(model.incident_blocks[vertex]), axis=0)
     logits -= model.vertex_costs[vertex]
     logits *= eta
     logits -= _lse_all(logits)
-    return own, logits
+    return logits
 
 
 def _pair_log_marginals(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
@@ -64,25 +67,47 @@ def _pair_log_marginals(model: Model, lam: np.ndarray, eta: float, edge: int, ve
     logits += lam[edge, 1]
     logits *= -eta
     logits -= _lse_all(logits)
-    return slot, _lse(logits, axis=1 - slot), _vertex_log_marginal(model, lam, eta, vertex)[1]
+    return slot, _lse(logits, axis=1 - slot), _vertex_log_marginal(model, lam, eta, vertex)
 
 
-def _star_log_marginals(model: Model, lam: np.ndarray, eta: float, vertex: int):
-    """log S_{e,i} for every edge incident to ``vertex``, shape (deg, d); the
-    steps of ``_pair_log_marginals`` in its order, so each row has its bits.
-    For d >= 8 (see the module docstring): the incidence lists edges in
-    ascending order, so those in slot 1 (to smaller vertices) come first and
-    reduce over axis 1, those in slot 0 over axis 2."""
-    ev = model.incident_edges[vertex]
-    blocks = lam.take(ev, axis=0)
-    logits = model.edge_costs.take(ev, axis=0) + blocks[:, 0, :, None]
-    logits += blocks[:, 1, None, :]
+def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
+    """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star, ``eta``
+    already checked: log S_{e,i} for each incident edge in incidence order,
+    then log mu_i, by the steps of ``_pair_log_marginals`` (module docstring)."""
+    t, d = model.star_tables[vertex], model.d
+    size = len(t.orient)
+    terms = lam.take(model.incident_rows[vertex]).take(t.expand)
+    own = terms[2 * size:].reshape(-1, d)
+    stack = np.empty(size + d)  # the joint logits [p, a, b], then the vertex logits
+    logits, log_mu = stack[:size], stack[size:]
+    costs = model.edge_costs.take(model.incident_edges[vertex], axis=0)
+    np.add(costs.ravel(), terms[:size], out=logits)
+    logits += terms[size:2 * size]
     logits *= -eta
-    logits -= _lse(logits, axis=(1, 2))[:, None, None]
-    if model.d < 8:
-        return _lse(logits.take(model.star_orientation[vertex]), axis=1)
-    k = np.count_nonzero(model.incident_slots[vertex])
-    return np.concatenate((_lse(logits[:k], axis=1), _lse(logits[k:], axis=2)))
+    np.add.reduce(own, axis=0, out=log_mu)
+    log_mu -= model.vertex_costs[vertex]
+    log_mu *= eta
+    amax = np.maximum.reduceat(stack, t.starts)
+    shifted = stack - amax.repeat(d * d)[:size + d]
+    np.exp(shifted, out=shifted)
+    lse = np.empty_like(amax)
+    np.add.reduce(shifted[:size].reshape(-1, d * d), axis=1, out=lse[:-1])
+    np.add.reduce(shifted[size:], keepdims=True, out=lse[-1:])
+    np.log(lse, out=lse)
+    lse += amax
+    stack -= lse.repeat(d * d)[:size + d]
+    joints = logits.take(t.orient)
+    amax = np.maximum.reduceat(joints, t.row_starts)
+    joints -= amax.repeat(d)
+    np.exp(joints, out=joints)
+    joints = joints.reshape(-1, d)
+    log_s = stack[size - len(joints):size]  # joints is a copy: log S goes next to log mu
+    np.add.reduce(joints, axis=1, out=log_s)
+    if d >= 8:
+        log_s[:t.k * d] = np.add.accumulate(joints[:t.k * d], axis=1)[:, -1]
+    np.log(log_s, out=log_s)
+    log_s += amax
+    return own, stack[size - len(joints):].reshape(-1, d)
 
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
@@ -94,19 +119,12 @@ def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: in
 def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """Slack blocks for every edge incident to ``vertex``, shape (deg, d),
     ordered like ``model.incident_edges[vertex]``."""
-    eta = _check_eta(eta)
-    log_s = _star_log_marginals(model, lam, eta, vertex)
-    return np.exp(log_s) - np.exp(_vertex_log_marginal(model, lam, eta, vertex)[1])
+    marginals = np.exp(_star_pass(model, lam, _check_eta(eta), vertex)[1])
+    return marginals[:-1] - marginals[-1]
 
 
 def emp_update(
-    model: Model,
-    lam: np.ndarray,
-    eta: float,
-    edge: int,
-    vertex: int,
-    *,
-    with_slack: bool = False,
+    model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int, with_slack: bool = False
 ):
     """Exact minimizer of the dual over block (edge, vertex), as a new block:
 
@@ -126,9 +144,7 @@ def emp_update(
     return block
 
 
-def smp_update(
-    model: Model, lam: np.ndarray, eta: float, vertex: int, *, with_slack: bool = False
-):
+def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int, with_slack: bool = False):
     """Exact joint minimizer over all blocks incident to ``vertex``.
 
     Returns an array of shape (deg, d) ordered like
@@ -138,27 +154,20 @@ def smp_update(
     ``lam`` in the same order, equal bit for bit to ``star_slack``.
     """
     eta = _check_eta(eta)
-    own, log_mu = _vertex_log_marginal(model, lam, eta, vertex)
-    log_s = _star_log_marginals(model, lam, eta, vertex)
-    shared = np.add.reduce(log_s, axis=0)
-    shared += log_mu
-    shared /= eta * (len(log_s) + 1)
-    blocks = log_s / eta
+    own, logs = _star_pass(model, lam, eta, vertex)
+    shared = np.add.reduce(logs, axis=0)  # the log S rows in order, then log mu
+    shared /= eta * len(logs)
+    blocks = logs[:-1] / eta
     blocks += own
     blocks -= shared
     if with_slack:
-        return blocks, np.exp(log_s) - np.exp(log_mu)
+        marginals = np.exp(logs)
+        return blocks, marginals[:-1] - marginals[-1]
     return blocks
 
 
 def block_grad_step(
-    model: Model,
-    lam: np.ndarray,
-    eta: float,
-    edge: int,
-    vertex: int,
-    *,
-    with_slack: bool = False,
+    model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int, with_slack: bool = False
 ):
     """Gradient step of 1/eta on block (edge, vertex): lam' = lam + (1 / eta) nu.
 

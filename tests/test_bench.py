@@ -509,6 +509,17 @@ class TestCli:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "bdffabea9a5bb669ae8d24d0da5d8e10f1c327e3e33d1091df76e5774d089254"
 
+    def test_bench_epsilon_validates_before_generating(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        generate = bench.erdos_renyi_potts
+        monkeypatch.setattr(bench, "erdos_renyi_potts", lambda *a: calls.append(a) or generate(*a))
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--n", "2000", "--d", "3", "--epsilon", "0.5", "--trials", "0",
+                "--iters", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert calls == [] and not out.exists()
+
     def test_guard_exit_code(self, tmp_path, capsys):
         big = mapmp.build_model(
             30,

@@ -139,26 +139,37 @@ class TestBuildModel:
 
 
 class TestFlatIndices:
-    """``incident_blocks``, ``incident_rows`` and ``star_orientation`` address
-    exactly each vertex's blocks, rows and oriented joints in the flattened
-    arrays, and nobody can write through them."""
+    """``incident_blocks``, ``incident_rows`` and the ``star_tables`` address
+    exactly each vertex's blocks, rows, joint terms, oriented joints and
+    segments in the flattened arrays, and nobody can write through them."""
 
     def assert_indices_match(self, model):
         rng = np.random.default_rng(model.n)
         lam = rng.normal(size=(model.m, 2, model.d))
         joints = rng.normal(size=(model.m, model.d, model.d))
         blocks, rows = model.incident_blocks, model.incident_rows
-        assert len(blocks) == len(rows) == len(model.star_orientation) == model.n
+        assert len(blocks) == len(rows) == len(model.star_tables) == model.n
         for v in range(model.n):
             ev, sv = model.incident_edges[v], model.incident_slots[v]
-            assert blocks[v].shape == (len(ev), model.d)
+            deg, d = len(ev), model.d
+            assert blocks[v].shape == (deg, d)
             assert np.array_equal(lam.ravel()[blocks[v]], lam[ev, sv])
-            assert rows[v].shape == (len(ev) * 2 * model.d,)
+            assert rows[v].shape == (deg * 2 * d,)
             assert np.array_equal(lam.ravel()[rows[v]], lam[ev].ravel())
-            oriented = joints[ev].ravel()[model.star_orientation[v]]
-            want = [joints[e] if s else joints[e].T for e, s in zip(ev.tolist(), sv.tolist())]
-            assert np.array_equal(oriented, np.array(want).reshape(len(ev), model.d, model.d))
-            for index in (blocks[v], rows[v], model.star_orientation[v]):
+            table = model.star_tables[v]
+            assert table.k == np.count_nonzero(sv)
+            terms = [np.broadcast_to(lam[ev, 0, :, None], (deg, d, d)),
+                     np.broadcast_to(lam[ev, 1, None, :], (deg, d, d)), lam[ev, sv]]
+            want = np.concatenate([t.ravel() for t in terms])
+            assert np.array_equal(lam.ravel()[rows[v]][table.expand], want)
+            # [p, own, other]: the joint as stored in slot 0, transposed in slot 1
+            oriented = joints[ev].ravel()[table.orient]
+            want = [joints[e].T if s else joints[e] for e, s in zip(ev.tolist(), sv.tolist())]
+            assert np.array_equal(oriented, np.array(want).reshape(-1))
+            # deg joints of d d entries, then d vertex logits; deg d rows of d
+            assert np.array_equal(table.starts, np.arange(deg + 1) * d * d)
+            assert np.array_equal(table.row_starts, np.arange(deg * d) * d)
+            for index in (blocks[v], rows[v], *table[1:]):
                 assert index.dtype == np.int64 and not index.flags.writeable
                 with pytest.raises(ValueError):
                     index[...] = 0
@@ -178,16 +189,17 @@ class TestFlatIndices:
         for index in (model.incident_blocks, model.incident_rows):
             assert all(view.base is index[0].base for view in index)
         assert model.incident_blocks is model.incident_blocks
-        assert model.star_orientation is model.star_orientation
+        assert model.star_tables is model.star_tables
 
-    def test_orientation_shared_per_pattern(self):
+    def test_star_tables_shared_per_pattern(self):
         # vertex 0 holds only slot 0, vertex 3 only slot 1, vertices 1 and 2 both
         model = zeros_model(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3)
-        orient = model.star_orientation
-        assert len({id(a) for a in orient}) == 4
+        tables = model.star_tables
+        assert len({id(t) for t in tables}) == 4
+        assert [t.k for t in tables] == [0, 1, 2, 3]
         model = zeros_model(4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2)  # a 4-cycle
-        orient = model.star_orientation
-        assert orient[1] is orient[2] and orient[0] is not orient[3]
+        tables = model.star_tables
+        assert tables[1] is tables[2] and tables[0] is not tables[3]
 
     def test_edgeless_model(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -198,7 +210,8 @@ class TestFlatIndices:
                       incident_edges=(empty,) * n, incident_slots=(empty,) * n)
         assert [b.shape for b in model.incident_blocks] == [(0, d)] * n
         assert [r.shape for r in model.incident_rows] == [(0,)] * n
-        assert [o.shape for o in model.star_orientation] == [(0, d, d)] * n
+        assert [t.orient.shape for t in model.star_tables] == [(0,)] * n
+        assert [t.starts.tolist() for t in model.star_tables] == [[0]] * n
         self.assert_indices_match(model)
 
     def test_after_text_round_trip(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -295,7 +296,7 @@ class TestAcceleratedLoops:
         rng = np.random.default_rng(10)
         m = random_model(rng, 5, 3)
 
-        def emp_as_step(model, lam, eta, edge, vertex, *, with_slack=False):
+        def emp_as_step(model, lam, eta, edge, vertex, with_slack=False):
             return emp_update(model, lam, eta, edge, vertex, with_slack=with_slack)
 
         native = accel_emp(m, 6.0, 50, 77)
@@ -348,6 +349,25 @@ class TestTraceInvariants:
             trace = solver()
             assert (trace.slack_scores >= 0).all()
             assert trace.best_score == trace.slack_scores.min()
+
+    @pytest.mark.parametrize("solve, digest", [
+        (lambda m: accel_smp(m, 50.0, 600, 3, stride=20),
+         "54b5d156621ab99464a9429011c8afcdd8e644feded7a93d3c69c20ed988c2fc"),
+        (lambda m: standard_mp(m, "smp", 50.0, 600, 3, stride=20),
+         "411492c12de87c5ad5260171b6e562638cba945b49a34a5c97abb5348e8e429e"),
+    ], ids=["accel-smp", "smp"])
+    def test_trace_pinned_while_best_copied_only_when_returned(self, solve, digest):
+        # The accelerated loop tracks the best score without copying lam at
+        # each improving record; both traces keep the bits they had when it
+        # did (sha256 of the arrays in this order, then the best pair).
+        trace = solve(erdos_renyi_potts(40, 0.15, 3, 5))
+        h = hashlib.sha256()
+        for a in (trace.iterations, trace.dual_values, trace.slack_scores, trace.final_lambda,
+                  trace.solution):
+            h.update(a.tobytes())
+        h.update(repr((trace.best_iteration, trace.best_score)).encode())
+        assert h.hexdigest() == digest
+        assert trace.solution is not trace.final_lambda
 
     def test_observer_sees_every_recorded_iterate(self):
         rng = np.random.default_rng(14)

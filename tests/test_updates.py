@@ -393,3 +393,61 @@ class TestBitIdentity:
             assert m.degrees[4] == 11 and np.count_nonzero(m.incident_slots[4]) == 4
             assert not m.incident_slots[0].any() and m.incident_slots[11].all()
             self.assert_kernels_match(m, scale * rng.normal(size=(m.m, 2, d)), eta)
+
+
+def assert_same_bits(got, want):
+    """Equal values with equal sign bits, so -0.0 and 0.0 count as different."""
+    assert got.shape == want.shape and np.isfinite(got).all()
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestFlatStarPass:
+    """``smp_update``, its fused slack and ``star_slack`` run one flat pass
+    over shared (degree, k) index tables; every output equals the reference
+    formulas in ``helpers`` bit for bit, signs of zero included, on leaves,
+    hubs and stars wholly in one slot, at every label count either side of
+    NumPy's switch to pairwise sums (d = 8)."""
+
+    # vertex 0: degree 9, all slot 0; vertex 11: degree 9, all slot 1;
+    # vertex 5: degree 8, three in slot 1; leaves 10 (slot 0) and 12 (slot 1)
+    EDGES = [(0, j) for j in range(1, 10)] + [(i, 11) for i in range(2, 11)] + [
+        (3, 12), (1, 5), (4, 5), (5, 6), (5, 7), (5, 8), (5, 9)]
+
+    def model(self, d, vertex_costs, edge_costs):
+        m = build_model(13, self.EDGES, d, vertex_costs, edge_costs)
+        assert m.degrees.tolist()[:6:5] == [9, 8] and m.degrees[11] == 9
+        assert m.degrees[10] == m.degrees[12] == 1
+        assert [m.star_tables[v].k for v in (0, 5, 10, 11, 12)] == [0, 3, 0, 9, 1]
+        return m
+
+    def assert_star_matches(self, m, lam, eta):
+        for vertex in range(m.n):
+            blocks, nu = reference_smp_update(m, lam, eta, vertex)
+            assert_same_bits(smp_update(m, lam, eta, vertex), blocks)
+            for fused in (smp_update(m, lam, eta, vertex, True),
+                          smp_update(m, lam, eta, vertex, with_slack=True)):
+                assert_same_bits(fused[0], blocks)
+                assert_same_bits(fused[1], nu)
+            assert_same_bits(star_slack(m, lam, eta, vertex), nu)
+
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 9])
+    def test_random_costs_and_duals(self, d, eta):
+        rng = np.random.default_rng([23, d])
+        for scale in (1.0, 1e6):
+            m = self.model(d, scale * rng.normal(size=(13, d)),
+                           scale * rng.normal(size=(len(self.EDGES), d, d)))
+            self.assert_star_matches(m, scale * rng.normal(size=(m.m, 2, d)), eta)
+
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 9])
+    def test_first_iteration_on_potts_costs(self, d, eta):
+        # At lam = 0 every joint's maximum is tied; with signed zeros in the
+        # costs and in lam the tied maxima mix 0.0 and -0.0.
+        rng = np.random.default_rng([29, d])
+        potts = np.broadcast_to(1.0 - np.eye(d), (len(self.EDGES), d, d))
+        negative_zero = np.eye(d, dtype=bool) & (rng.random(potts.shape) < 0.5)
+        for edge_costs in (potts, np.where(negative_zero, -0.0, potts)):
+            m = self.model(d, np.where(rng.random((13, d)) < 0.5, 0.0, -0.0), edge_costs)
+            self.assert_star_matches(m, zero_dual(m), eta)
+            self.assert_star_matches(m, np.where(rng.random((m.m, 2, d)) < 0.5, 0.0, -0.0), eta)
