@@ -10,6 +10,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -216,6 +217,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"seed must be >= 0, got {args.seed}")
+        epsilon = getattr(args, "epsilon", None)
+        if epsilon is not None and not (epsilon > 0 and math.isfinite(epsilon)):
+            # before any model is read or generated
+            raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

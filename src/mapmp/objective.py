@@ -21,7 +21,8 @@ the "slack" nu, the amount by which mu violates local consistency.
 
 Everything is computed in the log domain with max-subtracted log-sum-exp and
 probabilities are materialized only on demand; the tests check finite
-iterates and outputs at eta up to 1e9 with costs or lam up to 1e6.
+iterates and outputs at eta up to 1e9 with costs or lam up to 1e6.  Large
+exps mask the entries that underflow (``_exp``), bit-identical to ``np.exp``.
 """
 
 from __future__ import annotations
@@ -86,20 +87,41 @@ def _fold(ufunc, a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
     return out
 
 
+def _exp(a: np.ndarray, out=None) -> np.ndarray:
+    """The bytes of ``np.exp(a, out=out)``, from ``_FOLD_MIN_SIZE`` entries
+    on without feeding exp an entry whose result underflows.
+
+    NumPy's SIMD exp leaves its fast path for every such entry (about 10x
+    slower each).  Every float64 below about -745.13 has exp = +0.0, so
+    entries below -750 are replaced by -0.0 before the exp and their
+    results by +0.0 after it, by multiplying with the keep mask: a masked
+    ``where`` would branch on every entry.  NaN, +-inf and +-0 come out
+    as from ``np.exp``."""
+    if a.size < _FOLD_MIN_SIZE:
+        return np.exp(a, out=out)
+    keep = a >= -750.0
+    y = np.maximum(a, -750.0, out=out)
+    y *= keep
+    np.exp(y, out=y)
+    y *= keep
+    return y
+
+
 def _lse(a: np.ndarray, axis):
     """Stabilized log-sum-exp along ``axis`` (int or tuple).
 
     Reduces through ``_fold`` from ``_FOLD_MIN_SIZE`` entries on and by one
     ufunc reduction below, as on the local kernels' blocks; both give the
-    bits of the reductions behind ``np.max`` and ``ndarray.sum``.  Works in
-    place; every step is the same floating-point operation as
-    log(sum(exp(a - max))) + max, so results are bit-identical to that
-    formula."""
+    bits of the reductions behind ``np.max`` and ``ndarray.sum``.  The exp
+    runs through ``_exp``, whose underflow mask gives the bits of
+    ``np.exp``.  Works in place; every step is the same floating-point
+    operation as log(sum(exp(a - max))) + max, so results are bit-identical
+    to that formula."""
     fold = a.size >= _FOLD_MIN_SIZE
     amax = (_fold(np.maximum, a, axis, True) if fold
             else np.maximum.reduce(a, axis=axis, keepdims=True))
     shifted = a - amax
-    np.exp(shifted, out=shifted)
+    _exp(shifted, out=shifted)
     out = (_fold(np.add, shifted, axis, True) if fold
            else np.add.reduce(shifted, axis=axis, keepdims=True))
     np.log(out, out=out)
@@ -186,9 +208,9 @@ def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
     """
     eta = _check_eta(eta)
     mu_v, mu_e, _, _ = _log_marginals(model, lam, eta)
-    np.exp(mu_v, out=mu_v)
+    _exp(mu_v, out=mu_v)
     mu_v /= _fold(np.add, mu_v, 1)[:, None]
-    np.exp(mu_e, out=mu_e)
+    _exp(mu_e, out=mu_e)
     if model.m:
         mu_e /= np.add.reduce(mu_e, axis=(1, 2), keepdims=True)
     return Marginals(mu_v, mu_e)
@@ -212,8 +234,8 @@ def dual_and_slack(model: Model, lam: np.ndarray, eta: float):
     nu = np.empty((model.m, 2, model.d))
     nu[:, 0] = _lse(log_mu_e, 2)
     nu[:, 1] = _lse(log_mu_e, 1)
-    np.exp(nu, out=nu)
-    nu -= np.exp(log_mu_v)[model.edges]
+    _exp(nu, out=nu)
+    nu -= _exp(log_mu_v)[model.edges]
     return float((lse_v.sum() + lse_e.sum()) / eta), nu
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mapmp
-from mapmp import ValidationError, bench, schedulers
+from mapmp import ValidationError, bench, cli, schedulers
 from mapmp.bench import (
     ALGORITHMS,
     BenchConfig,
@@ -518,6 +518,23 @@ class TestCli:
                 "--iters", "3", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("epsilon, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
+                                                 ("-1", "-1.0")])
+    def test_bad_epsilon_exits_before_any_model_is_built(
+        self, epsilon, shown, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(bench, "erdos_renyi_potts", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "read_model", lambda *a: calls.append(a))
+        message = f"error: epsilon must be a positive finite number, got {shown}\n"
+        out = tmp_path / "m.csv"
+        assert main(["bench", "--n", "2000", "--d", "3", "--epsilon", epsilon,
+                     "--iters", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["solve", str(tmp_path / "missing.mapmp"), "--epsilon", epsilon]) == 2
+        assert capsys.readouterr().err == message
         assert calls == [] and not out.exists()
 
     def test_guard_exit_code(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fd_gradient, naive_dual, naive_slack, random_model
 
@@ -22,7 +24,7 @@ from mapmp import (
     zero_dual,
 )
 from mapmp import objective
-from mapmp.objective import _fold, _lse, _lse_all
+from mapmp.objective import _exp, _fold, _lse, _lse_all
 
 LOG2 = np.log(2.0)
 
@@ -333,3 +335,47 @@ class TestFold:
             a = rng.normal(size=shape) * 1e3
             assert a.size >= objective._FOLD_MIN_SIZE
             np.testing.assert_array_equal(_lse(a, axis), lse_reference(a, axis))
+
+
+# Values on every side of the underflow mask: NaN, +-inf, +-0.0, the band
+# whose exps are subnormal, values below -750 and the float neighbours of
+# -750, plus any float.
+EXP_VALUES = st.one_of(
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, -750.0,
+                     np.nextafter(-750.0, -np.inf), np.nextafter(-750.0, 0.0)]),
+    st.floats(-745.2, -708.4, exclude_min=True, exclude_max=True),
+    st.floats(max_value=-750.0, allow_infinity=False),
+    st.floats(),
+)
+
+
+class TestMaskedExp:
+    @given(
+        st.lists(EXP_VALUES, min_size=1, max_size=40),
+        st.integers(1, 3 * objective._FOLD_MIN_SIZE),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_numpy_exp(self, values, size, seed):
+        # sizes on both sides of the cutoff; values shuffled over the array
+        a = np.random.default_rng(seed).permutation(np.resize(np.array(values), size))
+        before = a.tobytes()
+        with np.errstate(all="ignore"):
+            ref = np.exp(a)
+            got = _exp(a)
+            assert a.tobytes() == before
+            assert got.tobytes() == ref.tobytes()
+            out = a.copy()
+            assert _exp(out, out=out) is out
+            assert out.tobytes() == ref.tobytes()
+
+    def test_below_the_mask_numpy_exp_is_positive_zero(self):
+        # the premise of the mask: exp of every float below -750 is +0.0
+        grid = np.concatenate([
+            np.linspace(-1e4, -750.0, 1_000_001),
+            -np.logspace(np.log10(750.0), 308.0, 100_001),
+            [np.nextafter(-750.0, -np.inf), -np.finfo(np.float64).max],
+        ])
+        assert grid.max() <= -750.0
+        got = np.exp(grid)
+        assert not got.any() and not np.signbit(got).any()

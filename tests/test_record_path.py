@@ -1,8 +1,8 @@
 """The record path (dual value, slack, primal recovery, slack score and
 projection) equals its first-written NumPy form in ``helpers`` bit for bit,
 on both sides of the 8-entry threshold where NumPy's add reduction switches
-from a left-to-right sum to pairwise summation, and whether ``_lse`` folds
-or reduces."""
+from a left-to-right sum to pairwise summation, whether ``_lse`` folds
+or reduces, and whether the large exps mask their underflowing entries."""
 
 import numpy as np
 import pytest
@@ -23,16 +23,18 @@ from mapmp import (
     build_model,
     dual_and_slack,
     dual_objective,
+    erdos_renyi_potts,
     proj,
     recover_primal,
     round_to_transport,
     slack,
     slack_score,
+    standard_mp,
     zero_dual,
 )
 from mapmp import objective
-from mapmp.model import Model
-from mapmp.objective import _lambda_aggregate
+from mapmp.model import Model, default_edge_prob
+from mapmp.objective import _lambda_aggregate, _log_marginals
 
 DS = [2, 3, 5, 7, 8, 9]
 ETAS = [1.0, 1e3, 1e9]
@@ -127,6 +129,22 @@ class TestRecordPathBitIdentity:
         model = edgeless_model(np.random.default_rng([37, d]), 4, d)
         for eta in ETAS:
             assert_record_path_matches(model, zero_dual(model), eta)
+
+
+class TestUnderflowRegime:
+    @pytest.mark.parametrize("iters", [0, 3000])
+    def test_large_eta_on_a_sparse_instance(self, iters):
+        # At eta = 1000 on +-1 Potts costs most non-maximal joint entries lie
+        # far below exp's underflow point, so the record path's large exps
+        # take their masked branch on a large share of the entries.
+        eta = 1000.0
+        model = erdos_renyi_potts(2000, default_edge_prob(2000), 3, 7)
+        lam = (standard_mp(model, "smp", eta, iters, 7, stride=iters).solution
+               if iters else zero_dual(model))
+        log_mu_e = _log_marginals(model, lam, eta)[1]
+        assert log_mu_e.size >= objective._FOLD_MIN_SIZE
+        assert np.mean(log_mu_e < -750.0) > 0.3
+        assert_record_path_matches(model, lam, eta)
 
 
 class TestProjectionBitIdentity:
