@@ -56,12 +56,18 @@ class Model:
     @cached_property
     def star_tables(self) -> tuple:
         """Per vertex, the ``StarTable`` of its star's flat log-marginal pass
-        (``updates._star_pass``).  Slot-1 edges come first in incidence order,
-        so vertices with the same degree and number k of them share one."""
+        (``updates._log_marginal_pass``).  Slot-1 edges come first in
+        incidence order, so vertices with the same degree and number k of
+        them share one."""
         slot_one = np.bincount(self.edges[:, 1], minlength=self.n)
         keys = list(zip(self.degrees.tolist(), slot_one.tolist()))
         tables = {key: _star_table(self.d, *key) for key in set(keys)}
         return tuple(tables[key] for key in keys)
+
+    @cached_property
+    def pair_tables(self) -> tuple:
+        """The one-edge ``StarTable`` of a pair's vertex in slot 0, then in slot 1."""
+        return _star_table(self.d, 1, 0), _star_table(self.d, 1, 1)
 
     def _per_vertex(self, base: np.ndarray, width: int) -> tuple:
         return _split(base, self.degrees * width)
@@ -121,6 +127,11 @@ def _split(a: np.ndarray, sizes) -> tuple:
     return tuple(a[start:end] for start, end in zip([0] + ends, ends))
 
 
+def _check_labels(d: int) -> None:
+    if d < 2:
+        raise ValidationError(f"need at least two labels per vertex, got d={d}")
+
+
 def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     """Validate inputs and assemble an immutable :class:`Model`.
 
@@ -137,8 +148,7 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     d = int(d)
     if n < 1:
         raise ValidationError(f"need at least one vertex, got n={n}")
-    if d < 2:
-        raise ValidationError(f"need at least two labels per vertex, got d={d}")
+    _check_labels(d)
 
     vc = np.array(vertex_costs, dtype=np.float64, order="C")
     if vc.shape != (n, d):
@@ -280,6 +290,7 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
         raise ValidationError(f"edge_prob must lie in (0, 1], got {edge_prob}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_labels(d)
 
     rng = np.random.default_rng(seed)
     row_ends = np.cumsum(np.arange(n - 1, -1, -1))  # pair index one past row i

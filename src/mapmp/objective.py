@@ -111,12 +111,11 @@ def _lse(a: np.ndarray, axis):
     """Stabilized log-sum-exp along ``axis`` (int or tuple).
 
     Reduces through ``_fold`` from ``_FOLD_MIN_SIZE`` entries on and by one
-    ufunc reduction below, as on the local kernels' blocks; both give the
-    bits of the reductions behind ``np.max`` and ``ndarray.sum``.  The exp
-    runs through ``_exp``, whose underflow mask gives the bits of
-    ``np.exp``.  Works in place; every step is the same floating-point
-    operation as log(sum(exp(a - max))) + max, so results are bit-identical
-    to that formula."""
+    ufunc reduction below; both give the bits of the reductions behind
+    ``np.max`` and ``ndarray.sum``.  The exp runs through ``_exp``, whose
+    underflow mask gives the bits of ``np.exp``.  Works in place; every step
+    is the same floating-point operation as log(sum(exp(a - max))) + max, so
+    results are bit-identical to that formula."""
     fold = a.size >= _FOLD_MIN_SIZE
     amax = (_fold(np.maximum, a, axis, True) if fold
             else np.maximum.reduce(a, axis=axis, keepdims=True))
@@ -127,15 +126,6 @@ def _lse(a: np.ndarray, axis):
     np.log(out, out=out)
     out += amax
     return out.squeeze(axis)
-
-
-def _lse_all(a: np.ndarray):
-    """``_lse`` over every axis of one block, by the same six steps as full
-    ``axis=None`` reductions returning NumPy scalars; bit-identical to it."""
-    amax = np.maximum.reduce(a, axis=None)
-    shifted = a - amax
-    np.exp(shifted, out=shifted)
-    return np.log(np.add.reduce(shifted, axis=None)) + amax
 
 
 def _check_marginal_shapes(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> None:
@@ -259,15 +249,15 @@ def primal_objective(model: Model, mu: Marginals) -> float:
 def entropy(mu: Marginals) -> float:
     """Sign-flipped entropy H(mu) = -sum mu (log mu - 1), blockwise additive.
 
-    Uses the convention 0 * (log 0 - 1) = 0 and rejects negative and NaN
-    entries.
+    Uses the convention 0 * (log 0 - 1) = 0 and rejects negative and
+    non-finite entries.
     """
     total = 0.0
     for block in (mu.vertex, mu.edge):
         if block.size == 0:
             continue
-        if not block.min() >= 0.0:  # the min of a block holding NaN is NaN
-            raise ValidationError("entropy requires nonnegative, non-NaN entries")
+        if not (block.min() >= 0.0 and block.max() < np.inf):  # False on NaN
+            raise ValidationError("entropy requires finite, nonnegative entries")
         total += float(block.sum() - xlogy(block, np.maximum(block, _TINY)).sum())
     return total
 
@@ -285,7 +275,7 @@ def in_slack_polytope(
     edge block e must have row sums mu_i + nu[e, 0] and column sums
     mu_j + nu[e, 1], within ``tol`` entrywise."""
     _check_marginal_shapes(model, mu, nu)
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValidationError("tol must be nonnegative")
     if mu.vertex.min(initial=0.0) < -tol:
         return False

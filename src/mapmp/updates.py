@@ -21,14 +21,17 @@ which for deg_i = 1 reduces to the EMP move.  Log ratios are always formed
 as differences of log-domain accumulators, never as quotients of
 materialized probabilities.
 
-A star's log-marginals come from one pass of 1-D NumPy calls over the
-``Model.star_tables`` of its (degree, k slot-1 edges): the joint and vertex
-logits share one buffer, so one max, exp and log serve both, and joints are
-gathered as [edge, own label, other label], so each log S sums a row.  Every
-entry sees the operations of ``_pair_log_marginals`` in their order, and no
-sum uses ``reduceat``: NumPy sums a row of fewer than 8 entries left to
-right, as a strided axis, but a longer one pairwise, so for d >= 8 the k
-slot-1 rows, strided in the pair kernel, are accumulated left to right.
+Every update reads log S_{e,i} and log mu_i from one pass of 1-D NumPy
+calls over a star's ``Model.star_tables`` entry (per degree and k slot-1
+edges) or a pair's one-edge ``Model.pair_tables`` entry; only the closed
+forms differ.  The joint and vertex logits share one buffer, so one max,
+exp and log serve both, and joints are gathered as [edge, own label, other
+label], so each log S sums a row.  Each entry sees the operations of a
+log-sum-exp over the (d, d) joint, then over its rows or columns, in their
+order, and no sum uses ``reduceat``: NumPy sums a row of fewer than 8
+entries left to right, as a strided axis, but a longer one pairwise, so for
+d >= 8 the k slot-1 rows, a strided axis of the joint, are accumulated left
+to right.
 """
 
 from __future__ import annotations
@@ -37,55 +40,22 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Model
-from .objective import _check_eta, _lse, _lse_all
+from .objective import _check_eta
 
 
-def _slot_of(model: Model, edge: int, vertex: int) -> int:
-    edge = int(edge)
-    if not (0 <= edge < model.m):
-        raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
-    ends = model.edges[edge].tolist()
-    if vertex not in ends:
-        raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
-    return ends.index(vertex)
-
-
-def _vertex_log_marginal(model: Model, lam: np.ndarray, eta: float, vertex: int):
-    """log mu_i, from the vertex's incident blocks."""
-    logits = np.add.reduce(lam.take(model.incident_blocks[vertex]), axis=0)
-    logits -= model.vertex_costs[vertex]
-    logits *= eta
-    logits -= _lse_all(logits)
-    return logits
-
-
-def _pair_log_marginals(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
-    """(slot, log S_{e,i}, log mu_i) for one (edge, vertex) pair, ``eta``
-    already checked; S_{e,i} sums the normalized edge joint onto the slot."""
-    slot = _slot_of(model, edge, vertex)
-    logits = model.edge_costs[edge] + lam[edge, 0, :, None]
-    logits += lam[edge, 1]
-    logits *= -eta
-    logits -= _lse_all(logits)
-    return slot, _lse(logits, axis=1 - slot), _vertex_log_marginal(model, lam, eta, vertex)
-
-
-def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
-    """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star, ``eta``
-    already checked: log S_{e,i} for each incident edge in incidence order,
-    then log mu_i, by the steps of ``_pair_log_marginals`` (module docstring)."""
-    t, d = model.star_tables[vertex], model.d
+def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
+    """log S_{e,i} for each edge of table ``t`` in incidence order, then log
+    mu_i, as (deg + 1, d) rows, ``eta`` already checked: from lam[e, 0, a],
+    then lam[e, 1, b], for every joint entry [p, a, b] (``terms``, which may
+    run on), the vertex's own blocks (deg_i, d) and the edge costs."""
     size = len(t.orient)
-    terms = lam.take(model.incident_rows[vertex]).take(t.expand)
-    own = terms[2 * size:].reshape(-1, d)
     stack = np.empty(size + d)  # the joint logits [p, a, b], then the vertex logits
     logits, log_mu = stack[:size], stack[size:]
-    costs = model.edge_costs.take(model.incident_edges[vertex], axis=0)
     np.add(costs.ravel(), terms[:size], out=logits)
     logits += terms[size:2 * size]
     logits *= -eta
     np.add.reduce(own, axis=0, out=log_mu)
-    log_mu -= model.vertex_costs[vertex]
+    log_mu -= vertex_cost
     log_mu *= eta
     amax = np.maximum.reduceat(stack, t.starts)
     shifted = stack - amax.repeat(d * d)[:size + d]
@@ -107,13 +77,37 @@ def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
         log_s[:t.k * d] = np.add.accumulate(joints[:t.k * d], axis=1)[:, -1]
     np.log(log_s, out=log_s)
     log_s += amax
-    return own, stack[size - len(joints):].reshape(-1, d)
+    return stack[size - len(joints):].reshape(-1, d)
+
+
+def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
+    """(slot, [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
+    edge = int(edge)
+    if not (0 <= edge < model.m):
+        raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
+    ends = model.edges[edge].tolist()
+    if vertex not in ends:
+        raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
+    slot = ends.index(vertex)
+    t = model.pair_tables[slot]
+    return slot, _log_marginal_pass(
+        t, model.d, lam[edge].take(t.expand), lam.take(model.incident_blocks[vertex]),
+        model.edge_costs[edge], model.vertex_costs[vertex], eta)
+
+
+def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
+    """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star."""
+    t = model.star_tables[vertex]
+    terms = lam.take(model.incident_rows[vertex]).take(t.expand)
+    own = terms[2 * len(t.orient):].reshape(-1, model.d)
+    costs = model.edge_costs.take(model.incident_edges[vertex], axis=0)
+    return own, _log_marginal_pass(t, model.d, terms, own, costs, model.vertex_costs[vertex], eta)
 
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
-    _, log_s, log_mu = _pair_log_marginals(model, lam, _check_eta(eta), edge, vertex)
-    return np.exp(log_s) - np.exp(log_mu)
+    logs = _pair_pass(model, lam, _check_eta(eta), edge, vertex)[1]
+    return np.exp(logs[0]) - np.exp(logs[1])
 
 
 def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
@@ -135,12 +129,12 @@ def emp_update(
     arguments.
     """
     eta = _check_eta(eta)
-    slot, log_s, log_mu = _pair_log_marginals(model, lam, eta, edge, vertex)
-    block = log_s - log_mu
+    slot, logs = _pair_pass(model, lam, eta, edge, vertex)
+    block = logs[0] - logs[1]
     block /= 2.0 * eta
     block += lam[edge, slot]
     if with_slack:
-        return block, np.exp(log_s) - np.exp(log_mu)
+        return block, np.exp(logs[0]) - np.exp(logs[1])
     return block
 
 
@@ -175,8 +169,8 @@ def block_grad_step(
     ``with_slack`` returns ``(block, nu)``, the step's own slack block.
     """
     eta = _check_eta(eta)
-    slot, log_s, log_mu = _pair_log_marginals(model, lam, eta, edge, vertex)
-    nu = np.exp(log_s) - np.exp(log_mu)
+    slot, logs = _pair_pass(model, lam, eta, edge, vertex)
+    nu = np.exp(logs[0]) - np.exp(logs[1])
     block = (1.0 / eta) * nu
     block += lam[edge, slot]
     if with_slack:

@@ -451,6 +451,21 @@ class TestCli:
             assert captured.out == ""
         assert not (tmp_path / "m.csv").exists()
 
+    def test_too_few_labels_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        for d, argv in (
+            ("-1", ["gen", "--n", "10", "--d", "-1"]),
+            ("-2", ["bench", "--n", "10", "--d", "-2", "--eta", "10", "--iters", "3",
+                    "--out", str(out)]),
+            ("1", ["bench", "--n", "10", "--d", "1", "--epsilon", "1", "--iters", "3",
+                   "--out", str(out)]),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: need at least two labels per vertex, got d={d}\n"
+            assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_bench_model_file_is_validation_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         out = tmp_path / "m.csv"

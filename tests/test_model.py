@@ -139,9 +139,31 @@ class TestBuildModel:
 
 
 class TestFlatIndices:
-    """``incident_blocks``, ``incident_rows`` and the ``star_tables`` address
-    exactly each vertex's blocks, rows, joint terms, oriented joints and
-    segments in the flattened arrays, and nobody can write through them."""
+    """``incident_blocks``, ``incident_rows``, the ``star_tables`` and the
+    ``pair_tables`` address exactly each vertex's blocks, rows, joint terms,
+    oriented joints and segments in the flattened arrays, and nobody can
+    write through them."""
+
+    @staticmethod
+    def assert_table_addresses(table, lam, joints, ev, sv):
+        """``table`` addresses the star of the edges ``ev`` in slots ``sv``."""
+        deg, d = len(ev), lam.shape[2]
+        assert table.k == np.count_nonzero(sv)
+        terms = [np.broadcast_to(lam[ev, 0, :, None], (deg, d, d)),
+                 np.broadcast_to(lam[ev, 1, None, :], (deg, d, d)), lam[ev, sv]]
+        want = np.concatenate([t.ravel() for t in terms])
+        assert np.array_equal(lam[ev].ravel()[table.expand], want)
+        # [p, own, other]: the joint as stored in slot 0, transposed in slot 1
+        oriented = joints[ev].ravel()[table.orient]
+        want = [joints[e].T if s else joints[e] for e, s in zip(ev.tolist(), sv.tolist())]
+        assert np.array_equal(oriented, np.array(want).reshape(-1))
+        # deg joints of d d entries, then d vertex logits; deg d rows of d
+        assert np.array_equal(table.starts, np.arange(deg + 1) * d * d)
+        assert np.array_equal(table.row_starts, np.arange(deg * d) * d)
+        for index in table[1:]:
+            assert index.dtype == np.int64 and not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[...] = 0
 
     def assert_indices_match(self, model):
         rng = np.random.default_rng(model.n)
@@ -156,23 +178,17 @@ class TestFlatIndices:
             assert np.array_equal(lam.ravel()[blocks[v]], lam[ev, sv])
             assert rows[v].shape == (deg * 2 * d,)
             assert np.array_equal(lam.ravel()[rows[v]], lam[ev].ravel())
-            table = model.star_tables[v]
-            assert table.k == np.count_nonzero(sv)
-            terms = [np.broadcast_to(lam[ev, 0, :, None], (deg, d, d)),
-                     np.broadcast_to(lam[ev, 1, None, :], (deg, d, d)), lam[ev, sv]]
-            want = np.concatenate([t.ravel() for t in terms])
-            assert np.array_equal(lam.ravel()[rows[v]][table.expand], want)
-            # [p, own, other]: the joint as stored in slot 0, transposed in slot 1
-            oriented = joints[ev].ravel()[table.orient]
-            want = [joints[e].T if s else joints[e] for e, s in zip(ev.tolist(), sv.tolist())]
-            assert np.array_equal(oriented, np.array(want).reshape(-1))
-            # deg joints of d d entries, then d vertex logits; deg d rows of d
-            assert np.array_equal(table.starts, np.arange(deg + 1) * d * d)
-            assert np.array_equal(table.row_starts, np.arange(deg * d) * d)
-            for index in (blocks[v], rows[v], *table[1:]):
+            self.assert_table_addresses(model.star_tables[v], lam, joints, ev, sv)
+            for index in (blocks[v], rows[v]):
                 assert index.dtype == np.int64 and not index.flags.writeable
                 with pytest.raises(ValueError):
                     index[...] = 0
+        # a single (edge, vertex) pair: the one-edge table of the vertex's slot
+        assert [t.k for t in model.pair_tables] == [0, 1]
+        for e in range(model.m):
+            for s in (0, 1):
+                self.assert_table_addresses(model.pair_tables[s], lam, joints,
+                                            np.array([e]), np.array([s]))
         # every block of lam is some vertex's, exactly once
         every = np.sort(np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, np.int64)]))
         assert np.array_equal(every, np.arange(model.dual_dim))
@@ -190,6 +206,7 @@ class TestFlatIndices:
             assert all(view.base is index[0].base for view in index)
         assert model.incident_blocks is model.incident_blocks
         assert model.star_tables is model.star_tables
+        assert model.pair_tables is model.pair_tables
 
     def test_star_tables_shared_per_pattern(self):
         # vertex 0 holds only slot 0, vertex 3 only slot 1, vertices 1 and 2 both
@@ -321,6 +338,16 @@ class TestErdosRenyiPotts:
             erdos_renyi_potts(5, 0.0, 2, 0)
         with pytest.raises(ValidationError):
             erdos_renyi_potts(5, 1.5, 2, 0)
+
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_too_few_labels_rejected_before_any_draw(self, d, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew before checking d")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValidationError,
+                           match=f"^need at least two labels per vertex, got d={d}$"):
+            erdos_renyi_potts(10, 0.3, d, 0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):

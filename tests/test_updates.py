@@ -402,11 +402,13 @@ def assert_same_bits(got, want):
 
 
 class TestFlatStarPass:
-    """``smp_update``, its fused slack and ``star_slack`` run one flat pass
-    over shared (degree, k) index tables; every output equals the reference
-    formulas in ``helpers`` bit for bit, signs of zero included, on leaves,
-    hubs and stars wholly in one slot, at every label count either side of
-    NumPy's switch to pairwise sums (d = 8)."""
+    """Every update runs one flat pass: ``smp_update``, its fused slack and
+    ``star_slack`` over shared (degree, k) index tables, ``emp_update``,
+    ``block_grad_step`` and ``block_slack`` over the one-edge table of their
+    slot.  Every output equals the reference formulas in ``helpers`` bit for
+    bit, signs of zero included, on leaves, hubs and stars wholly in one
+    slot, at every label count either side of NumPy's switch to pairwise
+    sums (d = 8)."""
 
     # vertex 0: degree 9, all slot 0; vertex 11: degree 9, all slot 1;
     # vertex 5: degree 8, three in slot 1; leaves 10 (slot 0) and 12 (slot 1)
@@ -420,7 +422,7 @@ class TestFlatStarPass:
         assert [m.star_tables[v].k for v in (0, 5, 10, 11, 12)] == [0, 3, 0, 9, 1]
         return m
 
-    def assert_star_matches(self, m, lam, eta):
+    def assert_updates_match(self, m, lam, eta):
         for vertex in range(m.n):
             blocks, nu = reference_smp_update(m, lam, eta, vertex)
             assert_same_bits(smp_update(m, lam, eta, vertex), blocks)
@@ -429,6 +431,17 @@ class TestFlatStarPass:
                 assert_same_bits(fused[0], blocks)
                 assert_same_bits(fused[1], nu)
             assert_same_bits(star_slack(m, lam, eta, vertex), nu)
+        for edge in range(m.m):
+            for vertex in m.edges[edge].tolist():
+                block, nu = reference_emp_update(m, lam, eta, edge, vertex)
+                step = reference_block_grad_step(m, lam, eta, edge, vertex, 1.0 / eta)[0]
+                assert_same_bits(block_slack(m, lam, eta, edge, vertex), nu)
+                for update, want in ((emp_update, block), (block_grad_step, step)):
+                    assert_same_bits(update(m, lam, eta, edge, vertex), want)
+                    for fused in (update(m, lam, eta, edge, vertex, True),
+                                  update(m, lam, eta, edge, vertex, with_slack=True)):
+                        assert_same_bits(fused[0], want)
+                        assert_same_bits(fused[1], nu)
 
     @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 9])
@@ -437,7 +450,7 @@ class TestFlatStarPass:
         for scale in (1.0, 1e6):
             m = self.model(d, scale * rng.normal(size=(13, d)),
                            scale * rng.normal(size=(len(self.EDGES), d, d)))
-            self.assert_star_matches(m, scale * rng.normal(size=(m.m, 2, d)), eta)
+            self.assert_updates_match(m, scale * rng.normal(size=(m.m, 2, d)), eta)
 
     @pytest.mark.parametrize("eta", [1.0, 1e3, 1e9])
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 9])
@@ -449,5 +462,5 @@ class TestFlatStarPass:
         negative_zero = np.eye(d, dtype=bool) & (rng.random(potts.shape) < 0.5)
         for edge_costs in (potts, np.where(negative_zero, -0.0, potts)):
             m = self.model(d, np.where(rng.random((13, d)) < 0.5, 0.0, -0.0), edge_costs)
-            self.assert_star_matches(m, zero_dual(m), eta)
-            self.assert_star_matches(m, np.where(rng.random((m.m, 2, d)) < 0.5, 0.0, -0.0), eta)
+            self.assert_updates_match(m, zero_dual(m), eta)
+            self.assert_updates_match(m, np.where(rng.random((m.m, 2, d)) < 0.5, 0.0, -0.0), eta)
