@@ -30,7 +30,8 @@ import numpy as np
 from .errors import OracleGuardError, ValidationError
 from .formats import read_model
 from .model import Model, default_edge_prob, erdos_renyi_potts
-from .objective import _check_eta, primal_objective, recover_primal
+# recover_primal stays bound, uncalled: benchmarks/workloads.py wraps it by name.
+from .objective import Marginals, _check_eta, primal_objective, recover_primal
 from .oracle import lp_solve_l2
 from .projection import proj
 from .schedulers import SolveTrace, accel_block_grad, accel_emp, accel_smp, standard_mp
@@ -209,9 +210,8 @@ def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
             seed = np.random.SeedSequence([config.seed, ALGORITHMS.index(alg), trial])
             primals: list[float] = []
 
-            def observe(k: int, lam: np.ndarray) -> None:
-                mu_hat = proj(model, recover_primal(model, lam, config.eta))
-                primals.append(primal_objective(model, mu_hat))
+            def observe(k: int, lam: np.ndarray, mu: Marginals) -> None:
+                primals.append(primal_objective(model, proj(model, mu)))
 
             trace = solve(
                 alg, model, config.eta, config.iters, seed, stride=config.stride, observer=observe

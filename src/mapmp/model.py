@@ -128,7 +128,7 @@ def _split(a: np.ndarray, sizes) -> tuple:
 
 
 def _check_labels(d: int) -> None:
-    if d < 2:
+    if not d >= 2:  # NaN too
         raise ValidationError(f"need at least two labels per vertex, got d={d}")
 
 

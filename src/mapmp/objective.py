@@ -153,26 +153,40 @@ def _lambda_aggregate(model: Model, lam: np.ndarray) -> np.ndarray:
     return np.bincount(cells, lam.transpose(1, 0, 2).ravel(), n * d).reshape(n, d)
 
 
-def _log_partitions(model: Model, lam: np.ndarray, eta: float):
-    """Vertex logits (n, d), edge logits (m, d, d) and the log partition
-    function of every vertex and edge block."""
-    vertex_logits = _lambda_aggregate(model, lam)
-    vertex_logits -= model.vertex_costs
-    vertex_logits *= eta
-    edge_logits = model.edge_costs + lam[:, 0, :, None]
-    edge_logits += lam[:, 1, None, :]
-    edge_logits *= -eta
-    return (vertex_logits, _lse(vertex_logits, 1),
-            edge_logits, _lse(edge_logits, axis=(1, 2)))
-
-
 def _log_marginals(model: Model, lam: np.ndarray, eta: float):
-    """Normalized vertex (n, d) and edge (m, d, d) log-marginals, with the
-    log partition functions they were normalized by."""
-    log_mu_v, lse_v, log_mu_e, lse_e = _log_partitions(model, lam, eta)
+    """Normalized vertex (n, d) and edge (m, d, d) log-marginals and L(lam),
+    the sum of the log partition functions they were normalized by, over eta."""
+    log_mu_v = _lambda_aggregate(model, lam)
+    log_mu_v -= model.vertex_costs
+    log_mu_v *= eta
+    log_mu_e = model.edge_costs + lam[:, 0, :, None]
+    log_mu_e += lam[:, 1, None, :]
+    log_mu_e *= -eta
+    lse_v, lse_e = _lse(log_mu_v, 1), _lse(log_mu_e, axis=(1, 2))
     log_mu_v -= lse_v[:, None]
     log_mu_e -= lse_e[:, None, None]
-    return log_mu_v, log_mu_e, lse_v, lse_e
+    return log_mu_v, log_mu_e, float((lse_v.sum() + lse_e.sum()) / eta)
+
+
+def _dual_and_slack(model: Model, logs):
+    """(L(lam), slack vector) from ``_log_marginals``' output, left unchanged."""
+    log_mu_v, log_mu_e, dual = logs
+    nu = np.empty((model.m, 2, model.d))
+    nu[:, 0] = _lse(log_mu_e, 2)
+    nu[:, 1] = _lse(log_mu_e, 1)
+    _exp(nu, out=nu)
+    nu -= _exp(log_mu_v)[model.edges]
+    return dual, nu
+
+
+def _marginals(logs) -> Marginals:
+    """The primal candidate, built in place from ``_log_marginals``' output."""
+    mu_v, mu_e, _ = logs
+    _exp(mu_v, out=mu_v)
+    mu_v /= _fold(np.add, mu_v, 1)[:, None]
+    _exp(mu_e, out=mu_e)
+    mu_e /= np.add.reduce(mu_e, axis=(1, 2), keepdims=True)
+    return Marginals(mu_v, mu_e)
 
 
 def _check_eta(eta: float) -> float:
@@ -185,9 +199,7 @@ def _check_eta(eta: float) -> float:
 def dual_objective(model: Model, lam: np.ndarray, eta: float) -> float:
     """Value of the smoothed dual L(lam): the sum of per-vertex and per-edge
     log partition functions, divided by eta."""
-    eta = _check_eta(eta)
-    _, lse_v, _, lse_e = _log_partitions(model, lam, eta)
-    return float((lse_v.sum() + lse_e.sum()) / eta)
+    return _log_marginals(model, lam, _check_eta(eta))[2]
 
 
 def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
@@ -196,14 +208,7 @@ def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
     Every vertex and edge block is an exact softmax of its (finite) logits,
     so all entries are strictly positive and each block sums to 1.
     """
-    eta = _check_eta(eta)
-    mu_v, mu_e, _, _ = _log_marginals(model, lam, eta)
-    _exp(mu_v, out=mu_v)
-    mu_v /= _fold(np.add, mu_v, 1)[:, None]
-    _exp(mu_e, out=mu_e)
-    if model.m:
-        mu_e /= np.add.reduce(mu_e, axis=(1, 2), keepdims=True)
-    return Marginals(mu_v, mu_e)
+    return _marginals(_log_marginals(model, lam, _check_eta(eta)))
 
 
 def slack(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
@@ -219,14 +224,7 @@ def slack(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
 
 def dual_and_slack(model: Model, lam: np.ndarray, eta: float):
     """(L(lam), slack vector) from one pass over the log-domain state."""
-    eta = _check_eta(eta)
-    log_mu_v, log_mu_e, lse_v, lse_e = _log_marginals(model, lam, eta)
-    nu = np.empty((model.m, 2, model.d))
-    nu[:, 0] = _lse(log_mu_e, 2)
-    nu[:, 1] = _lse(log_mu_e, 1)
-    _exp(nu, out=nu)
-    nu -= _exp(log_mu_v)[model.edges]
-    return float((lse_v.sum() + lse_e.sum()) / eta), nu
+    return _dual_and_slack(model, _log_marginals(model, lam, _check_eta(eta)))
 
 
 def slack_score(nu: np.ndarray) -> float:
@@ -238,8 +236,10 @@ def slack_score(nu: np.ndarray) -> float:
 
 
 def primal_objective(model: Model, mu: Marginals) -> float:
-    """Inner product <C, mu> over all vertex and edge blocks."""
+    """Inner product <C, mu> over all vertex and edge blocks, which must be finite."""
     _check_marginal_shapes(model, mu)
+    if not (np.isfinite(mu.vertex).all() and np.isfinite(mu.edge).all()):
+        raise ValidationError("primal_objective requires finite entries")
     value = float((model.vertex_costs * mu.vertex).sum())
     if model.m:
         value += float((model.edge_costs * mu.edge).sum())

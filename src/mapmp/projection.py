@@ -124,5 +124,7 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
 
 def vertex_round(mu: Marginals) -> np.ndarray:
     """Integral assignment from vertex blocks: per-vertex argmax with ties
-    broken toward the smallest label index."""
+    broken toward the smallest label index; rejects non-finite entries."""
+    if not np.isfinite(mu.vertex).all():
+        raise ValidationError("vertex_round requires finite entries")
     return np.argmax(mu.vertex, axis=1).astype(np.int64)

@@ -53,6 +53,7 @@ bits.  Rows of the persistent y buffer elsewhere are stale and never read.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -60,10 +61,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .model import Model
-from .objective import _check_eta, dual_and_slack, slack_score, zero_dual
-# block_slack and star_slack are not called here; they stay bound because
-# benchmarks/workloads.py wraps the kernel names of this module.
+from .model import Model, _check_labels
+from .objective import Marginals, _check_eta, _dual_and_slack, _log_marginals, _marginals
+# dual_and_slack, block_slack and star_slack are not called here; they stay
+# bound because benchmarks/workloads.py wraps these names of this module.
+from .objective import dual_and_slack, slack_score, zero_dual
 from .updates import block_grad_step, block_slack, emp_update, smp_update, star_slack
 
 STANDARD_UPDATE_KINDS = ("emp", "smp", "bcd")
@@ -107,6 +109,7 @@ class ThetaState:
 def eta_for_epsilon(m: int, n: int, d: int, epsilon: float) -> float:
     """Regularization strength making the smoothed problem epsilon-faithful:
     eta = 4 (m + n) log(d) / epsilon."""
+    _check_labels(d)
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
     return 4.0 * (m + n) * math.log(d) / epsilon
@@ -116,6 +119,7 @@ def eta_for_rounding(m: int, n: int, d: int, gap: float) -> float:
     """Regularization strength for exact rounding when the relaxation is
     tight with a unique optimum and suboptimality gap ``gap``:
     eta = 16 (m + n) (log(m + n) + log(d)) / gap."""
+    _check_labels(d)
     if not (gap > 0 and math.isfinite(gap)):
         raise ValidationError(f"gap must be a positive finite number, got {gap}")
     return 16.0 * (m + n) * (math.log(m + n) + math.log(d)) / gap
@@ -125,6 +129,7 @@ def dual_gap_constant(m: int, n: int, d: int, eta: float, cost_inf: float) -> fl
     """G(eta) = 24 m d (m + n) (sqrt(eta) ||C||_inf + log(d) / sqrt(eta)),
     the constant in the accelerated dual-gap bound G(eta)^2 / (k + 2)^2.
     Minimized over eta at eta = log(d) / ||C||_inf."""
+    _check_labels(d)
     eta = _check_eta(eta)
     if not (cost_inf >= 0 and math.isfinite(cost_inf)):
         raise ValidationError(
@@ -162,8 +167,10 @@ class SolveTrace:
     recorded iterate minimizing the slack score (``best_iteration``,
     ``best_score``), for the accelerated ones the final iterate.
     ``elapsed_ms`` is solver time up to each record; ``instrumentation_ms``
-    is the time spent in record passes and observer calls up to and
-    including that record, which ``elapsed_ms`` leaves out.
+    is the time spent in record passes (one log-marginal pass each, read
+    for the dual value, the slack and, with an observer, the primal
+    candidate) and observer calls up to and including that record, which
+    ``elapsed_ms`` leaves out.
     """
 
     iterations: np.ndarray
@@ -177,19 +184,28 @@ class SolveTrace:
     solution: np.ndarray = field(repr=False, default=None)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float, even a whole one, is a
+    ``ValidationError`` rather than a silent truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value}") from None
+
+
 class _Recorder:
     """Stride-based trace recording over ``iters`` iterations, with
     running-minimum best tracking and the slack-score stop test."""
 
     def __init__(self, model, eta, iters, stride, stop_slack_score, observer, keep_best):
-        self.total = int(iters)
+        self.total = _integer("iteration count", iters)
         if self.total < 0:
             raise ValidationError(f"iteration count must be >= 0, got {self.total}")
-        if stride < 1:
+        self.stride = _integer("stride", stride)
+        if self.stride < 1:
             raise ValidationError(f"stride must be >= 1, got {stride}")
         self.model = model
-        self.eta = eta
-        self.stride = stride
+        self.eta = _check_eta(eta)
         self.stop_slack_score = stop_slack_score
         self.observer = observer
         self.keep_best = keep_best  # copy the best iterate: the loop returns it
@@ -210,7 +226,8 @@ class _Recorder:
         if k != self.total and k % self.stride:
             return False
         start = time.perf_counter()
-        dual, nu = dual_and_slack(self.model, lam, self.eta)
+        logs = _log_marginals(self.model, lam, self.eta)
+        dual, nu = _dual_and_slack(self.model, logs)
         score = slack_score(nu)
         self.iters.append(k)
         self.duals.append(dual)
@@ -221,7 +238,7 @@ class _Recorder:
             self.best = lam.copy() if self.keep_best else None
             self.best_iteration = k
         if self.observer is not None:
-            self.observer(k, lam.copy())
+            self.observer(k, lam.copy(), _marginals(logs))
         self.instrumentation_s += time.perf_counter() - start
         self.instrumentation_ms.append(self.instrumentation_s * 1e3)
         return self.stop_slack_score is not None and score <= self.stop_slack_score
@@ -297,6 +314,8 @@ def _accelerated_loop(
     """Extrapolate y on the sampled vertex's incident edges (all that
     ``update`` may read), install ``update`` at y into lam and push its
     scaled slack at y into v; returns the final iterate."""
+    if not (v_step_scale > 0 and math.isfinite(v_step_scale)):
+        raise ValidationError(f"v_step_scale must be a positive finite number, got {v_step_scale}")
     rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=False)
     samples = _samples(model, rec.total, seed, star)
     if star:
@@ -347,7 +366,7 @@ def standard_mp(
     *,
     stride: int = 1,
     stop_slack_score: float | None = None,
-    observer: Callable[[int, np.ndarray], None] | None = None,
+    observer: Callable[[int, np.ndarray, Marginals], None] | None = None,
 ) -> SolveTrace:
     """Randomized block-minimization loop from lam = 0.
 
@@ -357,6 +376,12 @@ def standard_mp(
     on a uniformly sampled pair.  Returns the best recorded iterate, the one
     with the smallest recorded slack score (ties keep the earliest), so
     ``--stride`` can change what emp/smp/bcd return.
+
+    ``iters`` and ``stride`` are integers.  ``observer(k, lam, mu)``, if
+    given, is called at every record with the iteration, a copy of the
+    iterate and its primal candidate, the bytes of
+    ``recover_primal(model, lam, eta)`` read from the record's own pass.
+    The accelerated solvers take the same options.
     """
     if update_kind not in STANDARD_UPDATE_KINDS:
         raise ValidationError(

@@ -918,7 +918,7 @@ def two_phase_run_bench(config: BenchConfig, model: Model | None = None) -> Benc
             )
             trial_rows: list[MetricRow] = []
 
-            def observe(k: int, lam: np.ndarray) -> None:
+            def observe(k: int, lam: np.ndarray, mu) -> None:
                 mu_hat = proj(model, recover_primal(model, lam, config.eta))
                 primal = primal_objective(model, mu_hat)
                 gap = None if opt_value is None else primal - opt_value

@@ -45,7 +45,7 @@ def _labels(model, alg, trial):
     strings."""
     out = []
 
-    def observe(k, lam):
+    def observe(k, lam, mu):
         mu = mapmp.proj(model, mapmp.recover_primal(model, lam, CONFIG["eta"]))
         out.append("".join(str(x) for x in mapmp.vertex_round(mu)))
 

@@ -66,6 +66,15 @@ class TestPrimalObjective:
         with pytest.raises(ValidationError):
             primal_objective(two_node, Marginals(np.zeros((3, 2)), np.zeros((1, 2, 2))))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        m = erdos_renyi_potts(6, 0.5, 3, 0)
+        for block in ("vertex", "edge"):
+            mu = recover_primal(m, zero_dual(m), 1.0)
+            getattr(mu, block).flat[0] = value
+            with pytest.raises(ValidationError, match="^primal_objective requires finite entries$"):
+                primal_objective(m, mu)
+
 
 class TestEntropy:
     def test_uniform_single_block(self):

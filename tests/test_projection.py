@@ -240,3 +240,11 @@ class TestVertexRound:
         mu = Marginals(vertex, np.zeros((0, 4, 4)))
         scaled = Marginals(vertex * rng.uniform(0.1, 9.0, size=(6, 1)), np.zeros((0, 4, 4)))
         assert vertex_round(mu).tolist() == vertex_round(scaled).tolist()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        m = mapmp.erdos_renyi_potts(6, 0.5, 3, 0)
+        mu = recover_primal(m, zero_dual(m), 1.0)
+        mu.vertex[0, 0] = value
+        with pytest.raises(ValidationError, match="^vertex_round requires finite entries$"):
+            vertex_round(mu)

@@ -11,6 +11,7 @@ from helpers import random_model, reference_accel_emp, reference_accel_smp
 
 import mapmp
 from mapmp import (
+    Marginals,
     ThetaState,
     ValidationError,
     accel_block_grad,
@@ -26,6 +27,7 @@ from mapmp import (
     eta_for_epsilon,
     eta_for_rounding,
     iteration_budget,
+    recover_primal,
     slack_score,
     smp_update,
     standard_mp,
@@ -33,7 +35,8 @@ from mapmp import (
     theta_next,
     zero_dual,
 )
-from mapmp import schedulers
+from mapmp import objective, schedulers
+from mapmp.bench import ALGORITHMS, solve
 
 
 def zeros_model(n, edges, d):
@@ -142,6 +145,23 @@ class TestEtaFormulas:
         with pytest.raises(ValidationError, match="eps_prime must be a positive finite number"):
             iteration_budget(1, 2, 2, 1.0, 1.0, bad)
 
+    @pytest.mark.parametrize("d", [-1, 0, 1, math.nan])
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            lambda d: eta_for_epsilon(3, 4, d, 0.5),
+            lambda d: eta_for_rounding(3, 4, d, 0.5),
+            lambda d: dual_gap_constant(3, 4, d, 1.0, 1.0),
+            lambda d: iteration_budget(3, 4, d, 1.0, 1.0, 1.0),
+        ],
+        ids=["eta_for_epsilon", "eta_for_rounding", "dual_gap_constant", "iteration_budget"],
+    )
+    def test_budget_formulas_reject_too_few_labels(self, formula, d):
+        # unchecked, log(1) = 0 gives eta 0.0, d <= 0 a math domain error and NaN a NaN
+        message = f"^need at least two labels per vertex, got d={d}$"
+        with pytest.raises(ValidationError, match=message):
+            formula(d)
+
     def test_iteration_budget_rejects_overflow(self):
         # 488 / 1e-310 is beyond the largest double
         with pytest.raises(ValidationError, match="iteration budget overflows"):
@@ -184,7 +204,7 @@ class TestStandardMp:
             seed = int(rng.integers(2**31))
             iterates = []
             trace = standard_mp(
-                m, kind, eta, iters, seed=seed, observer=lambda k, lam: iterates.append(lam)
+                m, kind, eta, iters, seed=seed, observer=lambda k, lam, mu: iterates.append(lam)
             )
             assert np.all(np.diff(trace.dual_values) <= 1e-10)
             stream = schedulers._vertex_stream if kind == "smp" else schedulers._pair_stream
@@ -253,6 +273,37 @@ class TestStandardMp:
         m = zeros_model(3, [(0, 1), (1, 2)], 2)
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             solve(m, seed)
+
+
+class TestSolverOptions:
+    """Options that are not whole numbers, or a step scale that is not a
+    positive finite number, are rejected before any iteration."""
+
+    @pytest.fixture
+    def model(self):
+        return zeros_model(3, [(0, 1), (1, 2)], 2)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_nan_stride_rejected(self, model, alg):
+        # unchecked, k % nan is NaN for every k, so only the last iterate is recorded
+        with pytest.raises(ValidationError, match="^stride must be an integer, got nan$"):
+            solve(alg, model, 1.0, 20, 0, stride=math.nan)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_fractional_stride_rejected(self, model, alg):
+        with pytest.raises(ValidationError, match="^stride must be an integer, got 2.5$"):
+            solve(alg, model, 1.0, 20, 0, stride=2.5)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_fractional_iteration_count_rejected(self, model, alg):
+        with pytest.raises(ValidationError, match="^iteration count must be an integer, got 20.7$"):
+            solve(alg, model, 1.0, 20.7, 0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("solver", [accel_emp, accel_smp, accel_block_grad])
+    def test_bad_v_step_scale_rejected(self, model, solver, scale):
+        with pytest.raises(ValidationError, match="^v_step_scale must be a positive finite number"):
+            solver(model, 1.0, 20, 0, v_step_scale=scale)
 
 
 class TestAcceleratedLoops:
@@ -374,7 +425,7 @@ class TestTraceInvariants:
         m = random_model(rng, 4, 2)
         seen = []
         trace = standard_mp(
-            m, "emp", 5.0, 20, seed=2, stride=5, observer=lambda k, lam: seen.append(k)
+            m, "emp", 5.0, 20, seed=2, stride=5, observer=lambda k, lam, mu: seen.append(k)
         )
         assert seen == trace.iterations.tolist()
 
@@ -382,7 +433,7 @@ class TestTraceInvariants:
         rng = np.random.default_rng(16)
         m = random_model(rng, 5, 3)
         trace = standard_mp(
-            m, "smp", 5.0, 10, seed=3, stride=5, observer=lambda k, lam: time.sleep(0.05)
+            m, "smp", 5.0, 10, seed=3, stride=5, observer=lambda k, lam, mu: time.sleep(0.05)
         )
         assert trace.iterations.tolist() == [0, 5, 10]
         assert trace.elapsed_ms[-1] < 50.0
@@ -545,3 +596,50 @@ class TestSampleStream:
         assert np.array_equal(chunked.final_lambda, reference.final_lambda)
         assert np.array_equal(chunked.dual_values, reference.dual_values)
         assert np.array_equal(chunked.slack_scores, reference.slack_scores)
+
+
+class TestOneRecordPass:
+    """Each record makes one log-marginal pass, and an observer receives the
+    primal candidate read from it, byte for byte that of ``recover_primal``."""
+
+    ITERS, ETA = 30, 1000.0
+
+    @pytest.fixture(scope="class", params=[3, 9], ids=["d3", "d9"])
+    def model(self, request):
+        # m d^2 is 396 at d = 3 and 3564 at d = 9: both sides of the size
+        # at which the record path folds its reductions and masks its exps
+        return erdos_renyi_potts(14, 0.35, request.param, 11)
+
+    @pytest.mark.parametrize("stride", [1, 7, ITERS])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_observer_mu_is_recover_primal(self, model, alg, stride):
+        seen = []
+
+        def observe(k, lam, mu):
+            ref = recover_primal(model, lam, self.ETA)
+            assert isinstance(mu, Marginals)
+            for got, want in ((mu.vertex, ref.vertex), (mu.edge, ref.edge)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f"record {k}"
+            seen.append(k)
+
+        trace = solve(alg, model, self.ETA, self.ITERS, 5, stride=stride, observer=observe)
+        assert seen == trace.iterations.tolist()
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_one_log_marginal_pass_per_record(self, monkeypatch, model, alg, observed):
+        calls = []
+        original = objective._log_marginals
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # both bindings, so a second pass through the public functions counts too
+        monkeypatch.setattr(objective, "_log_marginals", counted)
+        monkeypatch.setattr(schedulers, "_log_marginals", counted)
+        observer = (lambda k, lam, mu: None) if observed else None
+        trace = solve(alg, model, self.ETA, self.ITERS, 5, stride=7, observer=observer)
+        assert trace.iterations.tolist() == [0, 7, 14, 21, 28, 30]
+        assert len(calls) == len(trace.iterations)
