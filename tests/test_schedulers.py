@@ -1,4 +1,3 @@
-import hashlib
 import math
 import time
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 from helpers import random_model, reference_accel_emp, reference_accel_smp
 
 import mapmp
@@ -388,6 +388,29 @@ class TestAcceleratedLoops:
         assert np.median(accel) <= np.median(standard)
 
 
+TRACE_PINS = {
+    "accel-smp": (lambda m: accel_smp(m, 50.0, 600, 3, stride=20),
+                  "54b5d156621ab99464a9429011c8afcdd8e644feded7a93d3c69c20ed988c2fc"),
+    "smp": (lambda m: standard_mp(m, "smp", 50.0, 600, 3, stride=20),
+            "411492c12de87c5ad5260171b6e562638cba945b49a34a5c97abb5348e8e429e"),
+}
+
+
+def trace_pin(name):
+    """The trace of pin ``name``, its pinned bytes (the arrays in this order,
+    then the best pair), and the integer and float parts of those bytes."""
+    trace = TRACE_PINS[name][0](erdos_renyi_potts(40, 0.15, 3, 5))
+    arrays = (trace.iterations, trace.dual_values, trace.slack_scores, trace.final_lambda,
+              trace.solution)
+    data = b"".join(a.tobytes() for a in arrays)
+    data += repr((trace.best_iteration, trace.best_score)).encode()
+    ints = {"iterations": trace.iterations.tolist(), "best_iteration": trace.best_iteration}
+    floats = {"dual_values": trace.dual_values, "slack_scores": trace.slack_scores,
+              "final_lambda": trace.final_lambda.ravel(), "solution": trace.solution.ravel(),
+              "best_score": [trace.best_score]}
+    return trace, data, ints, floats
+
+
 class TestTraceInvariants:
     def test_scores_nonnegative_and_best_consistent(self):
         rng = np.random.default_rng(13)
@@ -401,23 +424,13 @@ class TestTraceInvariants:
             assert (trace.slack_scores >= 0).all()
             assert trace.best_score == trace.slack_scores.min()
 
-    @pytest.mark.parametrize("solve, digest", [
-        (lambda m: accel_smp(m, 50.0, 600, 3, stride=20),
-         "54b5d156621ab99464a9429011c8afcdd8e644feded7a93d3c69c20ed988c2fc"),
-        (lambda m: standard_mp(m, "smp", 50.0, 600, 3, stride=20),
-         "411492c12de87c5ad5260171b6e562638cba945b49a34a5c97abb5348e8e429e"),
-    ], ids=["accel-smp", "smp"])
-    def test_trace_pinned_while_best_copied_only_when_returned(self, solve, digest):
+    @pytest.mark.parametrize("name", list(TRACE_PINS))
+    def test_trace_pinned_while_best_copied_only_when_returned(self, name):
         # The accelerated loop tracks the best score without copying lam at
         # each improving record; both traces keep the bits they had when it
         # did (sha256 of the arrays in this order, then the best pair).
-        trace = solve(erdos_renyi_potts(40, 0.15, 3, 5))
-        h = hashlib.sha256()
-        for a in (trace.iterations, trace.dual_values, trace.slack_scores, trace.final_lambda,
-                  trace.solution):
-            h.update(a.tobytes())
-        h.update(repr((trace.best_iteration, trace.best_score)).encode())
-        assert h.hexdigest() == digest
+        trace, data, ints, floats = trace_pin(name)
+        pins.assert_pinned(TRACE_PINS[name][1], data, f"trace-{name}", ints, floats)
         assert trace.solution is not trace.final_lambda
 
     def test_observer_sees_every_recorded_iterate(self):
