@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import OracleGuardError, ValidationError
 from .formats import read_model
-from .model import Model, default_edge_prob, erdos_renyi_potts
+from .model import Model, _integer, default_edge_prob, erdos_renyi_potts
 # recover_primal stays bound, uncalled: benchmarks/workloads.py wraps it by name.
 from .objective import Marginals, _check_eta, primal_objective, recover_primal
 from .oracle import lp_solve_l2
@@ -94,6 +94,9 @@ class BenchConfig:
                 f"variant; got {self.algorithm!r}"
             )
         _check_eta(self.eta)
+        for name in ("iters", "trials", "stride", "seed", "n", "d"):
+            if getattr(self, name) is not None:
+                _integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.iters < 0:

@@ -11,6 +11,7 @@ smaller endpoint and slot 1 the larger one.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,8 +100,10 @@ class Model:
 # lam[e, 0, a] for every [p, a, b], then lam[e, 1, b], then the own (deg, d)
 # blocks; ``orient`` gathers the joints as [p, own label, other label];
 # ``starts`` begin the deg joints and the d vertex logits after them, and
-# ``row_starts`` the deg d rows of the oriented joints.
-StarTable = namedtuple("StarTable", "k expand orient starts row_starts")
+# ``row_starts`` the deg d rows of the oriented joints; ``groups`` is the
+# joint (deg for the vertex) of each of those deg d^2 + d entries, and
+# ``row_groups`` the row of each oriented joint entry.
+StarTable = namedtuple("StarTable", "k expand orient starts row_starts groups row_groups")
 
 
 def _star_table(d: int, deg: int, k: int) -> StarTable:
@@ -111,6 +114,7 @@ def _star_table(d: int, deg: int, k: int) -> StarTable:
     return StarTable(k, *map(_readonly, (
         np.concatenate([a.ravel() for a in expand]), orient.ravel(),
         np.arange(deg + 1) * d * d, np.arange(deg * d) * d,
+        np.arange(deg * d * d + d) // (d * d), np.arange(deg * d * d) // d,
     )))
 
 
@@ -125,6 +129,15 @@ def _split(a: np.ndarray, sizes) -> tuple:
     _readonly(a)
     ends = np.cumsum(sizes).tolist()
     return tuple(a[start:end] for start, end in zip([0] + ends, ends))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float, even a whole one, is a
+    ``ValidationError`` rather than a silent truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value}") from None
 
 
 def _check_labels(d: int) -> None:
@@ -142,10 +155,10 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
 
     Rejects: d < 2, self-loops, duplicate edges, out-of-range endpoints,
     vertices without any incident edge, non-finite costs, and shape
-    mismatches.
+    mismatches.  ``n`` and ``d`` are integers.
     """
-    n = int(n)
-    d = int(d)
+    n = _integer("n", n)
+    d = _integer("d", d)
     if n < 1:
         raise ValidationError(f"need at least one vertex, got n={n}")
     _check_labels(d)
@@ -281,9 +294,10 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     pair uniforms are drawn in blocks of ``_PAIR_BLOCK`` that may span rows
     (``random(k)`` is exactly the stream of k scalar draws), in O(block + m)
     memory; one ``searchsorted`` on the row ends maps hits back to (i, j).
+    ``n`` and ``d`` are integers, checked before any draw.
     """
-    n = int(n)
-    d = int(d)
+    n = _integer("n", n)
+    d = _integer("d", d)
     if n < 2:
         raise ValidationError(f"need n >= 2 vertices, got {n}")
     if not (0.0 < edge_prob <= 1.0):

@@ -53,7 +53,6 @@ bits.  Rows of the persistent y buffer elsewhere are stale and never read.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .model import Model, _check_labels
+from .model import Model, _check_labels, _integer
 from .objective import Marginals, _check_eta, _dual_and_slack, _log_marginals, _marginals
 # dual_and_slack, block_slack and star_slack are not called here; they stay
 # bound because benchmarks/workloads.py wraps these names of this module.
@@ -69,6 +68,7 @@ from .objective import dual_and_slack, slack_score, zero_dual
 from .updates import block_grad_step, block_slack, emp_update, smp_update, star_slack
 
 STANDARD_UPDATE_KINDS = ("emp", "smp", "bcd")
+_add, _mul = np.add, np.multiply  # positional outputs, as in ``updates``
 # Samples drawn per rng call: memory stays O(1) in the iteration count.
 _SAMPLE_CHUNK = 4096
 
@@ -182,15 +182,6 @@ class SolveTrace:
     best_iteration: int
     best_score: float
     solution: np.ndarray = field(repr=False, default=None)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float, even a whole one, is a
-    ``ValidationError`` rather than a silent truncation."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value}") from None
 
 
 class _Recorder:
@@ -343,15 +334,13 @@ def _accelerated_loop(
             # entry is the same two products and one sum as in the
             # whole-vector expression.
             rows = model.incident_rows[vertex]
-            rows_y = v[rows]
-            rows_y *= theta
-            rows_lam = lam_flat[rows]
-            rows_lam *= 1.0 - theta
-            rows_y += rows_lam
-            y_flat[rows] = rows_y
+            rows_y, rows_lam = v[rows], lam_flat[rows]
+            _mul(rows_y, theta, rows_y)
+            _mul(rows_lam, 1.0 - theta, rows_lam)
+            y_flat[rows] = _add(rows_y, rows_lam, rows_y)
             lam_flat[at], nu = update(model, y, eta, *args, True)  # with_slack
-            nu *= v_coef(vertex, theta)
-            v[at] += nu
+            _mul(nu, v_coef(vertex, theta), nu)
+            v[at] = _add(v[at], nu, nu)
             if rec.record(k, lam):
                 break
     return rec.finish(lam)

@@ -32,6 +32,17 @@ order, and no sum uses ``reduceat``: NumPy sums a row of fewer than 8
 entries left to right, as a strided axis, but a longer one pairwise, so for
 d >= 8 the k slot-1 rows, a strided axis of the joint, are accumulated left
 to right.
+
+Every call on this per-iteration path takes its cheapest form with the same
+bits.  A per-group value (the max or log-sum-exp of a joint or of the
+vertex logits, the max of an oriented row) reaches its group's entries by
+one gather through the table's ``groups`` or ``row_groups`` index, not by
+``repeat``.  Ufuncs and reductions take their output positionally through
+the module-level names ``_add``, ``_sub``, ``_mul``, ``_div``, ``_exp``,
+``_log``, ``_sum`` and ``_max_at`` (``_add(a, b, a)``,
+``_sum(a, axis, None, out)``), never through ``out=`` or ``a op= b``,
+which give the same result at a higher cost per call; gathers from 1-D
+data index (``a[idx]``) rather than ``take``.
 """
 
 from __future__ import annotations
@@ -43,6 +54,12 @@ from .model import Model
 from .objective import _check_eta
 
 
+# The per-iteration calls take their output positionally, through these
+# names: the cheapest call form, with the bits of ``out=`` and of ``a op= b``.
+_add, _sub, _mul, _div, _exp, _log = np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
+_sum, _max_at = np.add.reduce, np.maximum.reduceat
+
+
 def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
     """log S_{e,i} for each edge of table ``t`` in incidence order, then log
     mu_i, as (deg + 1, d) rows, ``eta`` already checked: from lam[e, 0, a],
@@ -51,32 +68,32 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
     size = len(t.orient)
     stack = np.empty(size + d)  # the joint logits [p, a, b], then the vertex logits
     logits, log_mu = stack[:size], stack[size:]
-    np.add(costs.ravel(), terms[:size], out=logits)
-    logits += terms[size:2 * size]
-    logits *= -eta
-    np.add.reduce(own, axis=0, out=log_mu)
-    log_mu -= vertex_cost
-    log_mu *= eta
-    amax = np.maximum.reduceat(stack, t.starts)
-    shifted = stack - amax.repeat(d * d)[:size + d]
-    np.exp(shifted, out=shifted)
+    _add(costs.ravel(), terms[:size], logits)
+    _add(logits, terms[size:2 * size], logits)
+    _mul(logits, -eta, logits)
+    _sum(own, 0, None, log_mu)
+    _sub(log_mu, vertex_cost, log_mu)
+    _mul(log_mu, eta, log_mu)
+    amax = _max_at(stack, t.starts)
+    shifted = _sub(stack, amax[t.groups])
+    _exp(shifted, shifted)
     lse = np.empty_like(amax)
-    np.add.reduce(shifted[:size].reshape(-1, d * d), axis=1, out=lse[:-1])
-    np.add.reduce(shifted[size:], keepdims=True, out=lse[-1:])
-    np.log(lse, out=lse)
-    lse += amax
-    stack -= lse.repeat(d * d)[:size + d]
-    joints = logits.take(t.orient)
-    amax = np.maximum.reduceat(joints, t.row_starts)
-    joints -= amax.repeat(d)
-    np.exp(joints, out=joints)
+    _sum(shifted[:size].reshape(-1, d * d), 1, None, lse[:-1])
+    _sum(shifted[size:], 0, None, lse[-1:], True)
+    _log(lse, lse)
+    _add(lse, amax, lse)
+    _sub(stack, lse[t.groups], stack)
+    joints = logits[t.orient]
+    amax = _max_at(joints, t.row_starts)
+    _sub(joints, amax[t.row_groups], joints)
+    _exp(joints, joints)
     joints = joints.reshape(-1, d)
     log_s = stack[size - len(joints):size]  # joints is a copy: log S goes next to log mu
-    np.add.reduce(joints, axis=1, out=log_s)
+    _sum(joints, 1, None, log_s)
     if d >= 8:
-        log_s[:t.k * d] = np.add.accumulate(joints[:t.k * d], axis=1)[:, -1]
-    np.log(log_s, out=log_s)
-    log_s += amax
+        log_s[:t.k * d] = np.add.accumulate(joints[:t.k * d], 1)[:, -1]
+    _log(log_s, log_s)
+    _add(log_s, amax, log_s)
     return stack[size - len(joints):].reshape(-1, d)
 
 
@@ -91,30 +108,30 @@ def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int
     slot = ends.index(vertex)
     t = model.pair_tables[slot]
     return slot, _log_marginal_pass(
-        t, model.d, lam[edge].take(t.expand), lam.take(model.incident_blocks[vertex]),
+        t, model.d, lam[edge].ravel()[t.expand], lam.ravel()[model.incident_blocks[vertex]],
         model.edge_costs[edge], model.vertex_costs[vertex], eta)
 
 
 def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star."""
-    t = model.star_tables[vertex]
-    terms = lam.take(model.incident_rows[vertex]).take(t.expand)
-    own = terms[2 * len(t.orient):].reshape(-1, model.d)
-    costs = model.edge_costs.take(model.incident_edges[vertex], axis=0)
-    return own, _log_marginal_pass(t, model.d, terms, own, costs, model.vertex_costs[vertex], eta)
+    t, d = model.star_tables[vertex], model.d
+    terms = lam.ravel()[model.incident_rows[vertex]][t.expand]
+    own = terms[2 * len(t.orient):].reshape(-1, d)
+    costs = model.edge_costs.reshape(-1, d * d)[model.incident_edges[vertex]]
+    return own, _log_marginal_pass(t, d, terms, own, costs, model.vertex_costs[vertex], eta)
 
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
-    logs = _pair_pass(model, lam, _check_eta(eta), edge, vertex)[1]
-    return np.exp(logs[0]) - np.exp(logs[1])
+    marginals = _exp(_pair_pass(model, lam, _check_eta(eta), edge, vertex)[1])
+    return _sub(marginals[0], marginals[1])
 
 
 def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """Slack blocks for every edge incident to ``vertex``, shape (deg, d),
     ordered like ``model.incident_edges[vertex]``."""
-    marginals = np.exp(_star_pass(model, lam, _check_eta(eta), vertex)[1])
-    return marginals[:-1] - marginals[-1]
+    marginals = _exp(_star_pass(model, lam, _check_eta(eta), vertex)[1])
+    return _sub(marginals[:-1], marginals[-1])
 
 
 def emp_update(
@@ -130,11 +147,12 @@ def emp_update(
     """
     eta = _check_eta(eta)
     slot, logs = _pair_pass(model, lam, eta, edge, vertex)
-    block = logs[0] - logs[1]
-    block /= 2.0 * eta
-    block += lam[edge, slot]
+    block = _sub(logs[0], logs[1])
+    _div(block, 2.0 * eta, block)
+    _add(block, lam[edge, slot], block)
     if with_slack:
-        return block, np.exp(logs[0]) - np.exp(logs[1])
+        marginals = _exp(logs)
+        return block, _sub(marginals[0], marginals[1])
     return block
 
 
@@ -149,14 +167,14 @@ def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int, with_slac
     """
     eta = _check_eta(eta)
     own, logs = _star_pass(model, lam, eta, vertex)
-    shared = np.add.reduce(logs, axis=0)  # the log S rows in order, then log mu
-    shared /= eta * len(logs)
-    blocks = logs[:-1] / eta
-    blocks += own
-    blocks -= shared
+    shared = _sum(logs, 0)  # the log S rows in order, then log mu
+    _div(shared, eta * len(logs), shared)
+    blocks = _div(logs[:-1], eta)
+    _add(blocks, own, blocks)
+    _sub(blocks, shared, blocks)
     if with_slack:
-        marginals = np.exp(logs)
-        return blocks, marginals[:-1] - marginals[-1]
+        marginals = _exp(logs)
+        return blocks, _sub(marginals[:-1], marginals[-1])
     return blocks
 
 
@@ -170,9 +188,10 @@ def block_grad_step(
     """
     eta = _check_eta(eta)
     slot, logs = _pair_pass(model, lam, eta, edge, vertex)
-    nu = np.exp(logs[0]) - np.exp(logs[1])
-    block = (1.0 / eta) * nu
-    block += lam[edge, slot]
+    marginals = _exp(logs)
+    nu = _sub(marginals[0], marginals[1])
+    block = _mul(1.0 / eta, nu)
+    _add(block, lam[edge, slot], block)
     if with_slack:
         return block, nu
     return block

@@ -72,6 +72,18 @@ class TestBenchConfig:
         with pytest.raises(ValidationError):
             small_config(model_file="x.mapmp").validate()  # two sources
 
+    @pytest.mark.parametrize("field, value", [("iters", 20.0), ("trials", 1.5), ("stride", 2.5),
+                                              ("seed", 0.5), ("n", 30.0), ("d", 3.5)])
+    def test_non_integer_field_rejected_before_any_model(self, field, value, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "erdos_renyi_potts", lambda *a: calls.append("generate"))
+        monkeypatch.setattr(bench, "lp_solve_l2", lambda *a: calls.append("lp"))
+        config = small_config(algorithm="smp", ratio=True, stride=5, n=30, d=3, edge_prob=None)
+        setattr(config, field, value)
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value}$"):
+            run_bench(config)
+        assert calls == []
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             small_config(seed=-1).validate()

@@ -47,6 +47,14 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="labels"):
             zeros_model(2, [(0, 1)], 1)
 
+    @pytest.mark.parametrize("n, d, shown", [(2.7, 3, "n=2.7"), (2, math.nan, "d=nan"),
+                                              (2, 2.5, "d=2.5")], ids=["n-2.7", "d-nan", "d-2.5"])
+    def test_non_integer_n_or_d_rejected(self, n, d, shown):
+        # a truncated n or d would fit costs shaped for another model
+        name, value = shown.split("=")
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value}$"):
+            build_model(n, [(0, 1)], d, np.zeros((2, 3)), np.zeros((1, 3, 3)))
+
     def test_nonfinite_costs_rejected(self):
         vc = np.zeros((2, 2))
         vc[0, 0] = np.inf
@@ -348,6 +356,18 @@ class TestErdosRenyiPotts:
         with pytest.raises(ValidationError,
                            match=f"^need at least two labels per vertex, got d={d}$"):
             erdos_renyi_potts(10, 0.3, d, 0)
+
+    @pytest.mark.parametrize("n, d, shown", [(5, 2.5, "d=2.5"), (5, math.nan, "d=nan"),
+                                              (5.0, 3, "n=5.0"), (2.7, 3, "n=2.7")],
+                             ids=["d-2.5", "d-nan", "n-5.0", "n-2.7"])
+    def test_non_integer_n_or_d_rejected_before_any_draw(self, n, d, shown, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew before checking n and d")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        name, value = shown.split("=")
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value}$"):
+            erdos_renyi_potts(n, 0.5, d, 0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):

@@ -464,3 +464,76 @@ class TestFlatStarPass:
             m = self.model(d, np.where(rng.random((13, d)) < 0.5, 0.0, -0.0), edge_costs)
             self.assert_updates_match(m, zero_dual(m), eta)
             self.assert_updates_match(m, np.where(rng.random((m.m, 2, d)) < 0.5, 0.0, -0.0), eta)
+
+
+class TestInputsAndOutputs:
+    """The kernels write only into arrays they allocate: none of the five
+    functions writes to its ``lam``, no returned array shares memory with
+    ``lam`` or with a ``Model`` table, and a non-contiguous ``lam`` gives
+    the bytes of its contiguous copy."""
+
+    EDGES = TestFlatStarPass.EDGES
+
+    def model(self, d, rng):
+        return build_model(13, self.EDGES, d, rng.normal(size=(13, d)),
+                           rng.normal(size=(len(self.EDGES), d, d)))
+
+    @staticmethod
+    def outputs(m, lam, eta):
+        """Every array the five functions return, with and without slack."""
+        out = []
+        for edge in range(m.m):
+            for vertex in m.edges[edge].tolist():
+                out.append(block_slack(m, lam, eta, edge, vertex))
+                for update in (emp_update, block_grad_step):
+                    out.append(update(m, lam, eta, edge, vertex))
+                    out.extend(update(m, lam, eta, edge, vertex, with_slack=True))
+        for vertex in range(m.n):
+            out.append(star_slack(m, lam, eta, vertex))
+            out.append(smp_update(m, lam, eta, vertex))
+            out.extend(smp_update(m, lam, eta, vertex, with_slack=True))
+        return out
+
+    @staticmethod
+    def tables(m):
+        arrays = [m.edges, m.vertex_costs, m.edge_costs, m.degrees]
+        for group in (m.incident_edges, m.incident_slots, m.incident_blocks, m.incident_rows):
+            arrays.extend(group)
+        for table in m.star_tables + m.pair_tables:
+            arrays.extend(a for a in table if isinstance(a, np.ndarray))
+        return arrays
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_lam_is_never_written(self, d):
+        rng = np.random.default_rng([31, d])
+        m = self.model(d, rng)
+        lam = rng.normal(size=(m.m, 2, d))
+        before = lam.tobytes()
+        self.outputs(m, lam, 5.0)
+        assert lam.tobytes() == before
+        lam.setflags(write=False)  # a write now raises
+        self.outputs(m, lam, 5.0)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_outputs_share_no_memory_with_lam_or_the_model(self, d):
+        rng = np.random.default_rng([37, d])
+        m = self.model(d, rng)
+        lam = rng.normal(size=(m.m, 2, d))
+        tables = self.tables(m)
+        assert len(tables) > 4 * m.n
+        for out in self.outputs(m, lam, 5.0):
+            assert not np.shares_memory(out, lam)
+            assert not any(np.shares_memory(out, table) for table in tables)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_non_contiguous_lam_gives_the_same_bytes(self, d):
+        rng = np.random.default_rng([41, d])
+        m = self.model(d, rng)
+        wide = rng.normal(size=(m.m, 2, 2 * d))
+        for lam in (wide[:, :, ::2], np.asfortranarray(wide[:, :, :d])):
+            assert not lam.flags.c_contiguous
+            got = self.outputs(m, lam, 5.0)
+            want = self.outputs(m, np.ascontiguousarray(lam), 5.0)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
