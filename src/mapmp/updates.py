@@ -53,9 +53,6 @@ from .errors import ValidationError
 from .model import Model
 from .objective import _check_eta
 
-
-# The per-iteration calls take their output positionally, through these
-# names: the cheapest call form, with the bits of ``out=`` and of ``a op= b``.
 _add, _sub, _mul, _div, _exp, _log = np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
 _sum, _max_at = np.add.reduce, np.maximum.reduceat
 

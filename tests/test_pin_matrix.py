@@ -191,16 +191,17 @@ def test_header_matches_matrix():
 @pytest.mark.parametrize("name", list(ETAS))
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_pin_matrix(built, name, alg):
-    for _, _, stride, stop in (c for c in _cases() if c[:2] == (name, alg)):
-        where = f"{_key(name, alg, stride, stop)} ({pins.mode()})"
-        old = pins.pins()["runs"][_key(name, alg, stride, stop)]
-        new = run(built[name], alg, ETAS[name], stride, old["stop_threshold"])
-        for key in ("iterations", "best_iteration", "stop_iteration", "labels"):
-            assert new[key] == old[key], f"{where}: {key}"
-        if pins.exact():
-            assert new["sha256"] == old["sha256"], where
-        else:
-            pins.assert_close(new["floats"], old["floats"], where)
+    for stop in (False, True):
+        for stride in STRIDES:
+            where = f"{_key(name, alg, stride, stop)} ({pins.mode()})"
+            old = pins.pins()["runs"][_key(name, alg, stride, stop)]
+            new = run(built[name], alg, ETAS[name], stride, old["stop_threshold"])
+            for key in ("iterations", "best_iteration", "stop_iteration", "labels"):
+                assert new[key] == old[key], f"{where}: {key}"
+            if pins.exact():
+                assert new["sha256"] == old["sha256"], where
+            else:
+                pins.assert_close(new["floats"], old["floats"], where)
 
 
 def test_stop_rule_fires_in_the_matrix():
