@@ -21,15 +21,17 @@ every function scope has arity 1 or 2.  Potentials convert to costs
 C = -log(phi), so every table entry must be strictly positive; the costs of
 a repeated scope add in file order, onto +0.0 (unary) or -0.0 (pairwise),
 and a scope (j, i) with j > i is transposed onto (i, j).  ``emit_uai``
-rejects a cost whose exp(-C) is 0 or overflows.  The n = 5000 file (4.79 MB)
-parses in about 0.3 s and 40 MB traced, and is written in 0.27 s and 13 MB.
+rejects a cost whose exp(-C) is 0 or overflows.  The reader walks the lines
+once and holds one line's tokens at a time: the n = 5000 file (4.79 MB)
+parses in about 0.3 s and 14.7 MB traced with the model (40 MB when it held
+the whole file's token list), and is written in 0.27 s and 13 MB.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .model import Model, build_model
 _NATIVE_MAGIC = "mapmp"
 _NATIVE_VERSION = "v1"
 _EMIT_CHUNK = 1024  # lines formatted per joined piece of the output
+_LINE_CHUNK = 1 << 16  # characters per piece of text split into lines
 
 
 def read_text(path: str) -> str:
@@ -164,31 +167,45 @@ def read_model(path: str) -> Model:
     return parse_uai(text) if text.lstrip().startswith("MARKOV") else load_model(text)
 
 
+def _lines(text: str):
+    """The lines of ``text.splitlines()`` in order, split from pieces of
+    about ``_LINE_CHUNK`` characters that end after a newline, so no list of
+    all lines is held (a two-character break, CR LF, ends at its LF)."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def parse_uai(text: str) -> Model:
     """Parse a UAI MARKOV file into a model, converting potentials to costs."""
-    tokens = text.split()  # the tokens of every line of text.splitlines(), in order
-    pos = 0
+    lines = map(str.split, _lines(text))
+    tokens, i, pos = [], 0, 0  # the current line's tokens, the next one's index there and in the file
 
     def fail(k: int, message: str):
-        no = 0  # the line of token k, line 1 for k < 0: found by a rescan, on this error path only
-        for no, line in enumerate(text.splitlines(), start=1):
+        no = 0  # the line of token k, line 1 for k < 0: found by a rescan, on error paths only
+        for no, line in enumerate(_lines(text), start=1):
             k -= len(line.split())
             if k < 0:
                 break
         raise ValidationError(f"line {max(no, 1)}: {message}")
 
     def take(what: str, kind=str):
-        nonlocal pos
-        if pos == len(tokens):
-            fail(pos - 1, f"unexpected end of file, expected {what}")
-        pos += 1
+        nonlocal tokens, i, pos
+        while i == len(tokens):
+            tokens, i = next(lines, None), 0
+            if tokens is None:
+                fail(pos - 1, f"unexpected end of file, expected {what}")
+        i, pos = i + 1, pos + 1
         try:
-            return kind(tokens[pos - 1])
+            return kind(tokens[i - 1])
         except ValueError:
-            fail(pos - 1, f"expected {what}, got {tokens[pos - 1]!r}")
+            fail(pos - 1, f"expected {what}, got {tokens[i - 1]!r}")
 
-    if take("preamble") != "MARKOV":
-        fail(0, f"expected MARKOV preamble, got {tokens[0]!r}")
+    preamble = take("preamble")
+    if preamble != "MARKOV":
+        fail(0, f"expected MARKOV preamble, got {preamble!r}")
     n = take("variable count", int)
     if n < 1:
         fail(1, "variable count must be positive")
@@ -204,63 +221,89 @@ def parse_uai(text: str) -> Model:
     n_funcs = take("function count", int)
     if n_funcs < 0:
         fail(pos - 1, "function count must be >= 0")
-    scopes = []
+    arities, variables = array("b"), array("q")  # each function's arity; its scope variables
     for f in range(n_funcs):
         arity = take(f"arity of function {f}", int)
         if arity not in (1, 2):
             fail(pos - 1, f"unsupported arity {arity}")
-        scope = []
         for _ in range(arity):
-            scope.append(take("scope variable", int))
-            if not 0 <= scope[-1] < n:
-                fail(pos - 1, f"scope variable {scope[-1]} outside 0..{n - 1}")
-        if arity == 2 and scope[0] == scope[1]:
-            fail(pos - 3, f"pairwise scope repeats variable {scope[0]}")  # at the arity
-        scopes.append(scope)
+            var = take("scope variable", int)
+            if not 0 <= var < n:
+                fail(pos - 1, f"scope variable {var} outside 0..{n - 1}")
+            variables.append(var)
+        if arity == 2 and variables[-1] == variables[-2]:
+            fail(pos - 3, f"pairwise scope repeats variable {variables[-1]}")  # at the arity
+        arities.append(arity)
 
-    # Walk the table sizes; a fault here is raised after any bad entry
-    # before it, so the first fault in file order wins.
-    first = stop = pos
-    heads, fault = [], None
-    try:
-        for scope in scopes:
-            size, expected = take("table size", int), d ** len(scope)
+    # Walk the rest line by line: every token goes into ``flat`` as a float
+    # (NaN for one float() rejects), each table's size token is checked as
+    # the walk reaches it, and a fault is raised after any bad entry before
+    # it, so the first fault in file order wins.
+    first = head = pos  # head: where the next table's size token is due
+    flat, heads = array("d"), array("q")  # heads: the checked size tokens, from first
+    fault = non_float = None
+    for tokens in chain([tokens[i:]], lines):
+        end = pos + len(tokens)
+        while fault is None and head < end:
+            token, f = tokens[head - pos], len(heads)
+            if f == len(arities):
+                fault = head, f"unexpected trailing token {token!r}"
+                break
+            expected = d ** arities[f]
+            try:
+                size = int(token)
+            except ValueError:
+                fault = head, f"expected table size, got {token!r}"
+                break
             if size != expected:
-                fail(pos - 1, f"table for scope {tuple(scope)} has {size} entries, expected {expected}")
-            if size > len(tokens) - pos:
-                fail(pos - 1, f"table of {size} entries runs past the end of file "
-                              f"({len(tokens) - pos} tokens left)")
-            heads.append(pos - 1)
-            stop = pos = pos + size
-        if pos < len(tokens):
-            fail(pos, f"unexpected trailing token {tokens[pos]!r}")
-    except ValidationError as exc:
-        fault = exc
-    try:  # table sizes passed int() and equal d or d^2, so they read as valid floats
-        flat = np.frombuffer(array("d", map(float, islice(tokens, first, stop))))
-        valid = bool(((flat > 0.0) & (flat < np.inf)).all())
-    except ValueError:
-        valid = False
-    if not valid:  # find the first bad entry; take reads tokens[pos]
-        for pos in range(first, stop):
-            value = take("table entry", float)
-            if not (value > 0.0) or not math.isfinite(value):
-                fail(pos - 1, f"potential entries must be strictly positive, got {value}")
+                at = sum(arities[:f])
+                fault = head, (f"table for scope {tuple(variables[at:at + arities[f]])} "
+                               f"has {size} entries, expected {expected}")
+                break
+            heads.append(head - first)
+            head += 1 + size
+        try:
+            flat.extend(map(float, tokens))
+        except ValueError:
+            del flat[pos - first:]
+            for k, token in enumerate(tokens, pos):
+                try:
+                    flat.append(float(token))
+                except ValueError:
+                    flat.append(math.nan)
+                    non_float = non_float or (k, token)
+        pos = end
+    if fault is None and head > pos:  # the last table checked runs past the end
+        head = first + heads.pop()
+        fault = head, (f"table of {d ** arities[len(heads)]} entries runs past the end of file "
+                       f"({pos - head - 1} tokens left)")
+    elif fault is None and len(heads) < len(arities):
+        fault = pos - 1, "unexpected end of file, expected table size"
+    entries = np.frombuffer(flat)[: head - first]  # all of them unless there is a fault
+    bad = np.flatnonzero(~((entries > 0.0) & (entries < np.inf)))
+    if bad.size:  # the checked table sizes read as valid floats
+        k = first + int(bad[0])
+        if non_float is not None and non_float[0] == k:
+            fail(k, f"expected table entry, got {non_float[1]!r}")
+        fail(k, f"potential entries must be strictly positive, got {float(entries[k - first])}")
     if fault is not None:
-        raise fault
+        fail(*fault)
     # Every vertex is in a pairwise table of d^2 >= 2 d entries: a valid file has n d.
-    if n * d > len(tokens) - first:
+    if n * d > pos - first:
         raise ValidationError(
             f"{n} variables of cardinality {d} need at least {n * d} table entries, "
-            f"the file has {len(tokens) - first} table tokens"
+            f"the file has {pos - first} table tokens"
         )
-    cost = -np.log(np.delete(flat, np.array(heads, dtype=np.intp) - first))
-    pair = np.repeat(np.array([len(s) == 2 for s in scopes]), [d ** len(s) for s in scopes])
+    cost = -np.log(np.delete(entries, np.frombuffer(heads, dtype=np.int64)))
+    arity = np.frombuffer(arities, dtype=np.int8)
+    is_pair = arity == 2
+    pair = np.repeat(is_pair, np.where(is_pair, d * d, d))
+    scope_starts = np.cumsum(arity) - arity
+    scope_vars = np.frombuffer(variables, dtype=np.int64)
     vertex_costs = np.zeros((n, d))  # unary costs add onto +0.0 in file order
-    unary = np.array([s[0] for s in scopes if len(s) == 1], dtype=np.intp)
-    np.add.at(vertex_costs, unary, cost[~pair].reshape(-1, d))
+    np.add.at(vertex_costs, scope_vars[scope_starts[~is_pair]], cost[~pair].reshape(-1, d))
     tables = cost[pair].reshape(-1, d, d)  # first scope variable indexes rows
-    ij = np.array([s for s in scopes if len(s) == 2], dtype=np.int64).reshape(-1, 2)
+    ij = scope_vars[scope_starts[is_pair, None] + np.arange(2)]
     flip = ij[:, 0] > ij[:, 1]
     tables[flip] = tables[flip].transpose(0, 2, 1)
     ij.sort(axis=1)

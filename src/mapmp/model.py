@@ -294,10 +294,11 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     pair uniforms are drawn in blocks of ``_PAIR_BLOCK`` that may span rows
     (``random(k)`` is exactly the stream of k scalar draws), in O(block + m)
     memory; one ``searchsorted`` on the row ends maps hits back to (i, j).
-    ``n`` and ``d`` are integers, checked before any draw.
+    ``n``, ``d`` and ``seed`` are integers, checked before any draw.
     """
     n = _integer("n", n)
     d = _integer("d", d)
+    seed = _integer("seed", seed)
     if n < 2:
         raise ValidationError(f"need n >= 2 vertices, got {n}")
     if not (0.0 < edge_prob <= 1.0):

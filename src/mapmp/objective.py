@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ValidationError
 from .model import Model
@@ -250,8 +249,11 @@ def entropy(mu: Marginals) -> float:
     """Sign-flipped entropy H(mu) = -sum mu (log mu - 1), blockwise additive.
 
     Uses the convention 0 * (log 0 - 1) = 0 and rejects negative and
-    non-finite entries.
+    non-finite entries.  SciPy's ``xlogy`` is imported here, not with the
+    module, so ``import mapmp`` does not load SciPy.
     """
+    from scipy.special import xlogy
+
     total = 0.0
     for block in (mu.vertex, mu.edge):
         if block.size == 0:

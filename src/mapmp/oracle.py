@@ -13,8 +13,6 @@ from collections import deque
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import OracleGuardError, ValidationError
 from .model import Model, map_value
@@ -190,6 +188,14 @@ def tree_map(model: Model) -> TreeMapResult:
     return TreeMapResult(assignment, value)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported when an LP has passed the guard:
+    importing mapmp, or an LP the guard refuses, loads no SciPy."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
 def lp_solve_l2(model: Model) -> LpResult:
     """Exact solution of the local-polytope linear program
     min <C, mu> s.t. mu in L2, via the HiGHS simplex/dual-simplex solver.
@@ -203,6 +209,8 @@ def lp_solve_l2(model: Model) -> LpResult:
         raise OracleGuardError(
             f"primal dimension {model.primal_dim} exceeds the LP guard {MAX_LP_PRIMAL_DIM}"
         )
+    from scipy import sparse
+
     n, m, d = model.n, model.m, model.d
     nv = n * d
     cost = np.concatenate([model.vertex_costs.ravel(), model.edge_costs.ravel()])

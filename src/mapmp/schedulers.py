@@ -277,11 +277,20 @@ def _vertex_stream(rng, model: Model, iters: int):
 
 
 def _samples(model: Model, iters: int, seed, star: bool):
-    """The solve's star or pair stream from ``default_rng(seed)``; a negative
-    integer seed is a ``ValidationError``, not NumPy's bare ``ValueError``."""
+    """The solve's star or pair stream from ``default_rng(seed)``.  A seed
+    NumPy cannot take (negative, a float, a string) is a ``ValidationError``
+    naming it, raised before any draw, not NumPy's bare ``ValueError`` or
+    ``TypeError``."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    return (_vertex_stream if star else _pair_stream)(np.random.default_rng(seed), model, iters)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"seed must be a non-negative integer, a sequence of them, a SeedSequence "
+            f"or None, got {seed!r}"
+        ) from None
+    return (_vertex_stream if star else _pair_stream)(rng, model, iters)
 
 
 def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_score, observer):

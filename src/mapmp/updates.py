@@ -96,13 +96,15 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
 
 def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """(slot, [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
-    edge = int(edge)
-    if not (0 <= edge < model.m):
+    edge, edges = int(edge), model.edges
+    if not 0 <= edge < len(edges):
         raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
-    ends = model.edges[edge].tolist()
-    if vertex not in ends:
+    if edges.item(edge, 0) == vertex:
+        slot = 0
+    elif edges.item(edge, 1) == vertex:
+        slot = 1
+    else:
         raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
-    slot = ends.index(vertex)
     t = model.pair_tables[slot]
     return slot, _log_marginal_pass(
         t, model.d, lam[edge].ravel()[t.expand], lam.ravel()[model.incident_blocks[vertex]],

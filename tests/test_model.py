@@ -373,6 +373,24 @@ class TestErdosRenyiPotts:
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             erdos_renyi_potts(10, 0.3, 3, -1)
 
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "0", None, np.random.SeedSequence(0)],
+                             ids=["1.5", "3.0", "str", "None", "SeedSequence"])
+    def test_non_integer_seed_rejected_before_any_draw(self, seed, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew before checking the seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValidationError, match=f"^seed must be an integer, got {re.escape(str(seed))}$"):
+            erdos_renyi_potts(10, 0.3, 3, seed)
+
+    def test_numpy_integer_seed_gives_the_int_seeds_model(self):
+        want = erdos_renyi_potts(30, 0.2, 3, 9)
+        for seed in (np.int64(9), np.uint16(9), True + 8):
+            got = erdos_renyi_potts(30, 0.2, 3, seed)
+            assert got.edges.tobytes() == want.edges.tobytes()
+            assert got.vertex_costs.tobytes() == want.vertex_costs.tobytes()
+            assert got.edge_costs.tobytes() == want.edge_costs.tobytes()
+
     @pytest.mark.parametrize(
         "n, edge_prob, seed",
         [

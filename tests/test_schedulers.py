@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -257,7 +258,7 @@ class TestStandardMp:
         with pytest.raises(ValidationError):
             standard_mp(m, "nope", 1.0, 1, seed=0)
 
-    @pytest.mark.parametrize(
+    every_solver = pytest.mark.parametrize(
         "solve",
         [
             lambda m, seed: standard_mp(m, "emp", 1.0, 5, seed),
@@ -268,11 +269,34 @@ class TestStandardMp:
         ],
         ids=["standard_mp-emp", "standard_mp-smp", "accel_emp", "accel_smp", "accel_block_grad"],
     )
+
+    @every_solver
     @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
     def test_negative_seed_rejected(self, solve, seed):
         m = zeros_model(3, [(0, 1), (1, 2)], 2)
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             solve(m, seed)
+
+    @every_solver
+    @pytest.mark.parametrize("seed", [1.5, 10.0, "emp", np.float64(2.0), [1, -2]],
+                             ids=["1.5", "10.0", "str", "float64", "negative-in-list"])
+    def test_seed_numpy_cannot_take_names_the_seed_before_any_draw(self, solve, seed, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("sampled before checking the seed")
+
+        monkeypatch.setattr(schedulers, "_pair_stream", no_stream)
+        monkeypatch.setattr(schedulers, "_vertex_stream", no_stream)
+        m = zeros_model(3, [(0, 1), (1, 2)], 2)
+        with pytest.raises(ValidationError, match=f"^seed must be .*, got {re.escape(repr(seed))}$"):
+            solve(m, seed)
+
+    @every_solver
+    def test_integer_and_seed_sequence_seeds_keep_their_streams(self, solve):
+        m = erdos_renyi_potts(8, 0.5, 3, 2)
+        want = solve(m, 3).final_lambda.tobytes()
+        for seed in (np.int64(3), np.uint8(3), np.random.SeedSequence(3)):
+            assert solve(m, seed).final_lambda.tobytes() == want
+        assert np.isfinite(solve(m, None).final_lambda).all()
 
 
 class TestSolverOptions:

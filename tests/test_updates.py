@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,27 @@ class TestEmpUpdate:
         m = zeros_model(3, [(0, 1), (1, 2)], 2)
         with pytest.raises(ValidationError):
             emp_update(m, zero_dual(m), 1.0, 0, 2)
+
+    @pytest.mark.parametrize("pair_function", [emp_update, block_grad_step, block_slack])
+    @pytest.mark.parametrize("edge, vertex, message", [
+        (-1, 0, "edge index -1 outside 0..1"),
+        (2, 1, "edge index 2 outside 0..1"),
+        (np.int64(7), 1, "edge index 7 outside 0..1"),
+        (0, 2, "vertex 2 is not an endpoint of edge 0"),
+        (np.int64(1), np.int64(0), "vertex 0 is not an endpoint of edge 1"),
+    ])
+    def test_pair_checks_name_the_edge_or_the_vertex(self, pair_function, edge, vertex, message):
+        m = zeros_model(3, [(0, 1), (1, 2)], 2)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            pair_function(m, zero_dual(m), 1.0, edge, vertex)
+
+    def test_numpy_integer_pair_gives_the_same_block(self):
+        m = random_model(np.random.default_rng(6), 5, 3)
+        lam = np.random.default_rng(7).normal(size=(m.m, 2, 3))
+        for edge, (i, j) in enumerate(m.edges.tolist()):
+            for vertex in (i, j):
+                want = emp_update(m, lam, 2.0, edge, vertex).tobytes()
+                assert emp_update(m, lam, 2.0, np.int64(edge), np.int32(vertex)).tobytes() == want
 
 
 class TestSmpUpdate:
