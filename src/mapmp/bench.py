@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OracleGuardError, ValidationError
+from .errors import OracleGuardError, ValidationError, integer, real
 from .formats import read_model
-from .model import Model, _integer, default_edge_prob, erdos_renyi_potts
+from .model import Model, default_edge_prob, erdos_renyi_potts
 # recover_primal stays bound, uncalled: benchmarks/workloads.py wraps it by name.
-from .objective import Marginals, _check_eta, primal_objective, recover_primal
+from .objective import Marginals, primal_objective, recover_primal
 from .oracle import lp_solve_l2
 from .projection import proj
 from .schedulers import SolveTrace, accel_block_grad, accel_emp, accel_smp, standard_mp
@@ -93,20 +93,14 @@ class BenchConfig:
                 "ratio mode pairs a standard algorithm with its accelerated "
                 f"variant; got {self.algorithm!r}"
             )
-        _check_eta(self.eta)
-        for name in ("iters", "trials", "stride", "seed", "n", "d"):
+        real("eta", self.eta)
+        for name, least in (("iters", 0), ("trials", 1), ("stride", 1), ("seed", 0)):
+            integer(name, getattr(self, name), least)
+        for name in ("n", "d"):
             if getattr(self, name) is not None:
-                _integer(name, getattr(self, name))
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.iters < 0:
-            raise ValidationError(f"iters must be >= 0, got {self.iters}")
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.opt_value is not None and not math.isfinite(self.opt_value):
-            raise ValidationError(f"opt_value must be finite, got {self.opt_value}")
+                integer(name, getattr(self, name))
+        if self.opt_value is not None:
+            real("opt_value", self.opt_value, "finite")
         has_file = self.model_file is not None
         has_gen = self.n is not None or self.d is not None
         if has_file == has_gen:

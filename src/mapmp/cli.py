@@ -10,12 +10,11 @@ refusal.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 from . import bench as bench_mod
-from .errors import OracleGuardError, ValidationError
+from .errors import OracleGuardError, ValidationError, integer, real
 from .formats import emit_model, parse_uai, read_model, read_text
 from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
 from .objective import dual_and_slack, primal_objective, recover_primal, slack_score
@@ -65,7 +64,8 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     model = read_model(args.input)
     eta = _resolve_eta(args, model)
-    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=args.stride)
+    stride = max(args.iters, 1) if args.stride is None else args.stride
+    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=stride)
     dual, nu = dual_and_slack(model, trace.solution, eta)
     mu_hat = proj(model, recover_primal(model, trace.solution, eta))
     primal = primal_objective(model, mu_hat)
@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=int, default=None,
+                   help="record every k-th iterate (default --iters: the first and last only)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="multi-trial benchmark, CSV output")
@@ -215,12 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValidationError(f"seed must be >= 0, got {args.seed}")
-        epsilon = getattr(args, "epsilon", None)
-        if epsilon is not None and not (epsilon > 0 and math.isfinite(epsilon)):
-            # before any model is read or generated
-            raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
+        integer("seed", getattr(args, "seed", 0), 0)
+        if getattr(args, "epsilon", None) is not None:
+            real("epsilon", args.epsilon)  # before any model is read or generated
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ a repeated scope add in file order, onto +0.0 (unary) or -0.0 (pairwise),
 and a scope (j, i) with j > i is transposed onto (i, j).  ``emit_uai``
 rejects a cost whose exp(-C) is 0 or overflows.  The reader walks the lines
 once and holds one line's tokens at a time: the n = 5000 file (4.79 MB)
-parses in about 0.3 s and 14.7 MB traced with the model (40 MB when it held
-the whole file's token list), and is written in 0.27 s and 13 MB.
+parses in about 0.3 s and 14.7 MB traced with the model, and is written in
+0.27 s and 13 MB.
 """
 
 from __future__ import annotations

@@ -11,14 +11,13 @@ smaller endpoint and slot 1 the larger one.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_labels, integer, real
 
 
 @dataclass(frozen=True)
@@ -131,20 +130,6 @@ def _split(a: np.ndarray, sizes) -> tuple:
     return tuple(a[start:end] for start, end in zip([0] + ends, ends))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float, even a whole one, is a
-    ``ValidationError`` rather than a silent truncation."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value}") from None
-
-
-def _check_labels(d: int) -> None:
-    if not d >= 2:  # NaN too
-        raise ValidationError(f"need at least two labels per vertex, got d={d}")
-
-
 def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     """Validate inputs and assemble an immutable :class:`Model`.
 
@@ -157,11 +142,8 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     vertices without any incident edge, non-finite costs, and shape
     mismatches.  ``n`` and ``d`` are integers.
     """
-    n = _integer("n", n)
-    d = _integer("d", d)
-    if n < 1:
-        raise ValidationError(f"need at least one vertex, got n={n}")
-    _check_labels(d)
+    n, d = integer("n", n, 1), integer("d", d)
+    check_labels(d)
 
     vc = np.array(vertex_costs, dtype=np.float64, order="C")
     if vc.shape != (n, d):
@@ -267,7 +249,7 @@ def degree_stats(model: Model):
 def default_edge_prob(n: int) -> float:
     """Edge probability 1.1 log(n) / n: the sparse regime just above the
     log(n) / n connectivity threshold, used when none is given."""
-    n = int(n)
+    n = integer("n", n)
     if n < 2:
         raise ValidationError(f"need n >= 2 vertices, got {n}")
     return 1.1 * math.log(n) / n
@@ -294,18 +276,12 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     pair uniforms are drawn in blocks of ``_PAIR_BLOCK`` that may span rows
     (``random(k)`` is exactly the stream of k scalar draws), in O(block + m)
     memory; one ``searchsorted`` on the row ends maps hits back to (i, j).
-    ``n``, ``d`` and ``seed`` are integers, checked before any draw.
+    ``n``, ``d``, ``seed`` and ``edge_prob`` are checked before any draw.
     """
-    n = _integer("n", n)
-    d = _integer("d", d)
-    seed = _integer("seed", seed)
-    if n < 2:
-        raise ValidationError(f"need n >= 2 vertices, got {n}")
-    if not (0.0 < edge_prob <= 1.0):
+    n, d, seed = integer("n", n, 2), integer("d", d), integer("seed", seed, 0)
+    if real("edge_prob", edge_prob) > 1.0:
         raise ValidationError(f"edge_prob must lie in (0, 1], got {edge_prob}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    _check_labels(d)
+    check_labels(d)
 
     rng = np.random.default_rng(seed)
     row_ends = np.cumsum(np.arange(n - 1, -1, -1))  # pair index one past row i

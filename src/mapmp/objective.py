@@ -27,12 +27,11 @@ exps mask the entries that underflow (``_exp``), bit-identical to ``np.exp``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_marginal_shapes, real
 from .model import Model
 
 # Probabilities are clamped here before any explicit log of a materialized
@@ -127,21 +126,6 @@ def _lse(a: np.ndarray, axis):
     return out.squeeze(axis)
 
 
-def _check_marginal_shapes(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> None:
-    if mu.vertex.shape != (model.n, model.d):
-        raise ValidationError(
-            f"vertex blocks have shape {mu.vertex.shape}, expected {(model.n, model.d)}"
-        )
-    if mu.edge.shape != (model.m, model.d, model.d):
-        raise ValidationError(
-            f"edge blocks have shape {mu.edge.shape}, expected {(model.m, model.d, model.d)}"
-        )
-    if nu is not None and nu.shape != (model.m, 2, model.d):
-        raise ValidationError(
-            f"slack offset has shape {nu.shape}, expected {(model.m, 2, model.d)}"
-        )
-
-
 def _lambda_aggregate(model: Model, lam: np.ndarray) -> np.ndarray:
     """Per-vertex sum of incident dual blocks, shape (n, d): every slot-0
     block in edge order, then every slot-1 block, onto a zero start."""
@@ -188,17 +172,10 @@ def _marginals(logs) -> Marginals:
     return Marginals(mu_v, mu_e)
 
 
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValidationError(f"eta must be a positive finite number, got {eta}")
-    return eta
-
-
 def dual_objective(model: Model, lam: np.ndarray, eta: float) -> float:
     """Value of the smoothed dual L(lam): the sum of per-vertex and per-edge
     log partition functions, divided by eta."""
-    return _log_marginals(model, lam, _check_eta(eta))[2]
+    return _log_marginals(model, lam, real("eta", eta))[2]
 
 
 def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
@@ -207,7 +184,7 @@ def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
     Every vertex and edge block is an exact softmax of its (finite) logits,
     so all entries are strictly positive and each block sums to 1.
     """
-    return _marginals(_log_marginals(model, lam, _check_eta(eta)))
+    return _marginals(_log_marginals(model, lam, real("eta", eta)))
 
 
 def slack(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
@@ -223,7 +200,7 @@ def slack(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
 
 def dual_and_slack(model: Model, lam: np.ndarray, eta: float):
     """(L(lam), slack vector) from one pass over the log-domain state."""
-    return _dual_and_slack(model, _log_marginals(model, lam, _check_eta(eta)))
+    return _dual_and_slack(model, _log_marginals(model, lam, real("eta", eta)))
 
 
 def slack_score(nu: np.ndarray) -> float:
@@ -236,7 +213,7 @@ def slack_score(nu: np.ndarray) -> float:
 
 def primal_objective(model: Model, mu: Marginals) -> float:
     """Inner product <C, mu> over all vertex and edge blocks, which must be finite."""
-    _check_marginal_shapes(model, mu)
+    check_marginal_shapes(model, mu)
     if not (np.isfinite(mu.vertex).all() and np.isfinite(mu.edge).all()):
         raise ValidationError("primal_objective requires finite entries")
     value = float((model.vertex_costs * mu.vertex).sum())
@@ -276,7 +253,7 @@ def in_slack_polytope(
     """Local-polytope membership with consistency targets offset by nu:
     edge block e must have row sums mu_i + nu[e, 0] and column sums
     mu_j + nu[e, 1], within ``tol`` entrywise."""
-    _check_marginal_shapes(model, mu, nu)
+    check_marginal_shapes(model, mu, nu)
     if not tol >= 0:  # NaN too
         raise ValidationError("tol must be nonnegative")
     if mu.vertex.min(initial=0.0) < -tol:

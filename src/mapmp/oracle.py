@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OracleGuardError, ValidationError
-from .model import Model, map_value
+from .model import Model
 from .objective import Marginals, in_local_polytope
 
 MAX_BRUTE_STATES = 10**7

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_marginal_shapes
 from .model import Model
-from .objective import Marginals, _check_marginal_shapes, _fold
+from .objective import Marginals, _fold
 
 _MASS_TOL = 1e-10
 _SKIP_CORRECTION = 1e-14
@@ -106,7 +106,7 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
     output lies in the local polytope, and when mu was recovered from a dual
     point the total edge movement is at most twice the summed slack norms.
     """
-    _check_marginal_shapes(model, mu, nu)
+    check_marginal_shapes(model, mu, nu)
     targets = mu.vertex[model.edges]
     if nu is not None:
         targets = targets + nu

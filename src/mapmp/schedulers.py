@@ -18,14 +18,15 @@ Both streams are drawn in chunks of ``_SAMPLE_CHUNK`` values
 the scalar draws in sequence; an early stop leaves the rest of a chunk
 unused.
 
-Two loops run every solver, a standard and an accelerated one, each given a
-block update (``emp_update``, ``smp_update`` or ``block_grad_step``) and a
-sampling scheme.  Per iteration a scheme yields the sampled vertex, ``at``
-and the update's arguments after (model, lam, eta).  ``at`` holds the flat
+Two drivers, a standard and an accelerated one, run every solver.  Each
+looks up the block update of its kind (``emp_update``, ``smp_update`` or
+``block_grad_step``) at call time and samples stars for "smp", pairs
+otherwise.  Per iteration a scheme yields the sampled vertex, ``at`` and
+the update's arguments after (model, lam, eta).  ``at`` holds the flat
 positions in ``lam.ravel()`` of the blocks the update returns, in its
 order: (2 edge + slot) d + arange(d), shape (d,), with ``(edge, vertex)``
 for pair sampling; ``model.incident_blocks[v]``, shape (deg, d), with
-``(v,)`` for star sampling.  The loops read and write lam, y and v through
+``(v,)`` for star sampling.  The drivers read and write lam, y and v through
 flat views, as one 1-D index costs a fraction of (edge, slot) indexing.
 
 The standard loop installs the update at the current iterate and returns the
@@ -59,9 +60,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import Model, _check_labels, _integer
-from .objective import Marginals, _check_eta, _dual_and_slack, _log_marginals, _marginals
+from .errors import ValidationError, check_labels, integer, real
+from .model import Model
+from .objective import Marginals, _dual_and_slack, _log_marginals, _marginals
 # dual_and_slack, block_slack and star_slack are not called here; they stay
 # bound because benchmarks/workloads.py wraps these names of this module.
 from .objective import dual_and_slack, slack_score, zero_dual
@@ -82,8 +83,8 @@ def theta_next(theta_prev: float) -> float:
     identity holds to ~1e-15 even after 1e4 steps.  theta_prev = 1 gives the
     golden-ratio conjugate (sqrt(5) - 1) / 2.
     """
-    tp = float(theta_prev)
-    if not (0.0 < tp <= 1.0):
+    tp = real("theta_prev", theta_prev)
+    if tp > 1.0:
         raise ValidationError(f"theta_prev must lie in (0, 1], got {theta_prev}")
     return 2.0 * tp / (tp + math.sqrt(tp * tp + 4.0))
 
@@ -106,35 +107,35 @@ class ThetaState:
         return theta
 
 
+def _sizes(m, n, d) -> tuple:
+    """(m, n, d) as integers, m >= 0, n >= 1 and d >= 2; the label count is
+    checked first, so a NaN d reads as too few labels."""
+    check_labels(d)
+    return integer("m", m, 0), integer("n", n, 1), integer("d", d)
+
+
 def eta_for_epsilon(m: int, n: int, d: int, epsilon: float) -> float:
     """Regularization strength making the smoothed problem epsilon-faithful:
     eta = 4 (m + n) log(d) / epsilon."""
-    _check_labels(d)
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
-    return 4.0 * (m + n) * math.log(d) / epsilon
+    m, n, d = _sizes(m, n, d)
+    return 4.0 * (m + n) * math.log(d) / real("epsilon", epsilon)
 
 
 def eta_for_rounding(m: int, n: int, d: int, gap: float) -> float:
     """Regularization strength for exact rounding when the relaxation is
     tight with a unique optimum and suboptimality gap ``gap``:
     eta = 16 (m + n) (log(m + n) + log(d)) / gap."""
-    _check_labels(d)
-    if not (gap > 0 and math.isfinite(gap)):
-        raise ValidationError(f"gap must be a positive finite number, got {gap}")
-    return 16.0 * (m + n) * (math.log(m + n) + math.log(d)) / gap
+    m, n, d = _sizes(m, n, d)
+    return 16.0 * (m + n) * (math.log(m + n) + math.log(d)) / real("gap", gap)
 
 
 def dual_gap_constant(m: int, n: int, d: int, eta: float, cost_inf: float) -> float:
     """G(eta) = 24 m d (m + n) (sqrt(eta) ||C||_inf + log(d) / sqrt(eta)),
     the constant in the accelerated dual-gap bound G(eta)^2 / (k + 2)^2.
     Minimized over eta at eta = log(d) / ||C||_inf."""
-    _check_labels(d)
-    eta = _check_eta(eta)
-    if not (cost_inf >= 0 and math.isfinite(cost_inf)):
-        raise ValidationError(
-            f"cost_inf must be a nonnegative finite number, got {cost_inf}"
-        )
+    m, n, d = _sizes(m, n, d)
+    eta = real("eta", eta)
+    cost_inf = real("cost_inf", cost_inf, "nonnegative")
     root = math.sqrt(eta)
     return 24.0 * m * d * (m + n) * (root * cost_inf + math.log(d) / root)
 
@@ -144,12 +145,8 @@ def iteration_budget(
 ) -> int:
     """Iterations sufficient to drive expected block slack norms below
     ``eps_prime``: ceil(sqrt(4 eta) G(eta) / eps_prime)."""
-    if not (eps_prime > 0 and math.isfinite(eps_prime)):
-        raise ValidationError(
-            f"eps_prime must be a positive finite number, got {eps_prime}"
-        )
     g = dual_gap_constant(m, n, d, eta, cost_inf)
-    budget = math.sqrt(4.0 * eta) * g / eps_prime
+    budget = math.sqrt(4.0 * eta) * g / real("eps_prime", eps_prime)
     if not math.isfinite(budget):
         raise ValidationError(
             f"iteration budget overflows for eta={eta}, eps_prime={eps_prime}"
@@ -189,14 +186,12 @@ class _Recorder:
     running-minimum best tracking and the slack-score stop test."""
 
     def __init__(self, model, eta, iters, stride, stop_slack_score, observer, keep_best):
-        self.total = _integer("iteration count", iters)
-        if self.total < 0:
-            raise ValidationError(f"iteration count must be >= 0, got {self.total}")
-        self.stride = _integer("stride", stride)
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {stride}")
+        self.total = integer("iteration count", iters, 0)
+        self.stride = integer("stride", stride, 1)
         self.model = model
-        self.eta = _check_eta(eta)
+        self.eta = real("eta", eta)
+        if stop_slack_score is not None:
+            real("stop_slack_score", stop_slack_score, "nonnegative")
         self.stop_slack_score = stop_slack_score
         self.observer = observer
         self.keep_best = keep_best  # copy the best iterate: the loop returns it
@@ -281,8 +276,8 @@ def _samples(model: Model, iters: int, seed, star: bool):
     NumPy cannot take (negative, a float, a string) is a ``ValidationError``
     naming it, raised before any draw, not NumPy's bare ``ValueError`` or
     ``TypeError``."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if isinstance(seed, (int, np.integer)):
+        integer("seed", seed, 0)
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):
@@ -293,11 +288,46 @@ def _samples(model: Model, iters: int, seed, star: bool):
     return (_vertex_stream if star else _pair_stream)(rng, model, iters)
 
 
-def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_score, observer):
-    """Install ``update`` at the current iterate, one sampled block (pair,
-    or star if ``star``) per iteration; returns the best recorded iterate."""
+def _update(kind: str):
+    """The marked update of ``kind`` ("emp", "smp" or "bcd"), looked up in
+    this module at each call."""
+    updates = {"emp": emp_update, "smp": smp_update, "bcd": block_grad_step}
+    if kind in updates:
+        return updates[kind]
+    raise ValidationError(f"unknown update kind {kind!r}, expected one of {STANDARD_UPDATE_KINDS}")
+
+
+def standard_mp(
+    model: Model,
+    update_kind: str,
+    eta: float,
+    iters: int,
+    seed,
+    *,
+    stride: int = 1,
+    stop_slack_score: float | None = None,
+    observer: Callable[[int, np.ndarray, Marginals], None] | None = None,
+) -> SolveTrace:
+    """Randomized block-minimization loop from lam = 0.
+
+    ``update_kind``: "emp" installs the edge-block minimizer at a uniformly
+    sampled (edge, endpoint) pair; "smp" installs the star minimizer at a
+    degree-proportionally sampled vertex; "bcd" takes a 1/eta gradient step
+    on a uniformly sampled pair.  Returns the best recorded iterate, the one
+    with the smallest recorded slack score (ties keep the earliest), so
+    ``--stride`` can change what emp/smp/bcd return.
+
+    ``iters`` and ``stride`` are integers.  The solve stops at the first
+    record whose slack score is at most ``stop_slack_score``, if given, a
+    nonnegative number.  ``observer(k, lam, mu)``, if given, is called at
+    every record with the iteration, a copy of the iterate and its primal
+    candidate, the bytes of ``recover_primal(model, lam, eta)`` read from
+    the record's own pass.  The accelerated solvers take the same options,
+    plus ``v_step_scale``.
+    """
+    update = _update(update_kind)
     rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=True)
-    samples = _samples(model, rec.total, seed, star)
+    samples = _samples(model, rec.total, seed, update_kind == "smp")
     lam = zero_dual(model)
     flat = lam.ravel()
     if not rec.record(0, lam):
@@ -308,17 +338,27 @@ def _standard_loop(model, eta, iters, seed, update, star, stride, stop_slack_sco
     return rec.finish(lam)
 
 
-def _accelerated_loop(
-    model, eta, iters, seed, update, star, stride, stop_slack_score, observer, v_step_scale
-):
-    """Extrapolate y on the sampled vertex's incident edges (all that
-    ``update`` may read), install ``update`` at y into lam and push its
-    scaled slack at y into v; returns the final iterate."""
-    if not (v_step_scale > 0 and math.isfinite(v_step_scale)):
-        raise ValidationError(f"v_step_scale must be a positive finite number, got {v_step_scale}")
+def _accelerated(
+    model: Model,
+    update_kind: str,
+    eta: float,
+    iters: int,
+    seed,
+    *,
+    stride: int = 1,
+    stop_slack_score: float | None = None,
+    observer: Callable[[int, np.ndarray, Marginals], None] | None = None,
+    v_step_scale: float = 1.0,
+) -> SolveTrace:
+    """The accelerated solvers, ``update_kind`` as in ``standard_mp``:
+    extrapolate y on the sampled vertex's incident edges (all that the
+    update may read), install the update at y into lam and push its scaled
+    slack at y into v; returns the final iterate."""
+    update = _update(update_kind)
+    real("v_step_scale", v_step_scale)
     rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=False)
-    samples = _samples(model, rec.total, seed, star)
-    if star:
+    samples = _samples(model, rec.total, seed, update_kind == "smp")
+    if update_kind == "smp":
         n_total = float(model.degrees.sum())
         numerator = v_step_scale * float(model.degrees.min())
         two_p = [2.0 * (deg / n_total) for deg in model.degrees.tolist()]  # 2 p_i
@@ -355,53 +395,7 @@ def _accelerated_loop(
     return rec.finish(lam)
 
 
-def standard_mp(
-    model: Model,
-    update_kind: str,
-    eta: float,
-    iters: int,
-    seed,
-    *,
-    stride: int = 1,
-    stop_slack_score: float | None = None,
-    observer: Callable[[int, np.ndarray, Marginals], None] | None = None,
-) -> SolveTrace:
-    """Randomized block-minimization loop from lam = 0.
-
-    ``update_kind``: "emp" installs the edge-block minimizer at a uniformly
-    sampled (edge, endpoint) pair; "smp" installs the star minimizer at a
-    degree-proportionally sampled vertex; "bcd" takes a 1/eta gradient step
-    on a uniformly sampled pair.  Returns the best recorded iterate, the one
-    with the smallest recorded slack score (ties keep the earliest), so
-    ``--stride`` can change what emp/smp/bcd return.
-
-    ``iters`` and ``stride`` are integers.  ``observer(k, lam, mu)``, if
-    given, is called at every record with the iteration, a copy of the
-    iterate and its primal candidate, the bytes of
-    ``recover_primal(model, lam, eta)`` read from the record's own pass.
-    The accelerated solvers take the same options.
-    """
-    if update_kind not in STANDARD_UPDATE_KINDS:
-        raise ValidationError(
-            f"unknown update kind {update_kind!r}, expected one of {STANDARD_UPDATE_KINDS}"
-        )
-    update = {"emp": emp_update, "smp": smp_update, "bcd": block_grad_step}[update_kind]
-    return _standard_loop(
-        model, eta, iters, seed, update, update_kind == "smp", stride, stop_slack_score, observer
-    )
-
-
-def accel_emp(
-    model: Model,
-    eta: float,
-    iters: int,
-    seed,
-    *,
-    stride: int = 1,
-    stop_slack_score: float | None = None,
-    observer=None,
-    v_step_scale: float = 1.0,
-) -> SolveTrace:
+def accel_emp(model: Model, eta: float, iters: int, seed, **options) -> SolveTrace:
     """Accelerated edge message passing: per iteration, extrapolate
     y = theta v + (1 - theta) lam, install the edge-block minimizer of y at
     a uniformly sampled pair into lam, and add the pair's slack at y, scaled
@@ -410,43 +404,18 @@ def accel_emp(
     y is formed only on the edges incident to the sampled vertex: the
     minimizer and the slack at (edge, vertex) read nothing else, so the
     iterates are those of the whole-vector extrapolation, bit for bit."""
-    return _accelerated_loop(
-        model, eta, iters, seed, emp_update, False, stride, stop_slack_score, observer, v_step_scale
-    )
+    return _accelerated(model, "emp", eta, iters, seed, **options)
 
 
-def accel_block_grad(
-    model: Model,
-    eta: float,
-    iters: int,
-    seed,
-    *,
-    stride: int = 1,
-    stop_slack_score: float | None = None,
-    observer=None,
-    v_step_scale: float = 1.0,
-) -> SolveTrace:
+def accel_block_grad(model: Model, eta: float, iters: int, seed, **options) -> SolveTrace:
     """Accelerated gradient baseline: the edge-message skeleton with the
     block minimizer replaced by a 1/eta gradient step at y.  As in
     ``accel_emp``, y is formed only on the sampled vertex's incident edges,
     the only rows the step and the slack read."""
-    return _accelerated_loop(
-        model, eta, iters, seed, block_grad_step, False, stride, stop_slack_score, observer,
-        v_step_scale,
-    )
+    return _accelerated(model, "bcd", eta, iters, seed, **options)
 
 
-def accel_smp(
-    model: Model,
-    eta: float,
-    iters: int,
-    seed,
-    *,
-    stride: int = 1,
-    stop_slack_score: float | None = None,
-    observer=None,
-    v_step_scale: float = 1.0,
-) -> SolveTrace:
+def accel_smp(model: Model, eta: float, iters: int, seed, **options) -> SolveTrace:
     """Accelerated star message passing.
 
     Samples a vertex with probability degree / (2 m), installs the star
@@ -459,6 +428,4 @@ def accel_smp(
     incident edge, nothing else, so the iterates are those of the
     whole-vector extrapolation, bit for bit.
     """
-    return _accelerated_loop(
-        model, eta, iters, seed, smp_update, True, stride, stop_slack_score, observer, v_step_scale
-    )
+    return _accelerated(model, "smp", eta, iters, seed, **options)

@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real
 from .model import Model
-from .objective import _check_eta
 
 _add, _sub, _mul, _div, _exp, _log = np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
 _sum, _max_at = np.add.reduce, np.maximum.reduceat
@@ -122,14 +121,14 @@ def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
-    marginals = _exp(_pair_pass(model, lam, _check_eta(eta), edge, vertex)[1])
+    marginals = _exp(_pair_pass(model, lam, real("eta", eta), edge, vertex)[1])
     return _sub(marginals[0], marginals[1])
 
 
 def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """Slack blocks for every edge incident to ``vertex``, shape (deg, d),
     ordered like ``model.incident_edges[vertex]``."""
-    marginals = _exp(_star_pass(model, lam, _check_eta(eta), vertex)[1])
+    marginals = _exp(_star_pass(model, lam, real("eta", eta), vertex)[1])
     return _sub(marginals[:-1], marginals[-1])
 
 
@@ -144,7 +143,7 @@ def emp_update(
     block at ``lam``, equal bit for bit to ``block_slack`` at the same
     arguments.
     """
-    eta = _check_eta(eta)
+    eta = real("eta", eta)
     slot, logs = _pair_pass(model, lam, eta, edge, vertex)
     block = _sub(logs[0], logs[1])
     _div(block, 2.0 * eta, block)
@@ -164,7 +163,7 @@ def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int, with_slac
     returns ``(blocks, nu)`` where ``nu`` holds the incident slack blocks at
     ``lam`` in the same order, equal bit for bit to ``star_slack``.
     """
-    eta = _check_eta(eta)
+    eta = real("eta", eta)
     own, logs = _star_pass(model, lam, eta, vertex)
     shared = _sum(logs, 0)  # the log S rows in order, then log mu
     _div(shared, eta * len(logs), shared)
@@ -185,7 +184,7 @@ def block_grad_step(
     The dual gradient on the block is -nu, so this descends.  With
     ``with_slack`` returns ``(block, nu)``, the step's own slack block.
     """
-    eta = _check_eta(eta)
+    eta = real("eta", eta)
     slot, logs = _pair_pass(model, lam, eta, edge, vertex)
     marginals = _exp(logs)
     nu = _sub(marginals[0], marginals[1])

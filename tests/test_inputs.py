@@ -1,0 +1,189 @@
+"""The input checks of ``mapmp.errors`` as every public entry point applies
+them: a real parameter that is a str, None, NaN, infinite or out of its
+range, and a non-integer or out-of-range size, is a ``ValidationError``
+naming the parameter, raised before any draw."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import mapmp
+from mapmp import ValidationError, schedulers
+from mapmp.bench import BenchConfig, run_bench
+from mapmp.errors import integer, real
+from mapmp.model import default_edge_prob
+from mapmp.objective import zero_dual
+
+
+def zeros_model(n, edges, d):
+    return mapmp.build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
+
+
+MODEL = zeros_model(3, [(0, 1), (1, 2)], 2)
+LAM = zero_dual(MODEL)
+ACCELERATED = (mapmp.accel_emp, mapmp.accel_smp, mapmp.accel_block_grad)
+
+
+def config(**overrides):
+    base = dict(algorithm="smp", eta=50.0, iters=10, trials=1, seed=0, n=6, d=2, edge_prob=0.5)
+    return BenchConfig(**{**base, **overrides})
+
+
+# (id, parameter name, rule, call taking the value); an id ending in "?"
+# marks an optional parameter, for which None is the default, not an error.
+POSITIVE, NONNEGATIVE, FINITE = "positive", "nonnegative", "finite"
+PARAMETERS = [
+    *[(f"standard_mp-{kind}-eta", "eta", POSITIVE,
+       lambda x, kind=kind: mapmp.standard_mp(MODEL, kind, x, 5, 0)) for kind in ("emp", "smp", "bcd")],
+    *[(f"{f.__name__}-eta", "eta", POSITIVE, lambda x, f=f: f(MODEL, x, 5, 0)) for f in ACCELERATED],
+    *[(f"{f.__name__}-v_step_scale", "v_step_scale", POSITIVE,
+       lambda x, f=f: f(MODEL, 1.0, 5, 0, v_step_scale=x)) for f in ACCELERATED],
+    ("standard_mp-stop_slack_score?", "stop_slack_score", NONNEGATIVE,
+     lambda x: mapmp.standard_mp(MODEL, "emp", 1.0, 5, 0, stop_slack_score=x)),
+    *[(f"{f.__name__}-stop_slack_score?", "stop_slack_score", NONNEGATIVE,
+       lambda x, f=f: f(MODEL, 1.0, 5, 0, stop_slack_score=x)) for f in ACCELERATED],
+    ("theta_next", "theta_prev", POSITIVE, mapmp.theta_next),
+    ("eta_for_epsilon", "epsilon", POSITIVE, lambda x: mapmp.eta_for_epsilon(3, 4, 2, x)),
+    ("eta_for_rounding", "gap", POSITIVE, lambda x: mapmp.eta_for_rounding(3, 4, 2, x)),
+    ("dual_gap_constant-eta", "eta", POSITIVE, lambda x: mapmp.dual_gap_constant(3, 4, 2, x, 1.0)),
+    ("dual_gap_constant-cost_inf", "cost_inf", NONNEGATIVE,
+     lambda x: mapmp.dual_gap_constant(3, 4, 2, 1.0, x)),
+    ("iteration_budget-eta", "eta", POSITIVE, lambda x: mapmp.iteration_budget(3, 4, 2, x, 1.0, 1.0)),
+    ("iteration_budget-cost_inf", "cost_inf", NONNEGATIVE,
+     lambda x: mapmp.iteration_budget(3, 4, 2, 1.0, x, 1.0)),
+    ("iteration_budget-eps_prime", "eps_prime", POSITIVE,
+     lambda x: mapmp.iteration_budget(3, 4, 2, 1.0, 1.0, x)),
+    ("emp_update", "eta", POSITIVE, lambda x: mapmp.emp_update(MODEL, LAM, x, 0, 0)),
+    ("smp_update", "eta", POSITIVE, lambda x: mapmp.smp_update(MODEL, LAM, x, 1)),
+    ("block_grad_step", "eta", POSITIVE, lambda x: mapmp.block_grad_step(MODEL, LAM, x, 0, 0)),
+    ("block_slack", "eta", POSITIVE, lambda x: mapmp.block_slack(MODEL, LAM, x, 0, 0)),
+    ("star_slack", "eta", POSITIVE, lambda x: mapmp.star_slack(MODEL, LAM, x, 1)),
+    ("dual_objective", "eta", POSITIVE, lambda x: mapmp.dual_objective(MODEL, LAM, x)),
+    ("recover_primal", "eta", POSITIVE, lambda x: mapmp.recover_primal(MODEL, LAM, x)),
+    ("slack", "eta", POSITIVE, lambda x: mapmp.slack(MODEL, LAM, x)),
+    ("dual_and_slack", "eta", POSITIVE, lambda x: mapmp.dual_and_slack(MODEL, LAM, x)),
+    ("erdos_renyi_potts", "edge_prob", POSITIVE, lambda x: mapmp.erdos_renyi_potts(10, x, 3, 0)),
+    ("BenchConfig-eta", "eta", POSITIVE, lambda x: config(eta=x).validate()),
+    ("BenchConfig-opt_value?", "opt_value", FINITE, lambda x: config(opt_value=x).validate()),
+    ("run_bench-edge_prob?", "edge_prob", POSITIVE, lambda x: run_bench(config(edge_prob=x))),
+]
+BAD = {
+    POSITIVE: ["x", None, math.nan, math.inf, -math.inf, 0.0, -1.0, 0, -1],
+    NONNEGATIVE: ["x", None, math.nan, math.inf, -math.inf, -1.0, -1],
+    FINITE: ["x", None, math.nan, math.inf, -math.inf],
+}
+CASES = [
+    pytest.param(name, rule, call, value, id=f"{case.rstrip('?')}-{value!r}")
+    for case, name, rule, call in PARAMETERS
+    for value in BAD[rule]
+    if not (value is None and case.endswith("?"))
+]
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("sampled before checking the input")
+
+    monkeypatch.setattr(schedulers, "_pair_stream", no_stream)
+    monkeypatch.setattr(schedulers, "_vertex_stream", no_stream)
+    monkeypatch.setattr(np.random, "default_rng", no_stream)
+
+
+@pytest.mark.parametrize("name, rule, call, value", CASES)
+def test_bad_real_parameter_names_itself_before_any_draw(no_draws, name, rule, call, value):
+    shown = "finite" if rule == FINITE else f"a {rule} finite number"
+    with pytest.raises(ValidationError, match=f"^{name} must be {shown}, got {re.escape(str(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [lambda x: mapmp.theta_next(x),
+                                  lambda x: mapmp.erdos_renyi_potts(10, x, 3, 0)],
+                         ids=["theta_next", "erdos_renyi_potts"])
+def test_real_above_one_is_out_of_the_unit_interval(no_draws, call):
+    with pytest.raises(ValidationError, match=r"must lie in \(0, 1\], got 1.5$"):
+        call(1.5)
+
+
+@pytest.mark.parametrize("stop", [0, 0.0, np.float64(1e-3), 5])
+def test_nonnegative_stop_threshold_is_accepted(stop):
+    model = mapmp.erdos_renyi_potts(8, 0.5, 3, 1)
+    for solve in (lambda: mapmp.standard_mp(model, "emp", 1.0, 5, 0, stop_slack_score=stop),
+                  lambda: mapmp.accel_emp(model, 1.0, 5, 0, stop_slack_score=stop)):
+        iterations = solve().iterations.tolist()
+        assert iterations == ([0] if stop == 5 else [0, 1, 2, 3, 4, 5])
+
+
+class TestChecks:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), True])
+    def test_integer_returns_an_int(self, value):
+        assert integer("k", value) == int(value) and type(integer("k", value)) in (int, bool)
+
+    @pytest.mark.parametrize("value", [3.0, 2.5, math.nan, "3", None, np.float64(3.0)])
+    def test_integer_rejects_non_integers(self, value):
+        with pytest.raises(ValidationError, match=f"^k must be an integer, got {re.escape(str(value))}$"):
+            integer("k", value)
+
+    def test_integer_lower_bound(self):
+        assert integer("k", 2, 2) == 2
+        with pytest.raises(ValidationError, match="^k must be >= 2, got 1$"):
+            integer("k", 1, 2)
+
+    @pytest.mark.parametrize("value", [1, 2.5, np.float64(2.5), np.float32(0.5), np.int64(7)])
+    def test_real_returns_a_float_of_the_same_value(self, value):
+        assert type(real("x", value)) is float and real("x", value) == value
+
+    def test_real_rules_at_zero(self):
+        assert real("x", 0.0, NONNEGATIVE) == 0.0 and real("x", -0.0, NONNEGATIVE) == 0.0
+        assert real("x", -2.5, FINITE) == -2.5
+        with pytest.raises(ValidationError, match="^x must be a positive finite number, got 0.0$"):
+            real("x", 0.0)
+
+    def test_real_rejects_an_int_past_a_double(self):
+        with pytest.raises(ValidationError, match="^x must be a positive finite number, got 1000"):
+            real("x", 10**400)
+
+
+SIZE_CASES = [
+    (lambda m, n, d: mapmp.eta_for_epsilon(m, n, d, 1.0), "eta_for_epsilon"),
+    (lambda m, n, d: mapmp.eta_for_rounding(m, n, d, 1.0), "eta_for_rounding"),
+    (lambda m, n, d: mapmp.dual_gap_constant(m, n, d, 1.0, 1.0), "dual_gap_constant"),
+    (lambda m, n, d: mapmp.iteration_budget(m, n, d, 1.0, 1.0, 1.0), "iteration_budget"),
+]
+
+
+@pytest.mark.parametrize("formula", [case[0] for case in SIZE_CASES], ids=[c[1] for c in SIZE_CASES])
+class TestBudgetSizes:
+    """m, n and d of the budget formulas are integers, m >= 0 and n >= 1;
+    unchecked, a negative m gave a negative eta or a budget and a fractional
+    d a gap constant."""
+
+    @pytest.mark.parametrize("m, n, d, message", [
+        (-100, 4, 3, "m must be >= 0, got -100"),
+        (-5, 4, 3, "m must be >= 0, got -5"),
+        (3, 0, 3, "n must be >= 1, got 0"),
+        (3, -4, 3, "n must be >= 1, got -4"),
+        (1.5, 4, 3, "m must be an integer, got 1.5"),
+        (3, 4.0, 3, "n must be an integer, got 4.0"),
+        (3, 4, 2.5, "d must be an integer, got 2.5"),
+        (3, 4, "x", "d must be an integer, got x"),
+        ("3", 4, 3, "m must be an integer, got 3"),
+    ])
+    def test_bad_size_rejected(self, formula, m, n, d, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            formula(m, n, d)
+
+    def test_numpy_integers_give_the_int_value(self, formula):
+        assert formula(np.int64(3), np.int32(4), np.uint8(3)) == formula(3, 4, 3)
+
+    def test_no_edges_is_a_size(self, formula):
+        assert math.isfinite(formula(0, 1, 2))
+
+
+@pytest.mark.parametrize("n", [2.7, 5.0, "5", None])
+def test_default_edge_prob_takes_an_integer_n(n):
+    # unchecked, int(2.7) silently used n = 2
+    with pytest.raises(ValidationError, match=f"^n must be an integer, got {re.escape(str(n))}$"):
+        default_edge_prob(n)
