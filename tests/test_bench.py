@@ -29,13 +29,14 @@ EPSILON_ARGV = ["bench", "--n", "30", "--d", "3", "--epsilon", "0.5", "--algo", 
 
 
 def csv_parts(text):
-    """The integer and text columns of a metrics CSV, and its float columns
-    (an empty cell as NaN)."""
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    columns = dict(zip(METRIC_HEADER, zip(*rows)))
-    ints = {key: list(columns[key]) for key in ("trial", "iter", "algorithm")}
-    floats = {key: [float(x) if x else math.nan for x in columns[key]]
-              for key in METRIC_HEADER if key not in ints}
+    """The integer and text columns of a metrics, summary or ratio CSV, and
+    its float columns (an empty cell as NaN)."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    columns = {key: [row[i] for row in rows] for i, key in enumerate(header)}
+    ints = {key: cells for key, cells in columns.items()
+            if key in ("trial", "iter", "algorithm", "trials_used")}
+    floats = {key: [float(x) if x else math.nan for x in cells]
+              for key, cells in columns.items() if key not in ints}
     return ints, floats
 
 

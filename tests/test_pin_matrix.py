@@ -11,6 +11,11 @@ iterate) by sha256 on a host with the pins' numerics signature, and to a
 relative 1e-9 elsewhere (``pins.py``).  The stop rule's threshold is the
 stride-1 run's slack score at iteration ``ITERS // 2``.
 
+The matrix also pins the metrics, summary and ratio CSVs of ``run_bench``
+in ratio mode for emp, smp and bcd at trials 1, 2 and 10 (``BENCH``), the
+same way: sha256 or, elsewhere, exact integer columns and float columns
+to a relative 1e-9.
+
 Regenerate the fixture only for an intended change of behaviour, and
 record why:
 
@@ -19,6 +24,7 @@ record why:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import tempfile
@@ -32,13 +38,15 @@ import pins
 from helpers import random_tree_model
 from mapmp import (accel_block_grad, accel_emp, accel_smp, build_model, erdos_renyi_potts, proj,
                    standard_mp, vertex_round)
-from mapmp.bench import ALGORITHMS
+from mapmp.bench import ALGORITHMS, BenchConfig, metrics_csv, ratio_csv, run_bench, summary_csv
 from mapmp.cli import main
 
 ITERS = 30
 STRIDES = (1, 7, ITERS)
 SEED = 11
 ETAS = {"er-d3": 20.0, "er-d9": 6.0, "tree-d5": 10.0, "leaves-signed-zero": 30.0}
+BENCH = {"eta": 20.0, "iters": 40, "seed": 5, "stride": 8, "n": 8, "d": 3, "edge_prob": 0.4}
+BENCH_CASES = [(alg, trials) for alg in ("emp", "smp", "bcd") for trials in (1, 2, 10)]
 
 
 def _leaves_model():
@@ -136,13 +144,37 @@ def capture() -> dict:
     return runs
 
 
+def bench_pin(alg, trials) -> tuple:
+    """The bytes of the three CSVs of a ratio-mode ``run_bench``, and their
+    integer and float columns."""
+    from test_bench import csv_parts
+
+    result = run_bench(BenchConfig(algorithm=alg, ratio=True, trials=trials, **BENCH))
+    texts = {"metrics": metrics_csv(result), "summary": summary_csv(result),
+             "ratio": ratio_csv(result)}
+    ints, floats = {}, {}
+    for kind, text in texts.items():
+        parts = csv_parts(text)
+        ints.update({f"{kind}.{key}": cells for key, cells in parts[0].items()})
+        floats.update({f"{kind}.{key}": cells for key, cells in parts[1].items()})
+    return "".join(texts.values()).encode(), ints, floats
+
+
+def _bench_key(alg, trials) -> str:
+    return f"{alg}/trials={trials}"
+
+
 def capture_digest_values() -> dict:
     """The integer and float parts of the bytes behind the host-bound
-    digests of ``test_schedulers`` and ``test_bench``, for the fallback."""
+    digests of ``test_schedulers``, ``test_bench`` and the ``run_bench``
+    CSVs, for the fallback."""
     import test_bench
     import test_schedulers
 
     values = {}
+    for alg, trials in BENCH_CASES:
+        ints, floats = bench_pin(alg, trials)[1:]
+        values[f"bench-{_bench_key(alg, trials)}"] = {"ints": ints, "floats": floats}
     for name in test_schedulers.TRACE_PINS:
         ints, floats = test_schedulers.trace_pin(name)[2:]
         values[f"trace-{name}"] = {"ints": ints, "floats": floats}
@@ -156,8 +188,9 @@ def capture_digest_values() -> dict:
 
 
 def write_fixture() -> None:
-    """Write ``pin_matrix.json``: the header, every run of the matrix, and
-    the fallback values of the host-bound digests."""
+    """Write ``pin_matrix.json``: the header, every run of the matrix, the
+    digests of the ``run_bench`` CSVs, and the fallback values of the
+    host-bound digests."""
     digest_values = capture_digest_values()
     header = {
         "signature": pins.numerics_signature(),
@@ -168,12 +201,16 @@ def write_fixture() -> None:
         "strides": list(STRIDES),
         "seed": SEED,
         "etas": ETAS,
+        "bench": BENCH,
     }
+    bench = {_bench_key(*case): hashlib.sha256(bench_pin(*case)[0]).hexdigest()
+             for case in BENCH_CASES}
     lines = [f" {json.dumps(key)}: {json.dumps(value)}" for key, value in capture().items()]
     values = [f" {json.dumps(key)}: {json.dumps(value)}" for key, value in digest_values.items()]
     pins.PIN_FILE.write_text(
         f'{{"header": {json.dumps(header)},\n"runs": {{\n' + ",\n".join(lines)
-        + '},\n"digest_values": {\n' + ",\n".join(values) + "}}\n")
+        + f'}},\n"bench": {json.dumps(bench)}'
+        + ',\n"digest_values": {\n' + ",\n".join(values) + "}}\n")
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +223,8 @@ def test_header_matches_matrix():
     assert (header["iters"], header["strides"], header["seed"], header["etas"]) == (
         ITERS, list(STRIDES), SEED, ETAS)
     assert sorted(pins.pins()["runs"]) == sorted(_key(*case) for case in _cases())
+    assert header["bench"] == BENCH
+    assert sorted(pins.pins()["bench"]) == sorted(_bench_key(*case) for case in BENCH_CASES)
 
 
 @pytest.mark.parametrize("name", list(ETAS))
@@ -202,6 +241,13 @@ def test_pin_matrix(built, name, alg):
                 assert new["sha256"] == old["sha256"], where
             else:
                 pins.assert_close(new["floats"], old["floats"], where)
+
+
+@pytest.mark.parametrize(("alg", "trials"), BENCH_CASES)
+def test_run_bench_csvs_pinned(alg, trials):
+    key = _bench_key(alg, trials)
+    data, ints, floats = bench_pin(alg, trials)
+    pins.assert_pinned(pins.pins()["bench"][key], data, f"bench-{key}", ints, floats)
 
 
 def test_stop_rule_fires_in_the_matrix():
