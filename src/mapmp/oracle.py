@@ -9,7 +9,6 @@ independent of the chunking.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -48,30 +47,23 @@ def _check_brute_guard(model: Model) -> int:
     return total
 
 
+def _labels(model: Model, index):
+    """Per vertex, the label(s) of the assignment(s) with lexicographic
+    index ``index``; vertex 0 is the most significant digit."""
+    return np.unravel_index(index, (model.d,) * model.n)
+
+
 def _chunk_values(model: Model, start: int, stop: int) -> np.ndarray:
     """Objective values of assignments with lexicographic indices
-    start..stop-1 (vertex 0 is the most significant digit)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    labels = np.empty((idx.size, model.n), dtype=np.int64)
-    rest = idx
-    for i in range(model.n - 1, -1, -1):
-        labels[:, i] = rest % model.d
-        rest = rest // model.d
-    values = np.zeros(idx.size)
+    start..stop-1."""
+    labels = _labels(model, np.arange(start, stop, dtype=np.int64))
+    values = np.zeros(stop - start)
     for i in range(model.n):
-        values += model.vertex_costs[i, labels[:, i]]
+        values += model.vertex_costs[i, labels[i]]
     for e in range(model.m):
         i, j = model.edges[e]
-        values += model.edge_costs[e, labels[:, i], labels[:, j]]
+        values += model.edge_costs[e, labels[i], labels[j]]
     return values
-
-
-def _index_to_assignment(model: Model, index: int) -> np.ndarray:
-    labels = np.empty(model.n, dtype=np.int64)
-    for i in range(model.n - 1, -1, -1):
-        labels[i] = index % model.d
-        index //= model.d
-    return labels
 
 
 def _scan(model: Model):
@@ -84,16 +76,11 @@ def _scan(model: Model):
         values = _chunk_values(model, start, min(start + _CHUNK, total))
         chunk_min = values.min()
         if chunk_min < best:
-            above = values[values > chunk_min]
-            second = min(above.min() if above.size else np.inf, best)
-            best, best_index = chunk_min, start + int(np.argmax(values == chunk_min))
-            best_count = int((values == chunk_min).sum())
-        else:
-            if chunk_min == best:
-                best_count += int((values == chunk_min).sum())
-            above = values[values > best]
-            if above.size:
-                second = min(second, float(above.min()))
+            # the old minimum is now the smallest value above the new one
+            best, best_index, best_count, second = (
+                chunk_min, start + int(np.argmax(values == chunk_min)), 0, best)
+        best_count += int((values == best).sum())
+        second = values.min(where=values > best, initial=second)
     return best_index, best, best_count, second
 
 
@@ -105,7 +92,7 @@ def brute_force_map(model: Model) -> BruteForceResult:
     Guarded at d^n <= 1e7.
     """
     index, value, count, _ = _scan(model)
-    return BruteForceResult(_index_to_assignment(model, index), float(value), count == 1)
+    return BruteForceResult(np.array(_labels(model, index)), float(value), count == 1)
 
 
 def gap_estimate(model: Model) -> float:
@@ -123,37 +110,31 @@ def gap_estimate(model: Model) -> float:
     return float(second - best)
 
 
-def _forest_structure(model: Model):
-    """Rooted traversal orders for each connected component; raises if the
-    graph has a cycle."""
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(model.n)]
-    for e in range(model.m):
-        i, j = map(int, model.edges[e])
-        neighbors[i].append((j, e))
-        neighbors[j].append((i, e))
-    parent = np.full(model.n, -1, dtype=np.int64)
-    parent_edge = np.full(model.n, -1, dtype=np.int64)
-    seen = np.zeros(model.n, dtype=bool)
+def _oriented_bfs(model: Model):
+    """Per connected component, its root and, in BFS order, one (vertex,
+    parent, edge costs indexed by (vertex label, parent label)) triple per
+    other vertex; raises if the graph has a cycle."""
+    neighbors: list[list] = [[] for _ in range(model.n)]
+    for (i, j), cost in zip(model.edges.tolist(), model.edge_costs):
+        neighbors[i].append((j, cost.T))
+        neighbors[j].append((i, cost))
+    seen = [False] * model.n
     components = []
     for root in range(model.n):
         if seen[root]:
             continue
-        order = [root]
         seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w, e in neighbors[u]:
+        order, steps = [root], []
+        for u in order:
+            for w, pair in neighbors[u]:
                 if not seen[w]:
                     seen[w] = True
-                    parent[w] = u
-                    parent_edge[w] = e
                     order.append(w)
-                    queue.append(w)
-        components.append((root, order))
-    if sum(len(order) for _, order in components) - len(components) != model.m:
+                    steps.append((w, u, pair))
+        components.append((root, steps))
+    if sum(len(steps) for _, steps in components) != model.m:
         raise ValidationError("graph has a cycle; the tree oracle requires a forest")
-    return components, parent, parent_edge
+    return components
 
 
 def tree_map(model: Model) -> TreeMapResult:
@@ -162,29 +143,16 @@ def tree_map(model: Model) -> TreeMapResult:
     Matches the exhaustive optimum value on any forest; label ties break
     toward smaller indices during backtracking.
     """
-    components, parent, parent_edge = _forest_structure(model)
     belief = model.vertex_costs.copy()
     assignment = np.zeros(model.n, dtype=np.int64)
     value = 0.0
-    for root, order in components:
-        for u in reversed(order):
-            if u == root:
-                continue
-            p = parent[u]
-            e = parent_edge[u]
-            cost = model.edge_costs[e]
-            pair = cost if model.edges[e, 0] == u else cost.T  # (x_u, x_p)
+    for root, steps in _oriented_bfs(model):
+        for u, p, pair in reversed(steps):
             belief[p] += (pair + belief[u][:, None]).min(axis=0)
-        assignment[root] = int(np.argmin(belief[root]))
+        assignment[root] = np.argmin(belief[root])
         value += float(belief[root].min())
-        for u in order:
-            if u == root:
-                continue
-            p = parent[u]
-            e = parent_edge[u]
-            cost = model.edge_costs[e]
-            pair = cost if model.edges[e, 0] == u else cost.T
-            assignment[u] = int(np.argmin(pair[:, assignment[p]] + belief[u]))
+        for u, p, pair in steps:
+            assignment[u] = np.argmin(pair[:, assignment[p]] + belief[u])
     return TreeMapResult(assignment, value)
 
 
