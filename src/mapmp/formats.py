@@ -10,11 +10,13 @@ Native format, line oriented::
 Floats are written with 17 significant digits, so ``load_model(emit_model(M))``
 reproduces M bit for bit.  Loading rejects version mismatches, wrong edge
 orientation, duplicate or missing vertex lines, and malformed lines, each
-with its line number.  Both directions take O(file) time and O(line) working
-memory beyond the text and the model: the writer joins 1024 lines at a time,
-the reader walks the lines once into flat ``array`` buffers.  At n = 5000,
-m = 23526 (1.17 MB) that is about 0.09 s and 2.4 MB traced to write, 0.12 s
-and 7.4 MB with the model to read (single-threaded, 2-core x86-64 host).
+with its line number.  Both directions take O(file) time.  The writer holds
+O(line) working memory beyond the model: it joins 1024 lines at a time.  The
+reader holds the list of all the file's lines (``text.splitlines()``) while
+it walks the body twice: once to count the records against the header's n,
+once to parse them into flat ``array`` buffers.  At n = 5000, m = 23526
+(1.17 MB) that is about 0.09 s and 2.4 MB traced to write, 0.12 s and 7.4 MB
+with the model to read (single-threaded, 2-core x86-64 host).
 
 UAI MARKOV files are accepted when all variables share one cardinality and
 every function scope has arity 1 or 2.  Potentials convert to costs

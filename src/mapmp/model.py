@@ -43,7 +43,7 @@ class Model:
         d) in incidence order: [p, x] = (2 e + s) d + x for its p-th edge e in
         slot s.  Built on first use as read-only views of one array."""
         pairs = 2 * np.concatenate(self.incident_edges) + np.concatenate(self.incident_slots)
-        return self._per_vertex(pairs[:, None] * self.d + np.arange(self.d), 1)
+        return _split(pairs[:, None] * self.d + np.arange(self.d), self.degrees)
 
     @cached_property
     def incident_rows(self) -> tuple:
@@ -51,7 +51,7 @@ class Model:
         incident edge, (deg 2 d,) in incidence order; built likewise."""
         width = 2 * self.d
         rows = np.concatenate(self.incident_edges)[:, None] * width + np.arange(width)
-        return self._per_vertex(rows.ravel(), width)
+        return _split(rows.ravel(), self.degrees * width)
 
     @cached_property
     def star_tables(self) -> tuple:
@@ -68,9 +68,6 @@ class Model:
     def pair_tables(self) -> tuple:
         """The one-edge ``StarTable`` of a pair's vertex in slot 0, then in slot 1."""
         return _star_table(self.d, 1, 0), _star_table(self.d, 1, 1)
-
-    def _per_vertex(self, base: np.ndarray, width: int) -> tuple:
-        return _split(base, self.degrees * width)
 
     @property
     def m(self) -> int:

@@ -46,9 +46,6 @@ class Marginals:
     vertex: np.ndarray
     edge: np.ndarray
 
-    def copy(self) -> "Marginals":
-        return Marginals(self.vertex.copy(), self.edge.copy())
-
 
 def zero_dual(model: Model) -> np.ndarray:
     """All-zero dual vector of shape (m, 2, d): block [e, s] belongs to the
@@ -254,8 +251,7 @@ def in_slack_polytope(
     edge block e must have row sums mu_i + nu[e, 0] and column sums
     mu_j + nu[e, 1], within ``tol`` entrywise."""
     check_marginal_shapes(model, mu, nu)
-    if not tol >= 0:  # NaN too
-        raise ValidationError("tol must be nonnegative")
+    tol = real("tol", tol, "nonnegative")
     if mu.vertex.min(initial=0.0) < -tol:
         return False
     if np.abs(mu.vertex.sum(axis=1) - 1.0).max(initial=0.0) > tol:

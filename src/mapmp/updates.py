@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, real
+from .errors import ValidationError, integer, real
 from .model import Model
 
 _add, _sub, _mul, _div, _exp, _log = np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
@@ -95,7 +95,7 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
 
 def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """(slot, [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
-    edge, edges = int(edge), model.edges
+    edge, edges = integer("edge", edge), model.edges
     if not 0 <= edge < len(edges):
         raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
     if edges.item(edge, 0) == vertex:

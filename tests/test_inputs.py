@@ -14,7 +14,7 @@ from mapmp import ValidationError, schedulers
 from mapmp.bench import BenchConfig, run_bench
 from mapmp.errors import integer, real
 from mapmp.model import default_edge_prob
-from mapmp.objective import zero_dual
+from mapmp.objective import recover_primal, zero_dual
 
 
 def zeros_model(n, edges, d):
@@ -23,6 +23,7 @@ def zeros_model(n, edges, d):
 
 MODEL = zeros_model(3, [(0, 1), (1, 2)], 2)
 LAM = zero_dual(MODEL)
+MU = recover_primal(MODEL, LAM, 1.0)
 ACCELERATED = (mapmp.accel_emp, mapmp.accel_smp, mapmp.accel_block_grad)
 
 
@@ -64,6 +65,9 @@ PARAMETERS = [
     ("recover_primal", "eta", POSITIVE, lambda x: mapmp.recover_primal(MODEL, LAM, x)),
     ("slack", "eta", POSITIVE, lambda x: mapmp.slack(MODEL, LAM, x)),
     ("dual_and_slack", "eta", POSITIVE, lambda x: mapmp.dual_and_slack(MODEL, LAM, x)),
+    ("in_local_polytope", "tol", NONNEGATIVE, lambda x: mapmp.in_local_polytope(MODEL, MU, x)),
+    ("in_slack_polytope", "tol", NONNEGATIVE,
+     lambda x: mapmp.in_slack_polytope(MODEL, MU, np.zeros_like(LAM), x)),
     ("erdos_renyi_potts", "edge_prob", POSITIVE, lambda x: mapmp.erdos_renyi_potts(10, x, 3, 0)),
     ("BenchConfig-eta", "eta", POSITIVE, lambda x: config(eta=x).validate()),
     ("BenchConfig-opt_value?", "opt_value", FINITE, lambda x: config(opt_value=x).validate()),
@@ -97,6 +101,15 @@ def test_bad_real_parameter_names_itself_before_any_draw(no_draws, name, rule, c
     shown = "finite" if rule == FINITE else f"a {rule} finite number"
     with pytest.raises(ValidationError, match=f"^{name} must be {shown}, got {re.escape(str(value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("edge", [0.7, "0"])
+@pytest.mark.parametrize("pair", [mapmp.emp_update, mapmp.block_grad_step, mapmp.block_slack])
+def test_pair_edge_must_be_an_integer(pair, edge):
+    # unchecked, int(0.7) gave block_slack the slack of edge 0, and
+    # emp_update and block_grad_step a bare IndexError from lam[0.7, slot]
+    with pytest.raises(ValidationError, match=f"^edge must be an integer, got {edge}$"):
+        pair(MODEL, LAM, 1.0, edge, 0)
 
 
 @pytest.mark.parametrize("call", [lambda x: mapmp.theta_next(x),

@@ -281,7 +281,7 @@ class TestPolytopeMembership:
                          incident_edges=(empty,) * n, incident_slots=(empty,) * n)
         garbage = Marginals(np.full((n, d), 7.0), np.zeros((0, d, d)))
         assert not in_local_polytope(edgeless, garbage, 0.5)
-        with pytest.raises(ValidationError, match="^tol must be nonnegative$"):
+        with pytest.raises(ValidationError, match="^tol must be a nonnegative finite number, got nan$"):
             in_local_polytope(edgeless, garbage, tol=float("nan"))
 
     def test_nan_tol_rejected_by_slack_polytope(self):
@@ -289,7 +289,7 @@ class TestPolytopeMembership:
         lam = np.random.default_rng(14).normal(size=(m.m, 2, m.d))
         mu, nu = recover_primal(m, lam, 4.0), slack(m, lam, 4.0)
         assert in_slack_polytope(m, mu, nu, 1e-10)
-        with pytest.raises(ValidationError, match="^tol must be nonnegative$"):
+        with pytest.raises(ValidationError, match="^tol must be a nonnegative finite number, got nan$"):
             in_slack_polytope(m, mu, nu, float("nan"))
 
     def test_wrongly_shaped_slack_rejected_like_proj(self):
