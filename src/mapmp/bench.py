@@ -268,25 +268,24 @@ def ratio_csv(result: BenchResult) -> str:
 
 
 def parse_metrics_csv(text: str) -> list[MetricRow]:
-    """Parse a metrics CSV back into rows (inverse of :func:`metrics_csv`)."""
+    """Parse a metrics CSV back into rows (inverse of :func:`metrics_csv`).
+    A bad cell is a ``ValidationError`` naming its line, counted from the
+    header as line 1, and its column."""
     lines = text.strip().splitlines()
     if not lines or tuple(lines[0].split(",")) != METRIC_HEADER:
         raise ValidationError("unexpected metrics CSV header")
+    # one per METRIC_HEADER column; an empty primal_gap is None
+    converters = (int, int, str, float, float, lambda cell: float(cell) if cell else None, float, float)
     rows = []
-    for line in lines[1:]:
+    for no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(METRIC_HEADER):
             raise ValidationError(f"metrics CSV row has {len(cells)} cells")
-        rows.append(
-            MetricRow(
-                trial=int(cells[0]),
-                iteration=int(cells[1]),
-                algorithm=cells[2],
-                dual_value=float(cells[3]),
-                projected_primal=float(cells[4]),
-                primal_gap=None if cells[5] == "" else float(cells[5]),
-                slack_score=float(cells[6]),
-                elapsed_ms=float(cells[7]),
-            )
-        )
+        values = []
+        for name, convert, cell in zip(METRIC_HEADER, converters, cells):
+            try:
+                values.append(convert(cell))
+            except ValueError:
+                raise ValidationError(f"line {no}: bad {name} cell {cell!r}") from None
+        rows.append(MetricRow(*values))
     return rows

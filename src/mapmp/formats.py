@@ -23,10 +23,11 @@ every function scope has arity 1 or 2.  Potentials convert to costs
 C = -log(phi), so every table entry must be strictly positive; the costs of
 a repeated scope add in file order, onto +0.0 (unary) or -0.0 (pairwise),
 and a scope (j, i) with j > i is transposed onto (i, j).  ``emit_uai``
-rejects a cost whose exp(-C) is 0 or overflows.  The reader walks the lines
-once and holds one line's tokens at a time: the n = 5000 file (4.79 MB)
-parses in about 0.3 s and 14.7 MB traced with the model, and is written in
-0.27 s and 13 MB.
+rejects a cost whose exp(-C) is 0 or overflows.  The reader takes one
+stream of tokens over the lines and holds one table's tokens at a time, so
+the first fault in file order is the one reported: the n = 5000 file
+(4.79 MB) parses in about 0.25 s and 14.2 MB traced with the model, and is
+written in 0.27 s and 13 MB.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def _lines(text: str):
 
 def parse_uai(text: str) -> Model:
     """Parse a UAI MARKOV file into a model, converting potentials to costs."""
-    lines = map(str.split, _lines(text))
-    tokens, i, pos = [], 0, 0  # the current line's tokens, the next one's index there and in the file
+    tokens = chain.from_iterable(map(str.split, _lines(text)))
+    pos = 0  # the number of tokens taken so far
 
     def fail(k: int, message: str):
         no = 0  # the line of token k, line 1 for k < 0: found by a rescan, on error paths only
@@ -194,16 +195,15 @@ def parse_uai(text: str) -> Model:
         raise ValidationError(f"line {max(no, 1)}: {message}")
 
     def take(what: str, kind=str):
-        nonlocal tokens, i, pos
-        while i == len(tokens):
-            tokens, i = next(lines, None), 0
-            if tokens is None:
-                fail(pos - 1, f"unexpected end of file, expected {what}")
-        i, pos = i + 1, pos + 1
+        nonlocal pos
+        token = next(tokens, None)
+        if token is None:
+            fail(pos - 1, f"unexpected end of file, expected {what}")
+        pos += 1
         try:
-            return kind(tokens[i - 1])
+            return kind(token)
         except ValueError:
-            fail(pos - 1, f"expected {what}, got {tokens[i - 1]!r}")
+            fail(pos - 1, f"expected {what}, got {token!r}")
 
     preamble = take("preamble")
     if preamble != "MARKOV":
@@ -237,66 +237,35 @@ def parse_uai(text: str) -> Model:
             fail(pos - 3, f"pairwise scope repeats variable {variables[-1]}")  # at the arity
         arities.append(arity)
 
-    # Walk the rest line by line: every token goes into ``flat`` as a float
-    # (NaN for one float() rejects), each table's size token is checked as
-    # the walk reaches it, and a fault is raised after any bad entry before
-    # it, so the first fault in file order wins.
-    first = head = pos  # head: where the next table's size token is due
-    flat, heads = array("d"), array("q")  # heads: the checked size tokens, from first
-    fault = non_float = None
-    for tokens in chain([tokens[i:]], lines):
-        end = pos + len(tokens)
-        while fault is None and head < end:
-            token, f = tokens[head - pos], len(heads)
-            if f == len(arities):
-                fault = head, f"unexpected trailing token {token!r}"
-                break
-            expected = d ** arities[f]
+    # One table at a time, in file order, so the first fault in the file wins.
+    first, at, entries = pos, 0, array("d")  # at: the scope's first variable
+    for arity in arities:
+        size, expected = take("table size", int), d ** arity
+        if size != expected:
+            fail(pos - 1, f"table for scope {tuple(variables[at:at + arity])} "
+                          f"has {size} entries, expected {expected}")
+        table = list(islice(tokens, min(size, len(text))))  # no more tokens than characters
+        if len(table) < size:
+            fail(pos - 1, f"table of {size} entries runs past the end of file ({len(table)} tokens left)")
+        for k, token in enumerate(table, pos):
             try:
-                size = int(token)
+                value = float(token)
             except ValueError:
-                fault = head, f"expected table size, got {token!r}"
-                break
-            if size != expected:
-                at = sum(arities[:f])
-                fault = head, (f"table for scope {tuple(variables[at:at + arities[f]])} "
-                               f"has {size} entries, expected {expected}")
-                break
-            heads.append(head - first)
-            head += 1 + size
-        try:
-            flat.extend(map(float, tokens))
-        except ValueError:
-            del flat[pos - first:]
-            for k, token in enumerate(tokens, pos):
-                try:
-                    flat.append(float(token))
-                except ValueError:
-                    flat.append(math.nan)
-                    non_float = non_float or (k, token)
-        pos = end
-    if fault is None and head > pos:  # the last table checked runs past the end
-        head = first + heads.pop()
-        fault = head, (f"table of {d ** arities[len(heads)]} entries runs past the end of file "
-                       f"({pos - head - 1} tokens left)")
-    elif fault is None and len(heads) < len(arities):
-        fault = pos - 1, "unexpected end of file, expected table size"
-    entries = np.frombuffer(flat)[: head - first]  # all of them unless there is a fault
-    bad = np.flatnonzero(~((entries > 0.0) & (entries < np.inf)))
-    if bad.size:  # the checked table sizes read as valid floats
-        k = first + int(bad[0])
-        if non_float is not None and non_float[0] == k:
-            fail(k, f"expected table entry, got {non_float[1]!r}")
-        fail(k, f"potential entries must be strictly positive, got {float(entries[k - first])}")
-    if fault is not None:
-        fail(*fault)
+                fail(k, f"expected table entry, got {token!r}")
+            if not 0.0 < value < math.inf:
+                fail(k, f"potential entries must be strictly positive, got {value}")
+            entries.append(value)
+        pos, at = pos + size, at + arity
+    token = next(tokens, None)
+    if token is not None:
+        fail(pos, f"unexpected trailing token {token!r}")
     # Every vertex is in a pairwise table of d^2 >= 2 d entries: a valid file has n d.
     if n * d > pos - first:
         raise ValidationError(
             f"{n} variables of cardinality {d} need at least {n * d} table entries, "
             f"the file has {pos - first} table tokens"
         )
-    cost = -np.log(np.delete(entries, np.frombuffer(heads, dtype=np.int64)))
+    cost = -np.log(np.frombuffer(entries))
     arity = np.frombuffer(arities, dtype=np.int8)
     is_pair = arity == 2
     pair = np.repeat(is_pair, np.where(is_pair, d * d, d))

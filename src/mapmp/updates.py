@@ -95,7 +95,7 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
 
 def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """(slot, [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
-    edge, edges = integer("edge", edge), model.edges
+    edge, vertex, edges = integer("edge", edge), integer("vertex", vertex), model.edges
     if not 0 <= edge < len(edges):
         raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
     if edges.item(edge, 0) == vertex:
@@ -112,6 +112,9 @@ def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int
 
 def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star."""
+    vertex = integer("vertex", vertex)
+    if not 0 <= vertex < model.n:
+        raise ValidationError(f"vertex index {vertex} outside 0..{model.n - 1}")
     t, d = model.star_tables[vertex], model.d
     terms = lam.ravel()[model.incident_rows[vertex]][t.expand]
     own = terms[2 * len(t.orient):].reshape(-1, d)

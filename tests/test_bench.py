@@ -119,6 +119,15 @@ class TestRunBench:
         assert rows[0].algorithm == "emp"
         assert {r.trial for r in rows} == {0, 1}
 
+    @pytest.mark.parametrize("column, bad", [(3, "x"), (1, "2.5")])
+    def test_bad_cell_names_its_line_and_column(self, column, bad):
+        lines = metrics_csv(run_bench(small_config(iters=0))).splitlines()
+        cells = lines[2].split(",")
+        cells[column] = bad
+        lines[2] = ",".join(cells)
+        with pytest.raises(ValidationError, match=f"^line 3: bad {METRIC_HEADER[column]} cell '{bad}'$"):
+            parse_metrics_csv("\n".join(lines))
+
     def test_gap_uses_lp_when_instance_small(self):
         res = run_bench(small_config())
         assert res.opt_value is not None

@@ -444,10 +444,20 @@ class TestUaiFormat:
             np.testing.assert_allclose(back.edge_costs, m.edge_costs, atol=1e-12)
 
     def test_parse_after_emit_on_potts_instances(self):
+        # also re-flowed into lines of 1-20 tokens, so tables span lines and share them
+        rng = np.random.default_rng(7)
         for seed in range(10):
-            m = erdos_renyi_potts(10, 0.3, 3, seed)
-            back = parse_uai(emit_uai(m))
-            np.testing.assert_allclose(back.edge_costs, m.edge_costs, atol=1e-12)
+            for n in (10, 20 * (seed + 1)):
+                m = erdos_renyi_potts(n, 0.3, 3, seed)
+                text = emit_uai(m)
+                tokens, k, lines = text.split(), 0, []
+                while k < len(tokens):
+                    step = int(rng.integers(1, 21))
+                    lines.append(" ".join(tokens[k:k + step]))
+                    k += step
+                for uai in (text, "\n".join(lines) + "\n"):
+                    back = parse_uai(uai)
+                    np.testing.assert_allclose(back.edge_costs, m.edge_costs, atol=1e-12)
 
 
 UAI_BASE = """MARKOV
@@ -529,6 +539,7 @@ class TestArrayUai:
         "MARKOV 2 2 2 1 2 0 1 4_0 1 1 1 1", "MARKOV 2 2 2 1 2 0 1 4 1 1 1 1e999 x",
         "MARKOV\x0b2\x0c2 2\x1c1\u20282 0 1\x854 1 1 1 1 ",
         "MARKOV\r\n2\x0c2 2\x1c1\u20282 0 1\x854 1\r1\n1 x",
+        "MARKOV 2 10000000000 10000000000 1 2 0 1 100000000000000000000 1 2 3",  # size > sys.maxsize
     ])
     def test_edge_cases_give_the_token_readers_model_or_message(self, text):
         assert_parses_like_the_token_reader(text)

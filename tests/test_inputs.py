@@ -112,6 +112,34 @@ def test_pair_edge_must_be_an_integer(pair, edge):
         pair(MODEL, LAM, 1.0, edge, 0)
 
 
+PAIRS = (mapmp.emp_update, mapmp.block_grad_step, mapmp.block_slack)
+STARS = (mapmp.smp_update, mapmp.star_slack)
+
+
+@pytest.mark.parametrize("vertex", [1.0, "1", -1, 3])
+@pytest.mark.parametrize("update", PAIRS + STARS)
+def test_vertex_must_be_an_integer_in_range(update, vertex):
+    # unchecked, smp_update took -1 as vertex 2, 3 was a bare IndexError,
+    # 1.0 and "1" bare TypeErrors
+    if not isinstance(vertex, int):
+        message = f"vertex must be an integer, got {vertex}"
+    elif update in PAIRS:
+        message = f"vertex {vertex} is not an endpoint of edge 0"
+    else:
+        message = f"vertex index {vertex} outside 0..2"
+    args = (0, vertex) if update in PAIRS else (vertex,)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        update(MODEL, LAM, 1.0, *args)
+
+
+def test_bool_vertex_is_its_integer():
+    # unchecked, True indexed vertex_costs as a mask: a bare NumPy ValueError
+    for update in PAIRS:
+        np.testing.assert_array_equal(update(MODEL, LAM, 1.0, 0, True), update(MODEL, LAM, 1.0, 0, 1))
+    for update in STARS:
+        np.testing.assert_array_equal(update(MODEL, LAM, 1.0, True), update(MODEL, LAM, 1.0, 1))
+
+
 @pytest.mark.parametrize("call", [lambda x: mapmp.theta_next(x),
                                   lambda x: mapmp.erdos_renyi_potts(10, x, 3, 0)],
                          ids=["theta_next", "erdos_renyi_potts"])
