@@ -23,7 +23,7 @@ floating-point noise are left out, and the row is empty if none remain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,29 +34,10 @@ from .model import Model, default_edge_prob, erdos_renyi_potts
 from .objective import Marginals, primal_objective, recover_primal
 from .oracle import lp_solve_l2
 from .projection import proj
-from .schedulers import SolveTrace, accel_block_grad, accel_emp, accel_smp, standard_mp
+from .schedulers import STANDARD_UPDATE_KINDS, SolveTrace, accel_block_grad, accel_emp, accel_smp, standard_mp
 
-ALGORITHMS = ("emp", "smp", "bcd", "accel-emp", "accel-smp", "accel-bcd")
-RATIO_PAIR = {"emp": "accel-emp", "smp": "accel-smp", "bcd": "accel-bcd"}
-METRIC_HEADER = (
-    "trial",
-    "iter",
-    "algorithm",
-    "dual_value",
-    "projected_primal",
-    "primal_gap",
-    "slack_score",
-    "elapsed_ms",
-)
-SUMMARY_HEADER = (
-    "algorithm",
-    "iter",
-    "primal_mean",
-    "primal_std",
-    "gap_mean",
-    "gap_std",
-)
-RATIO_HEADER = ("iter", "log_ratio_mean", "log_ratio_std", "trials_used")
+RATIO_PAIR = {kind: "accel-" + kind for kind in STANDARD_UPDATE_KINDS}
+ALGORITHMS = STANDARD_UPDATE_KINDS + tuple(RATIO_PAIR.values())
 
 _GAP_FLOOR = 1e-12
 
@@ -102,11 +83,9 @@ class BenchConfig:
         if self.opt_value is not None:
             real("opt_value", self.opt_value, "finite")
         has_file = self.model_file is not None
-        has_gen = self.n is not None or self.d is not None
+        has_gen = any(v is not None for v in (self.n, self.d, self.edge_prob))
         if has_file == has_gen:
-            raise ValidationError(
-                "provide exactly one instance source: a model file or (n, d)"
-            )
+            raise ValidationError("provide exactly one instance source: a model file or (n, d, edge_prob)")
         if has_gen and (self.n is None or self.d is None):
             raise ValidationError("generated instances need both n and d")
 
@@ -139,6 +118,17 @@ class RatioRow:
     log_ratio_mean: float | None
     log_ratio_std: float | None
     trials_used: int
+
+
+def _columns(row_type) -> tuple:
+    """The CSV columns of a row dataclass: its field names in declaration
+    order, with ``iteration`` written as ``iter``."""
+    return tuple("iter" if f.name == "iteration" else f.name for f in fields(row_type))
+
+
+METRIC_HEADER = _columns(MetricRow)
+SUMMARY_HEADER = _columns(SummaryRow)
+RATIO_HEADER = _columns(RatioRow)
 
 
 @dataclass
@@ -269,18 +259,22 @@ def ratio_csv(result: BenchResult) -> str:
 
 def parse_metrics_csv(text: str) -> list[MetricRow]:
     """Parse a metrics CSV back into rows (inverse of :func:`metrics_csv`).
-    A bad cell is a ``ValidationError`` naming its line, counted from the
-    header as line 1, and its column."""
+    A bad row is a ``ValidationError`` naming its line in ``text`` and, for
+    a bad cell, its column."""
     lines = text.strip().splitlines()
     if not lines or tuple(lines[0].split(",")) != METRIC_HEADER:
         raise ValidationError("unexpected metrics CSV header")
+    # the header's line: one more than the line breaks that strip() dropped in front
+    header_no = len((text[: len(text) - len(text.lstrip())] + ",").splitlines())
     # one per METRIC_HEADER column; an empty primal_gap is None
     converters = (int, int, str, float, float, lambda cell: float(cell) if cell else None, float, float)
     rows = []
-    for no, line in enumerate(lines[1:], start=2):
+    for no, line in enumerate(lines[1:], start=header_no + 1):
         cells = line.split(",")
         if len(cells) != len(METRIC_HEADER):
-            raise ValidationError(f"metrics CSV row has {len(cells)} cells")
+            raise ValidationError(
+                f"line {no}: metrics CSV row has {len(cells)} cells, expected {len(METRIC_HEADER)}"
+            )
         values = []
         for name, convert, cell in zip(METRIC_HEADER, converters, cells):
             try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError, integer, real
@@ -88,29 +88,14 @@ def _cmd_bench(args) -> int:
         try:
             opt_value = float(raw)
         except ValueError:
-            raise ValidationError(
-                f"{args.opt_file} must contain one float, got {raw!r}"
-            ) from None
-    config = bench_mod.BenchConfig(
-        algorithm=args.algo,
-        eta=args.eta,
-        iters=args.iters,
-        trials=args.trials,
-        seed=args.seed,
-        stride=args.stride,
-        model_file=args.model,
-        n=args.n,
-        d=args.d,
-        edge_prob=args.edge_prob,
-        ratio=args.ratio,
-        opt_value=opt_value,
-        timing=args.timing,
-    )
+            raise ValidationError(f"{args.opt_file} must contain one float, got {raw!r}") from None
+    flags = {f.name: getattr(args, f.name) for f in fields(bench_mod.BenchConfig) if f.name != "opt_value"}
+    config = bench_mod.BenchConfig(**flags, opt_value=opt_value)
     model = None
     if args.epsilon is not None:
         replace(config, eta=1.0).validate()  # every check but eta's, before generating
         model = bench_mod.resolve_model(config)
-        config.eta = eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
+        config.eta = _resolve_eta(args, model)
     result = bench_mod.run_bench(config, model)
     _write(args.out, bench_mod.metrics_csv(result))
     summary_path = args.out + ".summary.csv"
@@ -127,9 +112,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+_ORACLES = {"brute": brute_force_map, "tree": tree_map, "lp": lp_solve_l2}
+
+
 def _cmd_oracle(args) -> int:
     model = read_model(args.input)
-    res = {"brute": brute_force_map, "tree": tree_map, "lp": lp_solve_l2}[args.method](model)
+    res = _ORACLES[args.method](model)
     print(f"value      {res.value}")
     if args.method != "lp":
         print(f"assignment {' '.join(str(x) for x in res.assignment)}")
@@ -181,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="multi-trial benchmark, CSV output")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", default=None, help="native or UAI model file")
+    src.add_argument("--model", dest="model_file", metavar="MODEL", help="native or UAI model file")
     src.add_argument("--n", type=int, default=None, help="generate: vertices")
     p.add_argument("--d", type=int, default=None, help="generate: labels per vertex")
     p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--algo", choices=bench_mod.ALGORITHMS, default="emp")
+    p.add_argument("--algo", dest="algorithm", choices=bench_mod.ALGORITHMS, default="emp")
     p.add_argument(
         "--ratio",
         action="store_true",
@@ -208,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact references on a model file")
     p.add_argument("input")
-    p.add_argument("--method", choices=("brute", "tree", "lp"), required=True)
+    p.add_argument("--method", choices=_ORACLES, required=True)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -215,6 +215,9 @@ class _Recorder:
         logs = _log_marginals(self.model, lam, self.eta)
         dual, nu = _dual_and_slack(self.model, logs)
         score = slack_score(nu)
+        if not (math.isfinite(dual) and math.isfinite(score)):
+            raise ValidationError(f"record at k={k} is not finite (dual {dual}, slack score "
+                                  f"{score}) at eta={self.eta}")
         self.iters.append(k)
         self.duals.append(dual)
         self.scores.append(score)

@@ -1,5 +1,7 @@
 import math
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,3 +609,120 @@ class TestCli:
         path = tmp_path / "tri.mapmp"
         path.write_text(emit_model(tri))
         assert main(["oracle", str(path), "--method", "tree"]) == 2
+
+
+class TestTables:
+    """Each CSV's columns, the ``mapmp bench`` flags, the oracle methods and
+    the algorithm list are stated once; these pin what each statement says."""
+
+    def test_headers_are_the_documented_columns(self):
+        metrics = ("trial", "iter", "algorithm", "dual_value", "projected_primal", "primal_gap",
+                   "slack_score", "elapsed_ms")
+        assert METRIC_HEADER == metrics
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"`{','.join(metrics)}`" in readme
+        assert bench.SUMMARY_HEADER == ("algorithm", "iter", "primal_mean", "primal_std", "gap_mean",
+                                        "gap_std")
+        assert bench.RATIO_HEADER == ("iter", "log_ratio_mean", "log_ratio_std", "trials_used")
+
+    def test_algorithm_registry(self):
+        assert ALGORITHMS == ("emp", "smp", "bcd", "accel-emp", "accel-smp", "accel-bcd")
+        assert bench.RATIO_PAIR == {"emp": "accel-emp", "smp": "accel-smp", "bcd": "accel-bcd"}
+
+    def test_oracle_methods(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["oracle", "--help"])
+        assert "--method {brute,tree,lp}" in capsys.readouterr().out
+
+    def test_every_config_field_but_opt_value_has_a_flag(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        dests = {action.dest for action in sub.choices["bench"]._actions}
+        names = {f.name for f in fields(BenchConfig)}
+        assert names - {"opt_value"} <= dests
+        assert "opt_value" not in dests
+
+    @pytest.mark.parametrize("source", ["generate", "model"])
+    def test_every_flag_reaches_its_config_field(self, source, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(config, model=None):
+            seen.append(config)
+            raise ValidationError("captured")
+
+        monkeypatch.setattr(bench, "run_bench", capture)
+        opt = tmp_path / "opt.txt"
+        opt.write_text("-1.25\n")
+        path = str(tmp_path / "m.mapmp")
+        if source == "generate":
+            instance = dict(model_file=None, n=7, d=4, edge_prob=0.3)
+            argv = ["--n", "7", "--d", "4", "--edge-prob", "0.3"]
+        else:
+            instance = dict(model_file=path, n=None, d=None, edge_prob=None)
+            argv = ["--model", path]
+        argv = ["bench", *argv, "--algo", "smp", "--ratio", "--eta", "7.5", "--iters", "12",
+                "--trials", "3", "--seed", "5", "--stride", "4", "--opt-file", str(opt), "--timing",
+                "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 2
+        expected = dict(algorithm="smp", eta=7.5, iters=12, trials=3, seed=5, stride=4, ratio=True,
+                        opt_value=-1.25, timing=True, **instance)
+        assert set(expected) == {f.name for f in fields(BenchConfig)}
+        assert seen == [BenchConfig(**expected)]
+
+
+class TestEdgeProbWithModelFile:
+    """``edge_prob`` is a generation parameter: with a model file it is a
+    second instance source, not a flag that is silently ignored."""
+
+    def test_library_rejects_it(self, tmp_path):
+        path = tmp_path / "m.mapmp"
+        path.write_text(emit_model(mapmp.erdos_renyi_potts(6, 0.5, 2, 0)))
+        config = BenchConfig(algorithm="emp", eta=1.0, iters=3, trials=1, seed=0,
+                             model_file=str(path), edge_prob=0.5)
+        message = "^provide exactly one instance source: a model file or \\(n, d, edge_prob\\)$"
+        with pytest.raises(ValidationError, match=message):
+            config.validate()
+        with pytest.raises(ValidationError, match=message):
+            run_bench(config)
+        with pytest.raises(ValidationError, match="^generated instances need both n and d$"):
+            BenchConfig(algorithm="emp", eta=1.0, iters=3, trials=1, seed=0, edge_prob=0.5).validate()
+
+    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1"]])
+    def test_cli_exits_2(self, extra, tmp_path, monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(bench, "read_model", lambda *a: reads.append(a))
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--model", str(tmp_path / "m.mapmp"), "--edge-prob", "0.5", "--iters", "3",
+                "--out", str(out), *extra]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: provide exactly one instance source: a model file or (n, d, edge_prob)\n"
+        )
+        assert reads == [] and not out.exists()
+
+
+class TestMetricsCsvLineNumbers:
+    """``parse_metrics_csv`` names lines as they are numbered in its input,
+    blank lines in front included, and accepts the same texts as before."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        return metrics_csv(run_bench(small_config(iters=0)))
+
+    @pytest.mark.parametrize("front", ["", "\n", "\n\n", "\r\n\n  ", " \n\t\n"])
+    def test_leading_blank_lines_shift_the_line_numbers(self, text, front):
+        blank = front.count("\n")
+        assert parse_metrics_csv(front + text) == parse_metrics_csv(text)
+        lines = text.splitlines()
+        cells = lines[2].split(",")
+        cells[3] = "x"
+        bad = "\n".join([*lines[:2], ",".join(cells), *lines[3:]])
+        with pytest.raises(ValidationError, match=f"^line {3 + blank}: bad dual_value cell 'x'$"):
+            parse_metrics_csv(front + bad)
+
+    @pytest.mark.parametrize("front", ["", "\n\n"])
+    def test_short_row_names_its_line(self, text, front):
+        lines = text.splitlines()
+        short = "\n".join([*lines[:2], "0,0,emp,1.0,2.0", *lines[2:]])
+        with pytest.raises(ValidationError,
+                           match=f"^line {3 + len(front)}: metrics CSV row has 5 cells, expected 8$"):
+            parse_metrics_csv(front + short)

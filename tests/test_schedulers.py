@@ -680,3 +680,26 @@ class TestOneRecordPass:
         trace = solve(alg, model, self.ETA, self.ITERS, 5, stride=7, observer=observer)
         assert trace.iterations.tolist() == [0, 7, 14, 21, 28, 30]
         assert len(calls) == len(trace.iterations)
+
+
+class TestNonFiniteRecord:
+    """At eta = 1e308 the zero dual's log-marginals overflow: record 0 has
+    dual inf and slack score nan.  That is a ``ValidationError`` naming the
+    iteration and eta, for every algorithm, rather than a trace with no best
+    iterate or a NaN final lambda."""
+
+    MODEL = erdos_renyi_potts(6, 0.6, 2, 0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_overflowing_eta_is_a_validation_error(self, algorithm):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError, match=r"^record at k=0 is not finite "
+                                                      r"\(dual inf, slack score nan\) at eta=1e\+308$"):
+                solve(algorithm, self.MODEL, 1e308, 3, 0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_largest_finite_eta_records_finite_values(self, algorithm):
+        with np.errstate(all="ignore"):
+            trace = solve(algorithm, self.MODEL, 1e307, 3, 0)
+        assert np.isfinite(trace.dual_values).all() and np.isfinite(trace.slack_scores).all()
+        assert np.isfinite(trace.solution).all()
