@@ -127,6 +127,18 @@ def _split(a: np.ndarray, sizes) -> tuple:
     return tuple(a[start:end] for start, end in zip([0] + ends, ends))
 
 
+def _array(name: str, value, dtype=None, shape=None, copy=True) -> np.ndarray:
+    """``value`` as a C-ordered array of ``shape`` if given; one NumPy
+    cannot build, or of another shape, is a ``ValidationError`` naming ``name``."""
+    try:
+        a = np.array(value, dtype=dtype, copy=copy, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not a numeric array: {exc}") from None
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     """Validate inputs and assemble an immutable :class:`Model`.
 
@@ -137,28 +149,21 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
 
     Rejects: d < 2, self-loops, duplicate edges, out-of-range endpoints,
     vertices without any incident edge, non-finite costs, and shape
-    mismatches.  ``n`` and ``d`` are integers.
-    """
+    mismatches.  ``n``, ``d`` and every endpoint must be integers."""
     n, d = integer("n", n, 1), integer("d", d)
     check_labels(d)
 
-    vc = np.array(vertex_costs, dtype=np.float64, order="C")
-    if vc.shape != (n, d):
-        raise ValidationError(
-            f"vertex_costs has shape {vc.shape}, expected {(n, d)}"
-        )
+    vc = _array("vertex_costs", vertex_costs, np.float64, (n, d))
 
-    canon = np.array(edges, dtype=np.int64)
+    canon = _array("edges", edges)
     if canon.size == 0:
         canon = canon.reshape(0, 2)
-    if canon.ndim != 2 or canon.shape[1] != 2:
-        raise ValidationError(f"edges must be (i, j) pairs, got shape {canon.shape}")
-    m = canon.shape[0]
-    ec = np.ascontiguousarray(edge_costs, dtype=np.float64)
-    if ec.shape != (m, d, d):
+    if canon.ndim != 2 or canon.shape[1] != 2 or canon.size and canon.dtype.kind not in "iu":
         raise ValidationError(
-            f"edge_costs has shape {ec.shape}, expected {(m, d, d)}"
-        )
+            f"edges must be (i, j) pairs of integers, got {canon.dtype} of shape {canon.shape}")
+    canon = canon.astype(np.int64, copy=False)
+    m = canon.shape[0]
+    ec = _array("edge_costs", edge_costs, np.float64, (m, d, d), copy=None)
 
     outside = ((canon < 0) | (canon >= n)).any(axis=1)
     bad = np.flatnonzero(outside | (canon[:, 0] == canon[:, 1]))

@@ -53,6 +53,7 @@ bits.  Rows of the persistent y buffer elsewhere are stale and never read.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -114,6 +115,24 @@ def _sizes(m, n, d) -> tuple:
     return integer("m", m, 0), integer("n", n, 1), integer("d", d)
 
 
+def _finite(formula):
+    """``formula`` under one rule: a result that is not finite, or an int past
+    a double on the way, is a ``ValidationError`` naming formula and inputs."""
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            value = formula(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        inputs = {**dict(zip(formula.__code__.co_varnames, args)), **kwargs}
+        text = ", ".join(f"{k}={v}" for k, v in inputs.items())
+        raise ValidationError(f"{formula.__name__.replace('_', ' ')} overflows for {text}")
+    return checked
+
+
+@_finite
 def eta_for_epsilon(m: int, n: int, d: int, epsilon: float) -> float:
     """Regularization strength making the smoothed problem epsilon-faithful:
     eta = 4 (m + n) log(d) / epsilon."""
@@ -121,6 +140,7 @@ def eta_for_epsilon(m: int, n: int, d: int, epsilon: float) -> float:
     return 4.0 * (m + n) * math.log(d) / real("epsilon", epsilon)
 
 
+@_finite
 def eta_for_rounding(m: int, n: int, d: int, gap: float) -> float:
     """Regularization strength for exact rounding when the relaxation is
     tight with a unique optimum and suboptimality gap ``gap``:
@@ -129,6 +149,7 @@ def eta_for_rounding(m: int, n: int, d: int, gap: float) -> float:
     return 16.0 * (m + n) * (math.log(m + n) + math.log(d)) / real("gap", gap)
 
 
+@_finite
 def dual_gap_constant(m: int, n: int, d: int, eta: float, cost_inf: float) -> float:
     """G(eta) = 24 m d (m + n) (sqrt(eta) ||C||_inf + log(d) / sqrt(eta)),
     the constant in the accelerated dual-gap bound G(eta)^2 / (k + 2)^2.
@@ -140,18 +161,14 @@ def dual_gap_constant(m: int, n: int, d: int, eta: float, cost_inf: float) -> fl
     return 24.0 * m * d * (m + n) * (root * cost_inf + math.log(d) / root)
 
 
+@_finite
 def iteration_budget(
     m: int, n: int, d: int, eta: float, cost_inf: float, eps_prime: float
 ) -> int:
     """Iterations sufficient to drive expected block slack norms below
     ``eps_prime``: ceil(sqrt(4 eta) G(eta) / eps_prime)."""
     g = dual_gap_constant(m, n, d, eta, cost_inf)
-    budget = math.sqrt(4.0 * eta) * g / real("eps_prime", eps_prime)
-    if not math.isfinite(budget):
-        raise ValidationError(
-            f"iteration budget overflows for eta={eta}, eps_prime={eps_prime}"
-        )
-    return int(math.ceil(budget))
+    return math.ceil(math.sqrt(4.0 * eta) * g / real("eps_prime", eps_prime))
 
 
 @dataclass

@@ -145,6 +145,49 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="pairs"):
             zeros_model(3, [(0, 1, 2)], 2)
 
+    @pytest.mark.parametrize(
+        "edges, dtype",
+        [
+            ([(0.5, 1)], "float64"),  # truncated to (0, 1) when edges went through int64
+            (np.array([[0.9, 1.2]]), "float64"),
+            ([(0.0, 1.0)], "float64"),  # a whole float is no integer either
+            ([("0", "1")], "<U1"),
+            ([(True, False)], "bool"),
+            (None, "object"),
+            ([(0, 10**30)], "object"),  # an OverflowError on the way to int64
+        ],
+    )
+    def test_non_integer_endpoints_rejected(self, edges, dtype):
+        message = f"^edges must be \\(i, j\\) pairs of integers, got {re.escape(dtype)} of shape"
+        with pytest.raises(ValidationError, match=message):
+            build_model(2, edges, 2, np.zeros((2, 2)), np.zeros((1, 2, 2)))
+
+    def test_ragged_edges_rejected(self):
+        with pytest.raises(ValidationError, match="^edges is not a numeric array: "):
+            build_model(3, [(0, 1), (1,)], 2, np.zeros((3, 2)), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_any_integer_dtype_is_taken(self, dtype):
+        m = zeros_model(3, np.array([(1, 0), (2, 1)], dtype=dtype), 2)
+        assert m.edges.dtype == np.int64 and m.edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("edges", [[], np.zeros((0, 2)), np.zeros(0, dtype=np.float32)])
+    def test_empty_edge_list_reaches_the_isolated_vertex_check(self, edges):
+        with pytest.raises(ValidationError, match="^isolated vertex 0 has no incident edge$"):
+            build_model(2, edges, 2, np.zeros((2, 2)), np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize("name", ["vertex_costs", "edge_costs"])
+    @pytest.mark.parametrize("bad", ["strings", "ragged", "dict"])
+    def test_unconvertible_costs_rejected(self, name, bad):
+        costs = {"vertex_costs": np.zeros((2, 2)), "edge_costs": np.zeros((1, 2, 2))}
+        costs[name] = {
+            "strings": [["a", "b"]] * 2 if name == "vertex_costs" else [[["a", "b"], [0, 0]]],
+            "ragged": [[0, 0], [0]] if name == "vertex_costs" else [[[0, 0], [0]]],
+            "dict": {0: 1.0},
+        }[bad]
+        with pytest.raises(ValidationError, match=f"^{name} is not a numeric array: "):
+            build_model(2, [(0, 1)], 2, **costs)
+
 
 class TestFlatIndices:
     """``incident_blocks``, ``incident_rows``, the ``star_tables`` and the

@@ -70,11 +70,11 @@ class TestRoundToTransport:
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="mass"):
             round_to_transport(np.full((2, 2), 0.3), [0.5, 0.5], [0.5, 0.5])
-        with pytest.raises(ValidationError, match="mass"):
+        with pytest.raises(ValidationError, match="^matrix 0: row targets leave the simplex"):
             round_to_transport(np.full((2, 2), 0.25), [0.7, 0.5], [0.5, 0.5])
 
     def test_negative_targets_rejected(self):
-        with pytest.raises(ValidationError, match="nonnegative"):
+        with pytest.raises(ValidationError, match="^matrix 0: row targets leave the simplex"):
             round_to_transport(np.full((2, 2), 0.25), [1.2, -0.2], [0.5, 0.5])
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -99,15 +99,129 @@ class TestRoundToTransport:
         half = [0.5, 0.5]
         with pytest.raises(ValidationError, match="non-finite"):
             round_to_transport(np.full((2, 2), np.nan), half, half)
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match="^matrix 0: row targets leave the simplex"):
             round_to_transport(np.full((2, 2), 0.25), [np.inf, 0.5], half)
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match="^matrix 2: column targets leave the simplex"):
             round_to_transport(np.full((3, 2, 2), 0.25), np.full((3, 2), 0.5),
                                [half, half, [np.nan, 0.5]])
 
     def test_stack_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="square"):
             round_to_transport(np.full((3, 2, 2), 0.25), np.full((2, 2), 0.5), np.full((3, 2), 0.5))
+
+
+def half_stack(k, d=2):
+    """k uniform (d, d) matrices with uniform row and column targets."""
+    return np.full((k, d, d), 1.0 / d**2), np.full((k, d), 1.0 / d), np.full((k, d), 1.0 / d)
+
+
+class TestOneCheckOrder:
+    """Both entries check in one order, with one message style: shapes, then
+    one simplex mask over the row and column targets naming the first bad
+    (matrix, side) in matrix-major order, then matrix finiteness, then
+    matrix mass."""
+
+    FAULTS = {
+        "negative": [1.2, -0.2],
+        "mass": [0.5, 0.5 + 2e-10],
+        "nan": [np.nan, 0.5],
+        "inf": [np.inf, 0.5],
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_single_matrix_target_fault(self, fault, side):
+        p, r, c = half_stack(1)
+        (r, c)[side][0] = self.FAULTS[fault]
+        message = f"^matrix 0: {('row', 'column')[side]} targets leave the simplex beyond 1e-10$"
+        with pytest.raises(ValidationError, match=message):
+            round_to_transport(p[0], r[0], c[0])
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_stacked_target_fault(self, fault, side):
+        p, r, c = half_stack(4)
+        (r, c)[side][2] = self.FAULTS[fault]
+        message = f"^matrix 2: {('row', 'column')[side]} targets leave the simplex beyond 1e-10$"
+        with pytest.raises(ValidationError, match=message):
+            round_to_transport(p, r, c)
+
+    def test_a_target_within_the_tolerance_passes(self):
+        p, r, c = half_stack(1)
+        r[0] = [0.5 + 5e-11, 0.5]
+        c[0] = [1.0 + 5e-11, -5e-11]
+        out = round_to_transport(p, r, c)
+        assert np.isfinite(out).all() and out.min() >= 0.0
+
+    @pytest.mark.parametrize(
+        "faults, named",
+        [
+            ([(3, 0), (1, 1)], "matrix 1: column"),  # matrix before side
+            ([(1, 1), (1, 0)], "matrix 1: row"),  # row before column in one matrix
+            ([(2, 0), (0, 1), (0, 0)], "matrix 0: row"),
+        ],
+    )
+    def test_first_fault_in_matrix_major_order_is_named(self, faults, named):
+        p, r, c = half_stack(4)
+        for k, side in faults:
+            (r, c)[side][k] = [0.7, 0.5]
+        with pytest.raises(ValidationError, match=f"^{named} targets leave the simplex"):
+            round_to_transport(p, r, c)
+
+    def test_target_fault_is_named_before_a_bad_matrix(self):
+        p, r, c = half_stack(3)
+        p[0] = np.nan
+        c[1] = [-1.0, 2.0]
+        with pytest.raises(ValidationError, match="^matrix 1: column targets leave the simplex"):
+            round_to_transport(p, r, c)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_with_valid_targets(self, value):
+        p, r, c = half_stack(3)
+        p[1, 0, 1] = value
+        with pytest.raises(ValidationError, match="^matrices must not have non-finite entries$"):
+            round_to_transport(p, r, c)
+        with pytest.raises(ValidationError, match="^matrices must not have non-finite entries$"):
+            round_to_transport(p[1], r[1], c[1])
+
+    def test_first_matrix_of_wrong_mass_is_named(self):
+        p, r, c = half_stack(3)
+        p[1] *= 1.2
+        p[2] *= 0.5
+        with pytest.raises(ValidationError, match=r"^matrix 1: mass 1\.2 differs from 1 beyond 1e-10$"):
+            round_to_transport(p, r, c)
+        with pytest.raises(ValidationError, match=r"^matrix 0: mass 0\.5 differs from 1 beyond 1e-10$"):
+            round_to_transport(p[2], r[2], c[2])
+
+    def test_empty_matrices_rejected(self):
+        with pytest.raises(ValidationError, match="^expected nonempty square matrices"):
+            round_to_transport(np.zeros((2, 0, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("with_nu", [False, True])
+    def test_proj_is_one_round_to_transport_call(self, with_nu):
+        rng = np.random.default_rng(11)
+        m = random_model(rng, 6, 3)
+        lam = rng.normal(size=(m.m, 2, m.d))
+        mu = recover_primal(m, lam, 5.0)
+        nu = slack(m, lam, 5.0) if with_nu else None
+        targets = mu.vertex[m.edges] + (nu if with_nu else 0.0)
+        out = proj(m, mu, nu)
+        expected = round_to_transport(mu.edge, targets[:, 0], targets[:, 1])
+        assert out.edge.tobytes() == expected.tobytes()
+        assert out.vertex.tobytes() == mu.vertex.tobytes() and out.vertex is not mu.vertex
+
+    def test_proj_names_an_edge_as_its_matrix(self):
+        rng = np.random.default_rng(12)
+        m = random_model(rng, 5, 3)
+        mu = recover_primal(m, zero_dual(m), 1.0)
+        nu = np.zeros((m.m, 2, m.d))
+        nu[m.m - 1, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match=f"^matrix {m.m - 1}: row targets leave the simplex"):
+            proj(m, mu, nu)
+        edge = mu.edge.copy()
+        edge[0, 0, 0] = np.inf
+        with pytest.raises(ValidationError, match="^matrices must not have non-finite entries$"):
+            proj(m, Marginals(mu.vertex, edge))
 
 
 class TestProj:
@@ -206,7 +320,7 @@ class TestProj:
         nu = np.zeros((m.m, 2, m.d))
         nu[2, 1] = [0.4, -0.4 - mu.vertex[m.edges[2, 1], 1] - 0.1]
         nu[3, 0] = 5.0
-        with pytest.raises(ValidationError, match="edge 2: offset column targets"):
+        with pytest.raises(ValidationError, match="^matrix 2: column targets leave the simplex"):
             proj(m, mu, nu)
 
     def test_non_finite_vertex_entry_rejected(self):

@@ -168,6 +168,43 @@ class TestEtaFormulas:
         with pytest.raises(ValidationError, match="iteration budget overflows"):
             iteration_budget(1, 2, 2, 1.0, 1.0, 1e-310)
 
+    @pytest.mark.parametrize(
+        "formula, args, shown",
+        [
+            (eta_for_epsilon, (100, 100, 3, 1e-320), "eta for epsilon overflows for m=100, n=100, d=3, "
+             "epsilon=1e-320"),
+            (eta_for_rounding, (100, 100, 3, 1e-320), "eta for rounding overflows for m=100, n=100, d=3, "
+             "gap=1e-320"),
+            (dual_gap_constant, (100, 100, 3, 1e300, 1e300), "dual gap constant overflows for m=100, "
+             "n=100, d=3, eta=1e+300, cost_inf=1e+300"),
+            (iteration_budget, (1, 2, 2, 1.0, 1.0, 1e-310), "iteration budget overflows for m=1, n=2, "
+             "d=2, eta=1.0, cost_inf=1.0, eps_prime=1e-310"),
+        ],
+        ids=["eta_for_epsilon", "eta_for_rounding", "dual_gap_constant", "iteration_budget"],
+    )
+    def test_non_finite_result_is_named(self, formula, args, shown):
+        # unchecked, the first three returned inf
+        with pytest.raises(ValidationError, match=f"^{re.escape(shown)}$"):
+            formula(*args)
+
+    @pytest.mark.parametrize(
+        "formula, extra",
+        [(eta_for_epsilon, (1.0,)), (eta_for_rounding, (1.0,)), (dual_gap_constant, (1.0, 1.0)),
+         (iteration_budget, (1.0, 1.0, 1.0))],
+        ids=["eta_for_epsilon", "eta_for_rounding", "dual_gap_constant", "iteration_budget"],
+    )
+    def test_size_past_a_double_is_named(self, formula, extra):
+        # unchecked, m = 10**400 raised OverflowError: int too large to convert to float
+        # (iteration_budget reaches it through dual_gap_constant, which names itself)
+        name = "dual gap constant" if formula is iteration_budget else formula.__name__.replace("_", " ")
+        with pytest.raises(ValidationError, match=f"^{name} overflows for m={10**400}, n=100, d=3, "):
+            formula(10**400, 100, 3, *extra)
+
+    def test_keyword_inputs_are_named(self):
+        with pytest.raises(ValidationError, match=r"^iteration budget overflows for .*, eps_prime=1e-310$"):
+            iteration_budget(1, 2, 2, eta=1.0, cost_inf=1.0, eps_prime=1e-310)
+        assert iteration_budget(m=1, n=2, d=2, eta=1.0, cost_inf=1.0, eps_prime=1.0) == 488
+
     def test_zero_cost_is_a_valid_gap_constant(self):
         assert dual_gap_constant(1, 2, 2, 1.0, 0.0) == pytest.approx(24.0 * 2 * 3 * math.log(2))
 
