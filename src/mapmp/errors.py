@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the input checks that
-raise them: every integer, real-number, label-count and marginal-shape rule
+raise them: every integer, real-number, label-count, array and shape rule
 is stated here once, so a bad value gets the same message wherever it
 enters."""
 
 import math
 import operator
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -53,11 +55,34 @@ def check_labels(d) -> None:
         raise ValidationError(f"need at least two labels per vertex, got d={d}")
 
 
-def check_marginal_shapes(model, mu, nu=None) -> None:
-    """Reject marginal blocks ``mu``, or a slack offset ``nu``, whose shape
-    does not fit ``model``."""
+def array(name: str, value, dtype=None, shape=None, copy=True, order="K") -> np.ndarray:
+    """A caller's array argument as an array of ``shape`` if given; one NumPy
+    cannot build, or of another shape, is a ``ValidationError`` naming ``name``."""
+    try:
+        a = np.array(value, dtype=dtype, copy=copy, order=order)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not a numeric array: {exc}") from None
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def check_marginal_shapes(model, mu, nu=None):
+    """``mu``'s vertex and edge blocks and a slack offset ``nu`` (None stays
+    None) as float arrays of the shapes that fit ``model``."""
     n, m, d = model.n, model.m, model.d
-    for what, a, shape in (("vertex blocks have", mu.vertex, (n, d)),
-                           ("edge blocks have", mu.edge, (m, d, d)), ("slack offset has", nu, (m, 2, d))):
-        if a is not None and a.shape != shape:
-            raise ValidationError(f"{what} shape {a.shape}, expected {shape}")
+    vertex = array("mu.vertex", mu.vertex, np.float64, (n, d), copy=None)
+    edge = array("mu.edge", mu.edge, np.float64, (m, d, d), copy=None)
+    if nu is not None:
+        nu = array("slack offset", nu, np.float64, (m, 2, d), copy=None)
+    return vertex, edge, nu
+
+
+def check_assignment(model, assignment) -> np.ndarray:
+    """Coerce to an int64 label vector and validate length and label range."""
+    labels = array("assignment", assignment, np.float64, (model.n,), copy=None)
+    if not np.array_equal(np.rint(labels), labels):
+        raise ValidationError("assignment labels must be integers")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.d:
+        raise ValidationError(f"assignment labels must lie in 0..{model.d - 1}")
+    return labels.astype(np.int64)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, check_labels, integer, real
+from .errors import ValidationError, array, check_assignment, check_labels, integer, real
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,10 @@ class Model:
     def pair_tables(self) -> tuple:
         """The one-edge ``StarTable`` of a pair's vertex in slot 0, then in slot 1."""
         return _star_table(self.d, 1, 0), _star_table(self.d, 1, 1)
+
+    @cached_property
+    def dual_shape(self) -> tuple:  # (m, 2, d), held for the update kernels' check
+        return (self.m, 2, self.d)
 
     @property
     def m(self) -> int:
@@ -127,18 +131,6 @@ def _split(a: np.ndarray, sizes) -> tuple:
     return tuple(a[start:end] for start, end in zip([0] + ends, ends))
 
 
-def _array(name: str, value, dtype=None, shape=None, copy=True) -> np.ndarray:
-    """``value`` as a C-ordered array of ``shape`` if given; one NumPy
-    cannot build, or of another shape, is a ``ValidationError`` naming ``name``."""
-    try:
-        a = np.array(value, dtype=dtype, copy=copy, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} is not a numeric array: {exc}") from None
-    if shape is not None and a.shape != shape:
-        raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
-    return a
-
-
 def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     """Validate inputs and assemble an immutable :class:`Model`.
 
@@ -153,17 +145,16 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     n, d = integer("n", n, 1), integer("d", d)
     check_labels(d)
 
-    vc = _array("vertex_costs", vertex_costs, np.float64, (n, d))
+    vc = array("vertex_costs", vertex_costs, np.float64, (n, d), order="C")
 
-    canon = _array("edges", edges)
+    canon = array("edges", edges, order="C")
     if canon.size == 0:
         canon = canon.reshape(0, 2)
     if canon.ndim != 2 or canon.shape[1] != 2 or canon.size and canon.dtype.kind not in "iu":
         raise ValidationError(
             f"edges must be (i, j) pairs of integers, got {canon.dtype} of shape {canon.shape}")
-    canon = canon.astype(np.int64, copy=False)
     m = canon.shape[0]
-    ec = _array("edge_costs", edge_costs, np.float64, (m, d, d), copy=None)
+    ec = array("edge_costs", edge_costs, np.float64, (m, d, d), copy=None, order="C")
 
     outside = ((canon < 0) | (canon >= n)).any(axis=1)
     bad = np.flatnonzero(outside | (canon[:, 0] == canon[:, 1]))
@@ -172,6 +163,7 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
         if outside[bad[0]]:
             raise ValidationError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
         raise ValidationError(f"self-loop at vertex {i}")
+    canon = canon.astype(np.int64, copy=False)  # after the range check, so no endpoint wraps
 
     flip = canon[:, 0] > canon[:, 1]
     canon[flip] = canon[flip, ::-1]
@@ -208,24 +200,6 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
         incident_edges=incident_edges,
         incident_slots=incident_slots,
     )
-
-
-def check_assignment(model: Model, assignment) -> np.ndarray:
-    """Coerce to an int64 label vector and validate length and label range."""
-    labels = np.asarray(assignment)
-    if labels.shape != (model.n,):
-        raise ValidationError(
-            f"assignment has shape {labels.shape}, expected ({model.n},)"
-        )
-    if not np.issubdtype(labels.dtype, np.integer):
-        rounded = np.rint(labels)
-        if not np.array_equal(rounded, labels):
-            raise ValidationError("assignment labels must be integers")
-        labels = rounded
-    labels = labels.astype(np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.d:
-        raise ValidationError(f"assignment labels must lie in 0..{model.d - 1}")
-    return labels
 
 
 def map_value(model: Model, assignment) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_marginal_shapes, real
+from .errors import ValidationError, array, check_marginal_shapes, real
 from .model import Model
 
 # Probabilities are clamped here before any explicit log of a materialized
@@ -50,7 +50,7 @@ class Marginals:
 def zero_dual(model: Model) -> np.ndarray:
     """All-zero dual vector of shape (m, 2, d): block [e, s] belongs to the
     endpoint of edge e in slot s (0 = smaller vertex id, 1 = larger)."""
-    return np.zeros((model.m, 2, model.d))
+    return np.zeros(model.dual_shape)
 
 
 # ``_lse`` folds only arrays of at least this many entries.  Summing one axis
@@ -60,7 +60,7 @@ def zero_dual(model: Model) -> np.ndarray:
 _FOLD_MIN_SIZE = 512
 
 
-def _fold(ufunc, a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
+def fold(ufunc, a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
     """``ufunc.reduce(a, axis=axis, keepdims=keepdims)`` for ``np.add``,
     ``np.maximum`` or ``np.minimum``, as a left fold of elementwise calls on
     slices when ``axis`` is one int axis of 2 to 7 entries.
@@ -105,18 +105,18 @@ def _exp(a: np.ndarray, out=None) -> np.ndarray:
 def _lse(a: np.ndarray, axis):
     """Stabilized log-sum-exp along ``axis`` (int or tuple).
 
-    Reduces through ``_fold`` from ``_FOLD_MIN_SIZE`` entries on and by one
+    Reduces through ``fold`` from ``_FOLD_MIN_SIZE`` entries on and by one
     ufunc reduction below; both give the bits of the reductions behind
     ``np.max`` and ``ndarray.sum``.  The exp runs through ``_exp``, whose
     underflow mask gives the bits of ``np.exp``.  Works in place; every step
     is the same floating-point operation as log(sum(exp(a - max))) + max, so
     results are bit-identical to that formula."""
-    fold = a.size >= _FOLD_MIN_SIZE
-    amax = (_fold(np.maximum, a, axis, True) if fold
+    big = a.size >= _FOLD_MIN_SIZE
+    amax = (fold(np.maximum, a, axis, True) if big
             else np.maximum.reduce(a, axis=axis, keepdims=True))
     shifted = a - amax
     _exp(shifted, out=shifted)
-    out = (_fold(np.add, shifted, axis, True) if fold
+    out = (fold(np.add, shifted, axis, True) if big
            else np.add.reduce(shifted, axis=axis, keepdims=True))
     np.log(out, out=out)
     out += amax
@@ -136,6 +136,7 @@ def _lambda_aggregate(model: Model, lam: np.ndarray) -> np.ndarray:
 def _log_marginals(model: Model, lam: np.ndarray, eta: float):
     """Normalized vertex (n, d) and edge (m, d, d) log-marginals and L(lam),
     the sum of the log partition functions they were normalized by, over eta."""
+    lam = array("lam", lam, np.float64, model.dual_shape, copy=None)  # once per dual function
     log_mu_v = _lambda_aggregate(model, lam)
     log_mu_v -= model.vertex_costs
     log_mu_v *= eta
@@ -163,7 +164,7 @@ def _marginals(logs) -> Marginals:
     """The primal candidate, built in place from ``_log_marginals``' output."""
     mu_v, mu_e, _ = logs
     _exp(mu_v, out=mu_v)
-    mu_v /= _fold(np.add, mu_v, 1)[:, None]
+    mu_v /= fold(np.add, mu_v, 1)[:, None]
     _exp(mu_e, out=mu_e)
     mu_e /= np.add.reduce(mu_e, axis=(1, 2), keepdims=True)
     return Marginals(mu_v, mu_e)
@@ -204,18 +205,18 @@ def slack_score(nu: np.ndarray) -> float:
     """Sum over (edge, endpoint) blocks of the squared l1 norms of nu."""
     if nu.size == 0:
         return 0.0
-    norms = _fold(np.add, np.abs(nu), 2)
+    norms = fold(np.add, np.abs(nu), 2)
     return float(np.square(norms, out=norms).sum())
 
 
 def primal_objective(model: Model, mu: Marginals) -> float:
     """Inner product <C, mu> over all vertex and edge blocks, which must be finite."""
-    check_marginal_shapes(model, mu)
-    if not (np.isfinite(mu.vertex).all() and np.isfinite(mu.edge).all()):
+    vertex, edge, _ = check_marginal_shapes(model, mu)
+    if not (np.isfinite(vertex).all() and np.isfinite(edge).all()):
         raise ValidationError("primal_objective requires finite entries")
-    value = float((model.vertex_costs * mu.vertex).sum())
+    value = float((model.vertex_costs * vertex).sum())
     if model.m:
-        value += float((model.edge_costs * mu.edge).sum())
+        value += float((model.edge_costs * edge).sum())
     return value
 
 
@@ -241,30 +242,25 @@ def entropy(mu: Marginals) -> float:
 def in_local_polytope(model: Model, mu: Marginals, tol: float = 1e-8) -> bool:
     """True iff every vertex block is a distribution and every edge block's
     row/column sums match its endpoint blocks, all within ``tol``."""
-    return in_slack_polytope(model, mu, np.zeros((model.m, 2, model.d)), tol)
+    return in_slack_polytope(model, mu, None, tol)
 
 
 def in_slack_polytope(
-    model: Model, mu: Marginals, nu: np.ndarray, tol: float = 1e-8
+    model: Model, mu: Marginals, nu: np.ndarray | None, tol: float = 1e-8
 ) -> bool:
-    """Local-polytope membership with consistency targets offset by nu:
-    edge block e must have row sums mu_i + nu[e, 0] and column sums
-    mu_j + nu[e, 1], within ``tol`` entrywise."""
-    check_marginal_shapes(model, mu, nu)
+    """Local-polytope membership with consistency targets offset by nu (None
+    for no offset, as in ``proj``): edge block e must have row sums
+    mu_i + nu[e, 0] and column sums mu_j + nu[e, 1], within ``tol`` entrywise."""
+    vertex, edge, nu = check_marginal_shapes(model, mu, nu)
     tol = real("tol", tol, "nonnegative")
-    if mu.vertex.min(initial=0.0) < -tol:
+    if vertex.min(initial=0.0) < -tol:
         return False
-    if np.abs(mu.vertex.sum(axis=1) - 1.0).max(initial=0.0) > tol:
+    if np.abs(vertex.sum(axis=1) - 1.0).max(initial=0.0) > tol:
         return False
     if model.m == 0:
         return True
-    if mu.edge.min() < -tol:
+    if edge.min() < -tol:
         return False
-    rows = mu.edge.sum(axis=2)
-    cols = mu.edge.sum(axis=1)
-    row_targets = mu.vertex[model.edges[:, 0]] + nu[:, 0]
-    col_targets = mu.vertex[model.edges[:, 1]] + nu[:, 1]
-    return bool(
-        np.abs(rows - row_targets).max() <= tol
-        and np.abs(cols - col_targets).max() <= tol
-    )
+    targets = vertex[model.edges] if nu is None else vertex[model.edges] + nu
+    return bool(np.abs(edge.sum(axis=2) - targets[:, 0]).max() <= tol
+                and np.abs(edge.sum(axis=1) - targets[:, 1]).max() <= tol)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, check_marginal_shapes
+from .errors import ValidationError, array, check_marginal_shapes
 from .model import Model
-from .objective import Marginals, _fold
+from .objective import Marginals, fold
 
 _MASS_TOL = 1e-10
 _SKIP_CORRECTION = 1e-14
@@ -34,9 +34,9 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
     finite with mass 1 within 1e-10.  The output matches the targets to
     ~1e-15 and stays entrywise nonnegative.
     """
-    p = np.array(matrix, dtype=np.float64)
-    r = np.asarray(row_targets, dtype=np.float64)
-    c = np.asarray(col_targets, dtype=np.float64)
+    p = array("matrix", matrix, np.float64)
+    r = array("row_targets", row_targets, np.float64, copy=None)
+    c = array("col_targets", col_targets, np.float64, copy=None)
     single = p.ndim == 2
     if single:
         p, r, c = p[None], r[None], c[None]
@@ -44,8 +44,8 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
         raise ValidationError(
             f"expected nonempty square matrices with matching targets, got {p.shape}, {r.shape}, {c.shape}"
         )
-    inside = np.stack([(_fold(np.minimum, t, 1) >= -_MASS_TOL)
-                       & (np.abs(_fold(np.add, t, 1) - 1.0) <= _MASS_TOL) for t in (r, c)], axis=1)
+    inside = np.stack([(fold(np.minimum, t, 1) >= -_MASS_TOL)
+                       & (np.abs(fold(np.add, t, 1) - 1.0) <= _MASS_TOL) for t in (r, c)], axis=1)
     if not inside.all():
         k, s = np.argwhere(~inside)[0]
         raise ValidationError(
@@ -61,18 +61,18 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
     r = np.maximum(r, 0.0)
     c = np.maximum(c, 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        row_sums = _fold(np.add, p, 2)
+        row_sums = fold(np.add, p, 2)
         scale = np.where(row_sums > 0.0, np.minimum(1.0, r / row_sums), 1.0)
         p *= scale[:, :, None]
-        col_sums = _fold(np.add, p, 1)
+        col_sums = fold(np.add, p, 1)
         scale = np.where(col_sums > 0.0, np.minimum(1.0, c / col_sums), 1.0)
         p *= scale[:, None, :]
 
         # Scaling never overshoots the targets, so both errors are nonnegative
         # up to roundoff; clamping keeps the rank-one correction sign-safe.
-        err_r = np.maximum(r - _fold(np.add, p, 2), 0.0)
-        err_c = np.maximum(c - _fold(np.add, p, 1), 0.0)
-        missing = _fold(np.add, err_r, 1)
+        err_r = np.maximum(r - fold(np.add, p, 2), 0.0)
+        err_c = np.maximum(c - fold(np.add, p, 1), 0.0)
+        missing = fold(np.add, err_r, 1)
         # Rows below the threshold add -0.0, which leaves every entry's bits as they are.
         fix = missing > _SKIP_CORRECTION
         correction = err_r[:, :, None] * err_c[:, None, :] / missing[:, None, None]
@@ -91,11 +91,9 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
     was recovered from a dual point the total edge movement is at most twice
     the summed slack norms.
     """
-    check_marginal_shapes(model, mu, nu)
-    targets = mu.vertex[model.edges]
-    if nu is not None:
-        targets = targets + nu
-    return Marginals(mu.vertex.copy(), round_to_transport(mu.edge, targets[:, 0], targets[:, 1]))
+    vertex, edge, nu = check_marginal_shapes(model, mu, nu)
+    targets = vertex[model.edges] if nu is None else vertex[model.edges] + nu
+    return Marginals(vertex.copy(), round_to_transport(edge, targets[:, 0], targets[:, 1]))
 
 
 def vertex_round(mu: Marginals) -> np.ndarray:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, array, integer, real
 from .model import Model
 
 _add, _sub, _mul, _div, _exp, _log = np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
@@ -94,7 +94,9 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
 
 
 def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
-    """(slot, [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
+    """(block lam[e, i], [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
+    if getattr(lam, "shape", None) != model.dual_shape:  # only a misfit is converted, or rejected
+        lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
     edge, vertex, edges = integer("edge", edge), integer("vertex", vertex), model.edges
     if not 0 <= edge < len(edges):
         raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
@@ -105,13 +107,15 @@ def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int
     else:
         raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
     t = model.pair_tables[slot]
-    return slot, _log_marginal_pass(
+    return lam[edge, slot], _log_marginal_pass(
         t, model.d, lam[edge].ravel()[t.expand], lam.ravel()[model.incident_blocks[vertex]],
         model.edge_costs[edge], model.vertex_costs[vertex], eta)
 
 
 def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star."""
+    if getattr(lam, "shape", None) != model.dual_shape:
+        lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
     vertex = integer("vertex", vertex)
     if not 0 <= vertex < model.n:
         raise ValidationError(f"vertex index {vertex} outside 0..{model.n - 1}")
@@ -147,10 +151,10 @@ def emp_update(
     arguments.
     """
     eta = real("eta", eta)
-    slot, logs = _pair_pass(model, lam, eta, edge, vertex)
+    own, logs = _pair_pass(model, lam, eta, edge, vertex)
     block = _sub(logs[0], logs[1])
     _div(block, 2.0 * eta, block)
-    _add(block, lam[edge, slot], block)
+    _add(block, own, block)
     if with_slack:
         marginals = _exp(logs)
         return block, _sub(marginals[0], marginals[1])
@@ -188,11 +192,11 @@ def block_grad_step(
     ``with_slack`` returns ``(block, nu)``, the step's own slack block.
     """
     eta = real("eta", eta)
-    slot, logs = _pair_pass(model, lam, eta, edge, vertex)
+    own, logs = _pair_pass(model, lam, eta, edge, vertex)
     marginals = _exp(logs)
     nu = _sub(marginals[0], marginals[1])
     block = _mul(1.0 / eta, nu)
-    _add(block, lam[edge, slot], block)
+    _add(block, own, block)
     if with_slack:
         return block, nu
     return block

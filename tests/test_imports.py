@@ -39,6 +39,23 @@ def test_every_imported_name_is_used(path):
     assert wrapped <= imported - used  # the exceptions are still bound, and still not called
 
 
+def private_imports(path: Path) -> set:
+    """The (module, name) pairs of underscore names ``path`` imports from
+    another module of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_only_the_record_pass_is_imported_privately():
+    # the recorder in schedulers runs objective's one record pass; any other
+    # shared helper has a package-level name
+    found = {(path.stem, *pair) for path in SRC.glob("*.py") for pair in private_imports(path)}
+    assert found == {("schedulers", "objective", name)
+                     for name in ("_dual_and_slack", "_log_marginals", "_marginals")}
+
+
 def test_the_check_finds_an_unused_import(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("from __future__ import annotations\nimport math\nimport os as system\n"

@@ -1,7 +1,8 @@
 """The input checks of ``mapmp.errors`` as every public entry point applies
 them: a real parameter that is a str, None, NaN, infinite or out of its
-range, and a non-integer or out-of-range size, is a ``ValidationError``
-naming the parameter, raised before any draw."""
+range, a non-integer or out-of-range size, and an array argument that is a
+str, ragged, None or of the wrong shape, is a ``ValidationError`` naming the
+parameter, raised before any draw."""
 
 import math
 import re
@@ -14,7 +15,7 @@ from mapmp import ValidationError, schedulers
 from mapmp.bench import BenchConfig, run_bench
 from mapmp.errors import integer, real
 from mapmp.model import default_edge_prob
-from mapmp.objective import recover_primal, zero_dual
+from mapmp.objective import Marginals, recover_primal, zero_dual
 
 
 def zeros_model(n, edges, d):
@@ -101,6 +102,84 @@ def test_bad_real_parameter_names_itself_before_any_draw(no_draws, name, rule, c
     shown = "finite" if rule == FINITE else f"a {rule} finite number"
     with pytest.raises(ValidationError, match=f"^{name} must be {shown}, got {re.escape(str(value))}$"):
         call(value)
+
+
+# (id, name the message starts with, call taking the value, wrong shapes);
+# an id ending in "?" marks a slack offset, for which None means no offset.
+M, D = MODEL.m, MODEL.d
+DUAL_WRONG = [(M, 2, D + 1), (M + 1, 2, D), (M * 2 * D,)]
+ARRAYS = [
+    ("map_value", "assignment", lambda x: mapmp.map_value(MODEL, x), [(2,), (3, 1)]),
+    ("round_to_transport-matrix", "matrix",
+     lambda x: mapmp.round_to_transport(x, [0.5, 0.5], [0.5, 0.5]), [(3, 2), (2,)]),
+    ("round_to_transport-row_targets", "row_targets",
+     lambda x: mapmp.round_to_transport(np.full((2, 2), 0.25), x, [0.5, 0.5]), [(3,), (1, 2)]),
+    ("round_to_transport-col_targets", "col_targets",
+     lambda x: mapmp.round_to_transport(np.full((2, 2), 0.25), [0.5, 0.5], x), [(3,), (1, 2)]),
+    *[(f"{f.__name__}-lam", "lam", lambda x, f=f: f(MODEL, x, 1.0), DUAL_WRONG)
+      for f in (mapmp.dual_objective, mapmp.recover_primal, mapmp.slack, mapmp.dual_and_slack)],
+    *[(f"{f.__name__}-lam", "lam", lambda x, f=f: f(MODEL, x, 1.0, 0, 0), DUAL_WRONG)
+      for f in (mapmp.emp_update, mapmp.block_grad_step, mapmp.block_slack)],
+    *[(f"{f.__name__}-lam", "lam", lambda x, f=f: f(MODEL, x, 1.0, 1), DUAL_WRONG)
+      for f in (mapmp.smp_update, mapmp.star_slack)],
+    ("proj-nu?", "slack offset", lambda x: mapmp.proj(MODEL, MU, x), DUAL_WRONG),
+    ("in_slack_polytope-nu?", "slack offset", lambda x: mapmp.in_slack_polytope(MODEL, MU, x), DUAL_WRONG),
+    *[(f"{f.__name__}-mu.vertex", "mu.vertex", lambda x, f=f: f(MODEL, Marginals(x, MU.edge)),
+       [(3, 3), (2, 2)]) for f in (mapmp.proj, mapmp.primal_objective, mapmp.in_local_polytope)],
+    *[(f"{f.__name__}-mu.edge", "mu.edge", lambda x, f=f: f(MODEL, Marginals(MU.vertex, x)),
+       [(2, 2, 3), (3, 2, 2)]) for f in (mapmp.proj, mapmp.primal_objective, mapmp.in_local_polytope)],
+    ("build_model-edges", "edges", lambda x: mapmp.build_model(3, x, 2, np.zeros((3, 2)), np.zeros((2, 2, 2))),
+     [(2, 3), (4,)]),
+    ("build_model-vertex_costs", "vertex_costs",
+     lambda x: mapmp.build_model(3, [(0, 1), (1, 2)], 2, x, np.zeros((2, 2, 2))), [(3, 3), (2, 2)]),
+    ("build_model-edge_costs", "edge_costs",
+     lambda x: mapmp.build_model(3, [(0, 1), (1, 2)], 2, np.zeros((3, 2)), x), [(2, 2, 3), (1, 2, 2)]),
+]
+# round_to_transport states its shape rule once, with one structural message
+ROUNDING_SHAPES = "expected nonempty square matrices with matching targets, got "
+ARRAY_CASES = [
+    pytest.param(name, call, value, id=f"{case.rstrip('?')}-{label}")
+    for case, name, call, wrong in ARRAYS
+    for label, value in [("str", "x"), ("ragged", [[0.0], [0.0, 0.0]]), ("None", None)]
+    + [(f"shape{shape}", np.zeros(shape)) for shape in wrong]
+    if not (value is None and case.endswith("?"))
+]
+
+
+@pytest.mark.parametrize("name, call, value", ARRAY_CASES)
+def test_bad_array_names_itself(name, call, value):
+    # unchecked, many of these were a bare ValueError, TypeError or
+    # AttributeError from NumPy, and a kernel took a wrongly shaped lam
+    shape_case = value is None or isinstance(value, np.ndarray)
+    if name in ("matrix", "row_targets", "col_targets") and shape_case:
+        expected = f"^{re.escape(ROUNDING_SHAPES)}"
+    else:
+        expected = f"^{re.escape(name)} "
+    with pytest.raises(ValidationError, match=expected):
+        call(value)
+
+
+def test_str_labels_of_the_right_length_name_the_assignment():
+    # unchecked, a bare TypeError from rint
+    message = "^assignment is not a numeric array: could not convert string to float: 'a'$"
+    with pytest.raises(ValidationError, match=message):
+        mapmp.map_value(MODEL, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: mapmp.emp_update(MODEL, lam, 2.0, 1, 2, True),
+    lambda lam: mapmp.block_grad_step(MODEL, lam, 2.0, 0, 1, True),
+    lambda lam: mapmp.block_slack(MODEL, lam, 2.0, 1, 1),
+    lambda lam: mapmp.smp_update(MODEL, lam, 2.0, 1, True),
+    lambda lam: mapmp.star_slack(MODEL, lam, 2.0, 0),
+    lambda lam: mapmp.dual_and_slack(MODEL, lam, 2.0),
+], ids=["emp_update", "block_grad_step", "block_slack", "smp_update", "star_slack", "dual_and_slack"])
+def test_nested_list_lam_gives_the_bits_of_its_array(call):
+    # unconverted, a list lam was an AttributeError or a TypeError
+    lam = np.random.default_rng(3).normal(size=(MODEL.m, 2, MODEL.d))
+    got, want = call(lam.tolist()), call(lam)
+    got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+    assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
 
 
 @pytest.mark.parametrize("edge", [0.7, "0"])

@@ -166,6 +166,14 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="^edges is not a numeric array: "):
             build_model(3, [(0, 1), (1,)], 2, np.zeros((3, 2)), np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("endpoint", [2**63, 2**64 - 1])
+    def test_uint64_endpoint_is_named_as_given(self, endpoint):
+        # cast to int64 before the range check, 2**63 was named as -9223372036854775808
+        edges = np.array([[0, endpoint]], dtype=np.uint64)
+        message = re.escape(f"edge (0, {endpoint}) has an endpoint outside 0..1")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_model(2, edges, 2, np.zeros((2, 2)), np.zeros((1, 2, 2)))
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
     def test_any_integer_dtype_is_taken(self, dtype):
         m = zeros_model(3, np.array([(1, 0), (2, 1)], dtype=dtype), 2)

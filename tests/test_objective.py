@@ -26,7 +26,7 @@ from mapmp import (
 )
 from mapmp import objective
 from mapmp.model import Model
-from mapmp.objective import _exp, _fold, _lse
+from mapmp.objective import _exp, _lse, fold
 
 LOG2 = np.log(2.0)
 
@@ -350,7 +350,7 @@ class TestFold:
             for ufunc in (np.add, np.maximum, np.minimum):
                 for axis in (0, 1, 2, (1, 2)):
                     for keepdims in (False, True):
-                        got = _fold(ufunc, a, axis, keepdims)
+                        got = fold(ufunc, a, axis, keepdims)
                         ref = ufunc.reduce(a, axis=axis, keepdims=keepdims)
                         assert got.shape == ref.shape
                         assert got.tobytes() == ref.tobytes()
