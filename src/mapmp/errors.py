@@ -57,9 +57,15 @@ def check_labels(d) -> None:
 
 def array(name: str, value, dtype=None, shape=None, copy=True, order="K") -> np.ndarray:
     """A caller's array argument as an array of ``shape`` if given; one NumPy
-    cannot build, or of another shape, is a ``ValidationError`` naming ``name``."""
+    cannot build, of another shape, or, when ``dtype`` is given, of strings or
+    complex numbers, is a ``ValidationError`` naming ``name``."""
     try:
+        kind = np.asarray(value).dtype.kind if dtype is not None else None
+        if kind == "c":  # refused before the cast, which would warn and drop the imaginary parts
+            raise TypeError("complex values are not real numbers")
         a = np.array(value, dtype=dtype, copy=copy, order=order)
+        if kind in ("S", "U"):  # the cast has named any string that is not a number
+            raise TypeError("strings are not real numbers")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric array: {exc}") from None
     if shape is not None and a.shape != shape:

@@ -23,7 +23,8 @@ from .errors import ValidationError, array, check_assignment, check_labels, inte
 @dataclass(frozen=True)
 class Model:
     """Validated instance. Immutable after construction; all arrays are
-    read-only, so a model can be shared freely across threads.
+    read-only, so a model can be shared freely across threads.  Every vertex
+    has an incident edge, so n >= 2 and m >= 1.
 
     Use :func:`build_model` instead of instantiating directly.
     """
@@ -89,8 +90,8 @@ class Model:
 
     @property
     def cost_inf_norm(self) -> float:
-        vmax = float(np.abs(self.vertex_costs).max()) if self.n else 0.0
-        emax = float(np.abs(self.edge_costs).max()) if self.m else 0.0
+        vmax = float(np.abs(self.vertex_costs).max())
+        emax = float(np.abs(self.edge_costs).max())
         return max(vmax, emax)
 
 
@@ -206,11 +207,9 @@ def map_value(model: Model, assignment) -> float:
     """Total cost of an integral assignment: vertex costs plus edge costs."""
     labels = check_assignment(model, assignment)
     value = model.vertex_costs[np.arange(model.n), labels].sum()
-    if model.m:
-        xi = labels[model.edges[:, 0]]
-        xj = labels[model.edges[:, 1]]
-        value += model.edge_costs[np.arange(model.m), xi, xj].sum()
-    return float(value)
+    xi = labels[model.edges[:, 0]]
+    xj = labels[model.edges[:, 1]]
+    return float(value + model.edge_costs[np.arange(model.m), xi, xj].sum())
 
 
 def degree_stats(model: Model):

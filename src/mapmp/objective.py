@@ -21,8 +21,8 @@ the "slack" nu, the amount by which mu violates local consistency.
 
 Everything is computed in the log domain with max-subtracted log-sum-exp and
 probabilities are materialized only on demand; the tests check finite
-iterates and outputs at eta up to 1e9 with costs or lam up to 1e6.  Large
-exps mask the entries that underflow (``_exp``), bit-identical to ``np.exp``.
+iterates and outputs at eta up to 1e9 with costs or lam up to 1e6.  Every
+exp masks the entries that underflow (``_exp``), bit-identical to ``np.exp``.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ def zero_dual(model: Model) -> np.ndarray:
     return np.zeros(model.dual_shape)
 
 
-# ``_lse`` folds only arrays of at least this many entries.  Summing one axis
-# of a 3 x 3 block takes about 2 us reduced and 5-7 us folded, of a
-# (265, 3, 3) stack 21-33 us reduced and 9-17 us folded (timeit minima on a
-# 2-core x86-64 host, NumPy 2.4.6).
-_FOLD_MIN_SIZE = 512
-
-
 def fold(ufunc, a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
     """``ufunc.reduce(a, axis=axis, keepdims=keepdims)`` for ``np.add``,
     ``np.maximum`` or ``np.minimum``, as a left fold of elementwise calls on
@@ -83,8 +76,8 @@ def fold(ufunc, a: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
 
 
 def _exp(a: np.ndarray, out=None) -> np.ndarray:
-    """The bytes of ``np.exp(a, out=out)``, from ``_FOLD_MIN_SIZE`` entries
-    on without feeding exp an entry whose result underflows.
+    """The bytes of ``np.exp(a, out=out)``, without feeding exp an entry
+    whose result underflows.
 
     NumPy's SIMD exp leaves its fast path for every such entry (about 10x
     slower each).  Every float64 below about -745.13 has exp = +0.0, so
@@ -92,8 +85,6 @@ def _exp(a: np.ndarray, out=None) -> np.ndarray:
     results by +0.0 after it, by multiplying with the keep mask: a masked
     ``where`` would branch on every entry.  NaN, +-inf and +-0 come out
     as from ``np.exp``."""
-    if a.size < _FOLD_MIN_SIZE:
-        return np.exp(a, out=out)
     keep = a >= -750.0
     y = np.maximum(a, -750.0, out=out)
     y *= keep
@@ -105,19 +96,15 @@ def _exp(a: np.ndarray, out=None) -> np.ndarray:
 def _lse(a: np.ndarray, axis):
     """Stabilized log-sum-exp along ``axis`` (int or tuple).
 
-    Reduces through ``fold`` from ``_FOLD_MIN_SIZE`` entries on and by one
-    ufunc reduction below; both give the bits of the reductions behind
+    Reduces through ``fold``, which gives the bits of the reductions behind
     ``np.max`` and ``ndarray.sum``.  The exp runs through ``_exp``, whose
     underflow mask gives the bits of ``np.exp``.  Works in place; every step
     is the same floating-point operation as log(sum(exp(a - max))) + max, so
     results are bit-identical to that formula."""
-    big = a.size >= _FOLD_MIN_SIZE
-    amax = (fold(np.maximum, a, axis, True) if big
-            else np.maximum.reduce(a, axis=axis, keepdims=True))
+    amax = fold(np.maximum, a, axis, True)
     shifted = a - amax
     _exp(shifted, out=shifted)
-    out = (fold(np.add, shifted, axis, True) if big
-           else np.add.reduce(shifted, axis=axis, keepdims=True))
+    out = fold(np.add, shifted, axis, True)
     np.log(out, out=out)
     out += amax
     return out.squeeze(axis)
@@ -127,8 +114,6 @@ def _lambda_aggregate(model: Model, lam: np.ndarray) -> np.ndarray:
     """Per-vertex sum of incident dual blocks, shape (n, d): every slot-0
     block in edge order, then every slot-1 block, onto a zero start."""
     n, d = model.n, model.d
-    if not model.m:
-        return np.zeros((n, d))
     cells = (model.edges.T[:, :, None] * d + np.arange(d)).ravel()
     return np.bincount(cells, lam.transpose(1, 0, 2).ravel(), n * d).reshape(n, d)
 
@@ -215,27 +200,22 @@ def primal_objective(model: Model, mu: Marginals) -> float:
     if not (np.isfinite(vertex).all() and np.isfinite(edge).all()):
         raise ValidationError("primal_objective requires finite entries")
     value = float((model.vertex_costs * vertex).sum())
-    if model.m:
-        value += float((model.edge_costs * edge).sum())
-    return value
+    return value + float((model.edge_costs * edge).sum())
 
 
 def entropy(mu: Marginals) -> float:
     """Sign-flipped entropy H(mu) = -sum mu (log mu - 1), blockwise additive.
 
-    Uses the convention 0 * (log 0 - 1) = 0 and rejects negative and
-    non-finite entries.  SciPy's ``xlogy`` is imported here, not with the
-    module, so ``import mapmp`` does not load SciPy.
+    Uses the convention 0 * (log 0 - 1) = 0 (a zero entry's log is taken
+    at ``_TINY``) and rejects negative and non-finite entries.
     """
-    from scipy.special import xlogy
-
     total = 0.0
     for block in (mu.vertex, mu.edge):
         if block.size == 0:
             continue
         if not (block.min() >= 0.0 and block.max() < np.inf):  # False on NaN
             raise ValidationError("entropy requires finite, nonnegative entries")
-        total += float(block.sum() - xlogy(block, np.maximum(block, _TINY)).sum())
+        total += float(block.sum() - (block * np.log(np.maximum(block, _TINY))).sum())
     return total
 
 
@@ -253,12 +233,10 @@ def in_slack_polytope(
     mu_i + nu[e, 0] and column sums mu_j + nu[e, 1], within ``tol`` entrywise."""
     vertex, edge, nu = check_marginal_shapes(model, mu, nu)
     tol = real("tol", tol, "nonnegative")
-    if vertex.min(initial=0.0) < -tol:
+    if vertex.min() < -tol:
         return False
-    if np.abs(vertex.sum(axis=1) - 1.0).max(initial=0.0) > tol:
+    if np.abs(vertex.sum(axis=1) - 1.0).max() > tol:
         return False
-    if model.m == 0:
-        return True
     if edge.min() < -tol:
         return False
     targets = vertex[model.edges] if nu is None else vertex[model.edges] + nu

@@ -54,6 +54,7 @@ from .model import Model
 
 _add, _sub, _mul, _div, _exp, _log = np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
 _sum, _max_at = np.add.reduce, np.maximum.reduceat
+_F64 = np.dtype(np.float64)  # the kernels take a float64 lam of the dual shape unconverted
 
 
 def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
@@ -95,7 +96,7 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
 
 def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """(block lam[e, i], [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
-    if getattr(lam, "shape", None) != model.dual_shape:  # only a misfit is converted, or rejected
+    if getattr(lam, "dtype", None) is not _F64 or lam.shape != model.dual_shape:
         lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
     edge, vertex, edges = integer("edge", edge), integer("vertex", vertex), model.edges
     if not 0 <= edge < len(edges):
@@ -114,7 +115,7 @@ def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int
 
 def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star."""
-    if getattr(lam, "shape", None) != model.dual_shape:
+    if getattr(lam, "dtype", None) is not _F64 or lam.shape != model.dual_shape:
         lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
     vertex = integer("vertex", vertex)
     if not 0 <= vertex < model.n:

@@ -1,7 +1,8 @@
 """The input checks of ``mapmp.errors`` as every public entry point applies
 them: a real parameter that is a str, None, NaN, infinite or out of its
 range, a non-integer or out-of-range size, and an array argument that is a
-str, ragged, None or of the wrong shape, is a ``ValidationError`` naming the
+str, ragged, None, of the wrong shape or, where reals are asked for, of
+numeric strings or complex numbers, is a ``ValidationError`` naming the
 parameter, raised before any draw."""
 
 import math
@@ -135,6 +136,11 @@ ARRAYS = [
     ("build_model-edge_costs", "edge_costs",
      lambda x: mapmp.build_model(3, [(0, 1), (1, 2)], 2, np.zeros((3, 2)), x), [(2, 2, 3), (1, 2, 2)]),
 ]
+# A value of the right shape for each parameter that asks for reals (edges
+# ask for integers); as numeric strings or complex numbers it is refused.
+FITTING = {"assignment": [0, 1, 0], "matrix": np.full((2, 2), 0.25), "row_targets": [0.5, 0.5],
+           "col_targets": [0.5, 0.5], "lam": LAM, "slack offset": LAM, "mu.vertex": MU.vertex,
+           "mu.edge": MU.edge, "vertex_costs": np.zeros((3, 2)), "edge_costs": np.zeros((2, 2, 2))}
 # round_to_transport states its shape rule once, with one structural message
 ROUNDING_SHAPES = "expected nonempty square matrices with matching targets, got "
 ARRAY_CASES = [
@@ -142,6 +148,11 @@ ARRAY_CASES = [
     for case, name, call, wrong in ARRAYS
     for label, value in [("str", "x"), ("ragged", [[0.0], [0.0, 0.0]]), ("None", None)]
     + [(f"shape{shape}", np.zeros(shape)) for shape in wrong]
+    + ([("numeric-str", np.asarray(FITTING[name]).astype(str).tolist()),
+        ("complex", np.asarray(FITTING[name]) + 1j)] if name in FITTING else [])
+    # a kernel takes a float64 lam of the dual shape as it is, and only that
+    + ([("str-array", np.full(LAM.shape, "0")), ("complex-array", np.zeros(LAM.shape, complex))]
+       if name in ("lam", "slack offset") else [])
     if not (value is None and case.endswith("?"))
 ]
 
@@ -150,7 +161,7 @@ ARRAY_CASES = [
 def test_bad_array_names_itself(name, call, value):
     # unchecked, many of these were a bare ValueError, TypeError or
     # AttributeError from NumPy, and a kernel took a wrongly shaped lam
-    shape_case = value is None or isinstance(value, np.ndarray)
+    shape_case = value is None or isinstance(value, np.ndarray) and value.dtype.kind == "f"
     if name in ("matrix", "row_targets", "col_targets") and shape_case:
         expected = f"^{re.escape(ROUNDING_SHAPES)}"
     else:
@@ -177,9 +188,12 @@ def test_str_labels_of_the_right_length_name_the_assignment():
 def test_nested_list_lam_gives_the_bits_of_its_array(call):
     # unconverted, a list lam was an AttributeError or a TypeError
     lam = np.random.default_rng(3).normal(size=(MODEL.m, 2, MODEL.d))
-    got, want = call(lam.tolist()), call(lam)
-    got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
-    assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+    ints = np.random.default_rng(4).integers(-3, 4, size=(MODEL.m, 2, MODEL.d))
+    for given, converted in ((lam.tolist(), lam), (ints, ints.astype(np.float64)),
+                             (ints > 0, (ints > 0).astype(np.float64))):
+        got, want = call(given), call(converted)
+        got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
 
 
 @pytest.mark.parametrize("edge", [0.7, "0"])

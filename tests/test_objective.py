@@ -24,7 +24,6 @@ from mapmp import (
     slack,
     zero_dual,
 )
-from mapmp import objective
 from mapmp.model import Model
 from mapmp.objective import _exp, _lse, fold
 
@@ -359,7 +358,6 @@ class TestFold:
         rng = np.random.default_rng(53)
         for shape, axis in (((300, 3), 1), ((60, 3, 3), 1), ((60, 3, 3), 2)):
             a = rng.normal(size=shape) * 1e3
-            assert a.size >= objective._FOLD_MIN_SIZE
             np.testing.assert_array_equal(_lse(a, axis), lse_reference(a, axis))
 
 
@@ -378,12 +376,12 @@ EXP_VALUES = st.one_of(
 class TestMaskedExp:
     @given(
         st.lists(EXP_VALUES, min_size=1, max_size=40),
-        st.integers(1, 3 * objective._FOLD_MIN_SIZE),
+        st.integers(1, 1536),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
     def test_same_bytes_as_numpy_exp(self, values, size, seed):
-        # sizes on both sides of the cutoff; values shuffled over the array
+        # 1 to 1536 entries; values shuffled over the array
         a = np.random.default_rng(seed).permutation(np.resize(np.array(values), size))
         before = a.tobytes()
         with np.errstate(all="ignore"):

@@ -1,8 +1,8 @@
 """The record path (dual value, slack, primal recovery, slack score and
 projection) equals its first-written NumPy form in ``helpers`` bit for bit,
 on both sides of the 8-entry threshold where NumPy's add reduction switches
-from a left-to-right sum to pairwise summation, whether ``_lse`` folds
-or reduces, and whether the large exps mask their underflowing entries."""
+from a left-to-right sum to pairwise summation, and where the exps mask
+their underflowing entries."""
 
 import numpy as np
 import pytest
@@ -32,20 +32,11 @@ from mapmp import (
     standard_mp,
     zero_dual,
 )
-from mapmp import objective
-from mapmp.model import Model, default_edge_prob
+from mapmp.model import default_edge_prob
 from mapmp.objective import _lambda_aggregate, _log_marginals
 
 DS = [2, 3, 5, 7, 8, 9]
 ETAS = [1.0, 1e3, 1e9]
-
-
-@pytest.fixture(params=[None, 0], ids=["default-fold-size", "fold-every-size"])
-def fold_min_size(request, monkeypatch):
-    """The test models are small, so most of their arrays stay below the
-    size at which ``_lse`` folds; the second run folds them all."""
-    if request.param is not None:
-        monkeypatch.setattr(objective, "_FOLD_MIN_SIZE", request.param)
 
 
 def assert_same_bits(got, ref):
@@ -75,20 +66,6 @@ def assert_record_path_matches(model, lam, eta):
         assert_same_bits(got.edge, ref[1])
 
 
-def edgeless_model(rng, n, d):
-    empty = np.zeros(0, dtype=np.int64)
-    return Model(
-        n=n,
-        d=d,
-        edges=np.zeros((0, 2), dtype=np.int64),
-        vertex_costs=rng.normal(size=(n, d)),
-        edge_costs=np.zeros((0, d, d)),
-        degrees=np.zeros(n, dtype=np.int64),
-        incident_edges=(empty,) * n,
-        incident_slots=(empty,) * n,
-    )
-
-
 def unit_mass_blocks(rng, shape, zero_frac):
     """Nonnegative blocks of unit mass over their last axes, with about
     ``zero_frac`` of the entries exactly 0 (never a whole block)."""
@@ -100,7 +77,6 @@ def unit_mass_blocks(rng, shape, zero_frac):
     return blocks / blocks.sum(axis=axes, keepdims=True)
 
 
-@pytest.mark.usefixtures("fold_min_size")
 class TestRecordPathBitIdentity:
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("d", DS)
@@ -124,25 +100,18 @@ class TestRecordPathBitIdentity:
         model = build_model(base.n, base.edges, d, np.zeros((base.n, d)), np.zeros((base.m, d, d)))
         assert_record_path_matches(model, zero_dual(model), eta)
 
-    @pytest.mark.parametrize("d", DS)
-    def test_model_without_edges(self, d):
-        model = edgeless_model(np.random.default_rng([37, d]), 4, d)
-        for eta in ETAS:
-            assert_record_path_matches(model, zero_dual(model), eta)
-
 
 class TestUnderflowRegime:
     @pytest.mark.parametrize("iters", [0, 3000])
     def test_large_eta_on_a_sparse_instance(self, iters):
         # At eta = 1000 on +-1 Potts costs most non-maximal joint entries lie
-        # far below exp's underflow point, so the record path's large exps
-        # take their masked branch on a large share of the entries.
+        # far below exp's underflow point, so the record path's exps mask a
+        # large share of the entries.
         eta = 1000.0
         model = erdos_renyi_potts(2000, default_edge_prob(2000), 3, 7)
         lam = (standard_mp(model, "smp", eta, iters, 7, stride=iters).solution
                if iters else zero_dual(model))
         log_mu_e = _log_marginals(model, lam, eta)[1]
-        assert log_mu_e.size >= objective._FOLD_MIN_SIZE
         assert np.mean(log_mu_e < -750.0) > 0.3
         assert_record_path_matches(model, lam, eta)
 
