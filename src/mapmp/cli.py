@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError, integer, real
 from .formats import emit_model, parse_uai, read_model, read_text
 from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
-from .objective import dual_and_slack, primal_objective, recover_primal, slack_score
+from .objective import primal_objective, recover_primal
 from .oracle import brute_force_map, lp_solve_l2, tree_map
 from .projection import proj, vertex_round
 from .schedulers import eta_for_epsilon
@@ -64,17 +64,16 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     model = read_model(args.input)
     eta = _resolve_eta(args, model)
-    stride = max(args.iters, 1) if args.stride is None else args.stride
-    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=stride)
-    dual, nu = dual_and_slack(model, trace.solution, eta)
-    mu_hat = proj(model, recover_primal(model, trace.solution, eta))
+    # records iterate 0 and the last, which is the returned one
+    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=max(args.iters, 1))
+    mu_hat = proj(model, recover_primal(model, trace.final_lambda, eta))
     primal = primal_objective(model, mu_hat)
     assignment = vertex_round(mu_hat)
     print(f"algorithm          {args.algo}")
     print(f"eta                {eta}")
     print(f"iterations         {int(trace.iterations[-1])}")
-    print(f"dual_value         {dual}")
-    print(f"slack_score        {slack_score(nu)}")
+    print(f"dual_value         {trace.dual_values[-1]}")
+    print(f"slack_score        {trace.slack_scores[-1]}")
     print(f"projected_primal   {primal}")
     print(f"rounded_assignment {' '.join(str(x) for x in assignment)}")
     print(f"rounded_value      {map_value(model, assignment)}")
@@ -163,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=None,
-                   help="record every k-th iterate (default --iters: the first and last only)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="multi-trial benchmark, CSV output")

@@ -29,14 +29,14 @@ for pair sampling; ``model.incident_blocks[v]``, shape (deg, d), with
 ``(v,)`` for star sampling.  The drivers read and write lam, y and v through
 flat views, as one 1-D index costs a fraction of (edge, slot) indexing.
 
-The standard loop installs the update at the current iterate and returns the
-best recorded iterate: the one with the smallest slack score (sum of squared
-block l1 norms) among those recorded, so ``--stride`` can change what
-emp/smp/bcd return.  The accelerated loop maintains the extrapolation point
-y = theta * v + (1 - theta) * lam, installs the update evaluated at y,
-pushes a scaled slack step into v, and returns the final iterate.  One
-update call per iteration, with ``with_slack=True``, returns both the
-block(s) and the slack at y from one evaluation of the local log-marginals.
+Every solver returns its final iterate: the last one, or the one a stop
+rule broke at, which is always the last record.  What is recorded, and how
+often, never changes what a solver returns.  The standard loop installs the
+update at the current iterate.  The accelerated loop maintains the
+extrapolation point y = theta * v + (1 - theta) * lam, installs the update
+evaluated at y and pushes a scaled slack step into v.  One update call per
+iteration, with ``with_slack=True``, returns both the block(s) and the slack
+at y from one evaluation of the local log-marginals.
 The v-step uses the literal constants 1 / (2 m eta theta) for pair sampling
 and min_deg / (2 p_i theta eta N) for star sampling; ``v_step_scale``
 rescales them (0.5 gives the estimate-sequence constants derived in the
@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -177,14 +177,12 @@ class SolveTrace:
 
     Parallel arrays hold one entry per recorded iterate (iterate 0 and the
     final iterate are always recorded; in between, every ``stride``-th).
-    ``solution`` is what the algorithm returns: for the standard loops the
-    recorded iterate minimizing the slack score (``best_iteration``,
-    ``best_score``), for the accelerated ones the final iterate.
-    ``elapsed_ms`` is solver time up to each record; ``instrumentation_ms``
-    is the time spent in record passes (one log-marginal pass each, read
-    for the dual value, the slack and, with an observer, the primal
-    candidate) and observer calls up to and including that record, which
-    ``elapsed_ms`` leaves out.
+    ``final_lambda`` is what the algorithm returns, the iterate of the last
+    record.  ``elapsed_ms`` is solver time up to each record;
+    ``instrumentation_ms`` is the time spent in record passes (one
+    log-marginal pass each, read for the dual value, the slack and, with an
+    observer, the primal candidate) and observer calls up to and including
+    that record, which ``elapsed_ms`` leaves out.
     """
 
     iterations: np.ndarray
@@ -193,16 +191,13 @@ class SolveTrace:
     elapsed_ms: np.ndarray
     instrumentation_ms: np.ndarray
     final_lambda: np.ndarray
-    best_iteration: int
-    best_score: float
-    solution: np.ndarray = field(repr=False, default=None)
 
 
 class _Recorder:
-    """Stride-based trace recording over ``iters`` iterations, with
-    running-minimum best tracking and the slack-score stop test."""
+    """Stride-based trace recording over ``iters`` iterations, with the
+    slack-score stop test; it only observes the iterates it is shown."""
 
-    def __init__(self, model, eta, iters, stride, stop_slack_score, observer, keep_best):
+    def __init__(self, model, eta, iters, stride, stop_slack_score, observer):
         self.total = integer("iteration count", iters, 0)
         self.stride = integer("stride", stride, 1)
         self.model = model
@@ -211,16 +206,12 @@ class _Recorder:
             real("stop_slack_score", stop_slack_score, "nonnegative")
         self.stop_slack_score = stop_slack_score
         self.observer = observer
-        self.keep_best = keep_best  # copy the best iterate: the loop returns it
         self.iters: list[int] = []
         self.duals: list[float] = []
         self.scores: list[float] = []
         self.ms: list[float] = []
         self.instrumentation_ms: list[float] = []
         self.instrumentation_s = 0.0
-        self.best_score = math.inf
-        self.best = None
-        self.best_iteration = -1
         self.t0 = time.perf_counter()
 
     def record(self, k: int, lam: np.ndarray) -> bool:
@@ -239,10 +230,6 @@ class _Recorder:
         self.duals.append(dual)
         self.scores.append(score)
         self.ms.append((start - self.t0 - self.instrumentation_s) * 1e3)
-        if score < self.best_score:
-            self.best_score = score
-            self.best = lam.copy() if self.keep_best else None
-            self.best_iteration = k
         if self.observer is not None:
             self.observer(k, lam.copy(), _marginals(logs))
         self.instrumentation_s += time.perf_counter() - start
@@ -250,16 +237,14 @@ class _Recorder:
         return self.stop_slack_score is not None and score <= self.stop_slack_score
 
     def finish(self, lam: np.ndarray) -> SolveTrace:
+        """The trace, handing over ``lam`` itself: the solver never touches it again."""
         return SolveTrace(
             iterations=np.array(self.iters, dtype=np.int64),
             dual_values=np.array(self.duals),
             slack_scores=np.array(self.scores),
             elapsed_ms=np.array(self.ms),
             instrumentation_ms=np.array(self.instrumentation_ms),
-            final_lambda=lam.copy(),
-            best_iteration=self.best_iteration,
-            best_score=self.best_score,
-            solution=self.best if self.keep_best else lam.copy(),
+            final_lambda=lam,
         )
 
 
@@ -333,9 +318,8 @@ def standard_mp(
     ``update_kind``: "emp" installs the edge-block minimizer at a uniformly
     sampled (edge, endpoint) pair; "smp" installs the star minimizer at a
     degree-proportionally sampled vertex; "bcd" takes a 1/eta gradient step
-    on a uniformly sampled pair.  Returns the best recorded iterate, the one
-    with the smallest recorded slack score (ties keep the earliest), so
-    ``--stride`` can change what emp/smp/bcd return.
+    on a uniformly sampled pair.  Returns the final iterate; an EMP or SMP
+    step is an exact block minimization, so the dual never rises along it.
 
     ``iters`` and ``stride`` are integers.  The solve stops at the first
     record whose slack score is at most ``stop_slack_score``, if given, a
@@ -346,7 +330,7 @@ def standard_mp(
     plus ``v_step_scale``.
     """
     update = _update(update_kind)
-    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=True)
+    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
     samples = _samples(model, rec.total, seed, update_kind == "smp")
     lam = zero_dual(model)
     flat = lam.ravel()
@@ -376,7 +360,7 @@ def _accelerated(
     slack at y into v; returns the final iterate."""
     update = _update(update_kind)
     real("v_step_scale", v_step_scale)
-    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer, keep_best=False)
+    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
     samples = _samples(model, rec.total, seed, update_kind == "smp")
     if update_kind == "smp":
         n_total = float(model.degrees.sum())

@@ -226,7 +226,7 @@ def test_criterion_6_epsilon_optimality():
         model = random_tree_potts(8, 3, 6000 + s)
         eta = eta_for_epsilon(model.m, model.n, model.d, epsilon)
         trace = accel_emp(model, eta, 20_000, seed=6100 + s, stride=2000)
-        mu_hat = proj(model, recover_primal(model, trace.solution, eta))
+        mu_hat = proj(model, recover_primal(model, trace.final_lambda, eta))
         gaps.append(primal_objective(model, mu_hat) - lp_solve_l2(model).value)
     median_gap = float(np.median(gaps))
     elapsed = time.time() - start
@@ -254,7 +254,7 @@ def test_criterion_7_rounding_recovery():
         trace = accel_emp(
             model, eta, 100_000, seed=7100 + count, stride=50, stop_slack_score=1e-6
         )
-        mu_hat = proj(model, recover_primal(model, trace.solution, eta))
+        mu_hat = proj(model, recover_primal(model, trace.final_lambda, eta))
         if np.array_equal(vertex_round(mu_hat), reference.assignment):
             hits += 1
     elapsed = time.time() - start

@@ -4,11 +4,11 @@ iters} x stop rule off and on, held across versions and hosts.
 The models cover ER d=3, ER d=9 (d >= 8: slot-1 rows summed by
 ``np.add.accumulate``), a d=5 tree, and a triangle-and-path model whose
 degree-1 leaves sit in slot 0 and slot 1 and whose costs hold -0.0 and
-+0.0.  Each run pins its record grid, best iteration, stop iteration and
-the rounded labels ``vertex_round(proj(mu))`` of every record exactly; its
-float output (dual values, slack scores, best score, final and returned
-iterate) by sha256 on a host with the pins' numerics signature, and to a
-relative 1e-9 elsewhere (``pins.py``).  The stop rule's threshold is the
++0.0.  Each run pins its record grid, stop iteration and the rounded labels
+``vertex_round(proj(mu))`` of every record exactly; its float output (dual
+values, slack scores and the returned final iterate) by sha256 on a host
+with the pins' numerics signature, and to a relative 1e-9 elsewhere
+(``pins.py``).  The stop rule's threshold is the
 stride-1 run's slack score at iteration ``ITERS // 2``.
 
 The matrix also pins the metrics, summary and ratio CSVs of ``run_bench``
@@ -89,31 +89,20 @@ def run(model, alg, eta, stride, stop) -> dict:
     floats = {
         "dual_values": trace.dual_values,
         "slack_scores": trace.slack_scores,
-        "best_score": np.array([trace.best_score]),
         "final_lambda": trace.final_lambda.ravel(),
-        "solution": trace.solution.ravel(),
     }
     last = int(trace.iterations[-1])
     return {
         "iterations": trace.iterations.tolist(),
-        "best_iteration": trace.best_iteration,
         "stop_iteration": last if stop is not None and last < ITERS else None,
         "labels": labels,
         "sha256": pins.digest(floats.values()),
-        "floats": _fallback(floats),
+        "floats": _rounded(floats),
     }
 
 
-def _fallback(floats: dict) -> dict:
-    """The fallback's values: 12 significant digits, far below ``pins.REL``,
-    and no returned iterate where it is the final one."""
-    kept = _rounded(floats)
-    if np.array_equal(floats["solution"], floats["final_lambda"]):
-        kept["solution"] = None
-    return kept
-
-
 def _rounded(floats: dict) -> dict:
+    """The fallback's values: 12 significant digits, far below ``pins.REL``."""
     return {key: [float(f"{x:.12g}") for x in np.ravel(value).tolist()]
             for key, value in floats.items()}
 
@@ -235,7 +224,7 @@ def test_pin_matrix(built, name, alg):
             where = f"{_key(name, alg, stride, stop)} ({pins.mode()})"
             old = pins.pins()["runs"][_key(name, alg, stride, stop)]
             new = run(built[name], alg, ETAS[name], stride, old["stop_threshold"])
-            for key in ("iterations", "best_iteration", "stop_iteration", "labels"):
+            for key in ("iterations", "stop_iteration", "labels"):
                 assert new[key] == old[key], f"{where}: {key}"
             if pins.exact():
                 assert new["sha256"] == old["sha256"], where

@@ -87,7 +87,7 @@ class TestRecordPathBitIdentity:
             model = build_model(
                 base.n, base.edges, d, scale * base.vertex_costs, scale * base.edge_costs
             )
-            iterate = accel_smp(model, eta, 200, seed=[d, 1], stride=200).solution
+            iterate = accel_smp(model, eta, 200, seed=[d, 1], stride=200).final_lambda
             for lam in (zero_dual(model), iterate, -iterate, 1e6 * iterate):
                 assert_record_path_matches(model, lam, eta)
 
@@ -109,7 +109,7 @@ class TestUnderflowRegime:
         # large share of the entries.
         eta = 1000.0
         model = erdos_renyi_potts(2000, default_edge_prob(2000), 3, 7)
-        lam = (standard_mp(model, "smp", eta, iters, 7, stride=iters).solution
+        lam = (standard_mp(model, "smp", eta, iters, 7, stride=iters).final_lambda
                if iters else zero_dual(model))
         log_mu_e = _log_marginals(model, lam, eta)[1]
         assert np.mean(log_mu_e < -750.0) > 0.3

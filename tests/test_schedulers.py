@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import pins
 from helpers import random_model, reference_accel_emp, reference_accel_smp
 
-import mapmp
 from mapmp import (
     Marginals,
     ThetaState,
@@ -220,7 +219,7 @@ class TestStandardMp:
     def test_zero_iterations_returns_initial_point(self):
         m = zeros_model(2, [(0, 1)], 2)
         trace = standard_mp(m, "emp", 1.0, 0, seed=0)
-        assert np.array_equal(trace.solution, zero_dual(m))
+        assert np.array_equal(trace.final_lambda, zero_dual(m))
         assert trace.iterations.tolist() == [0]
         assert trace.dual_values[0] == pytest.approx(4 * math.log(2), abs=1e-14)
 
@@ -255,18 +254,6 @@ class TestStandardMp:
                     bound = np.abs(block_slack(m, iterates[k], eta, *args)).sum() ** 2 / (4.0 * eta)
                 drop = trace.dual_values[k] - trace.dual_values[k + 1]
                 assert drop >= bound - 1e-9, f"iteration {k}: {drop} < {bound}"
-
-    def test_best_iterate_is_running_minimum(self):
-        rng = np.random.default_rng(3)
-        m = random_model(rng, 5, 3)
-        trace = standard_mp(m, "emp", 10.0, 200, seed=4)
-        assert trace.best_score == trace.slack_scores.min()
-        assert trace.best_iteration == int(
-            trace.iterations[int(np.argmin(trace.slack_scores))]
-        )
-        # the returned solution is the best iterate for standard loops
-        _, nu = mapmp.dual_and_slack(m, trace.solution, 10.0)
-        assert mapmp.slack_score(nu) == pytest.approx(trace.best_score, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -372,7 +359,7 @@ class TestAcceleratedLoops:
         m = zeros_model(2, [(0, 1)], 2)
         for solver in (accel_emp, accel_smp, accel_block_grad):
             trace = solver(m, 1.0, 0, seed=0)
-            assert np.array_equal(trace.solution, zero_dual(m))
+            assert np.array_equal(trace.final_lambda, zero_dual(m))
 
     def test_zero_costs_stay_at_zero(self):
         m = zeros_model(3, [(0, 1), (1, 2), (0, 2)], 2)
@@ -451,29 +438,26 @@ class TestAcceleratedLoops:
 
 TRACE_PINS = {
     "accel-smp": (lambda m: accel_smp(m, 50.0, 600, 3, stride=20),
-                  "54b5d156621ab99464a9429011c8afcdd8e644feded7a93d3c69c20ed988c2fc"),
+                  "27710e2ee84f3990829b388898db9d871fc6518baa0437712ad96ecab9d1c2f2"),
     "smp": (lambda m: standard_mp(m, "smp", 50.0, 600, 3, stride=20),
-            "411492c12de87c5ad5260171b6e562638cba945b49a34a5c97abb5348e8e429e"),
+            "d61ba7cbe658fd71515d93e2731e3c75d0e2e123033206a7d8b638ccaefd66d5"),
 }
 
 
 def trace_pin(name):
-    """The trace of pin ``name``, its pinned bytes (the arrays in this order,
-    then the best pair), and the integer and float parts of those bytes."""
+    """The trace of pin ``name``, its pinned bytes (the arrays in this
+    order), and the integer and float parts of those bytes."""
     trace = TRACE_PINS[name][0](erdos_renyi_potts(40, 0.15, 3, 5))
-    arrays = (trace.iterations, trace.dual_values, trace.slack_scores, trace.final_lambda,
-              trace.solution)
+    arrays = (trace.iterations, trace.dual_values, trace.slack_scores, trace.final_lambda)
     data = b"".join(a.tobytes() for a in arrays)
-    data += repr((trace.best_iteration, trace.best_score)).encode()
-    ints = {"iterations": trace.iterations.tolist(), "best_iteration": trace.best_iteration}
+    ints = {"iterations": trace.iterations.tolist()}
     floats = {"dual_values": trace.dual_values, "slack_scores": trace.slack_scores,
-              "final_lambda": trace.final_lambda.ravel(), "solution": trace.solution.ravel(),
-              "best_score": [trace.best_score]}
+              "final_lambda": trace.final_lambda.ravel()}
     return trace, data, ints, floats
 
 
 class TestTraceInvariants:
-    def test_scores_nonnegative_and_best_consistent(self):
+    def test_scores_nonnegative(self):
         rng = np.random.default_rng(13)
         m = random_model(rng, 5, 3)
         for solver in (
@@ -483,16 +467,12 @@ class TestTraceInvariants:
         ):
             trace = solver()
             assert (trace.slack_scores >= 0).all()
-            assert trace.best_score == trace.slack_scores.min()
 
     @pytest.mark.parametrize("name", list(TRACE_PINS))
-    def test_trace_pinned_while_best_copied_only_when_returned(self, name):
-        # The accelerated loop tracks the best score without copying lam at
-        # each improving record; both traces keep the bits they had when it
-        # did (sha256 of the arrays in this order, then the best pair).
-        trace, data, ints, floats = trace_pin(name)
+    def test_trace_pinned(self, name):
+        # sha256 of the arrays in ``trace_pin``'s order
+        _, data, ints, floats = trace_pin(name)
         pins.assert_pinned(TRACE_PINS[name][1], data, f"trace-{name}", ints, floats)
-        assert trace.solution is not trace.final_lambda
 
     def test_observer_sees_every_recorded_iterate(self):
         rng = np.random.default_rng(14)
@@ -502,6 +482,37 @@ class TestTraceInvariants:
             m, "emp", 5.0, 20, seed=2, stride=5, observer=lambda k, lam, mu: seen.append(k)
         )
         assert seen == trace.iterations.tolist()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_observation_never_changes_the_result(self, algorithm):
+        # The observer never changes the returned bytes, nor does the stride
+        # without a stop rule; runs agree on the records they share; the
+        # last record holds the returned iterate's dual value and slack score.
+        model, eta, iters = erdos_renyi_potts(8, 0.4, 3, 1), 20.0, 30
+
+        def run(stride, observe, stop):
+            observer = (lambda k, lam, mu: None) if observe else None
+            return solve(algorithm, model, eta, iters, 11, stride=stride, observer=observer,
+                         stop_slack_score=stop)
+
+        plain = run(1, False, None)
+        for stop in (None, float(plain.slack_scores[iters // 2])):
+            reference = run(1, False, stop)
+            for stride in (1, 7, iters):
+                traces = [run(stride, observe, stop) for observe in (False, True)]
+                returned = traces[0].final_lambda.tobytes()
+                assert traces[1].final_lambda.tobytes() == returned
+                if stop is None:
+                    assert returned == plain.final_lambda.tobytes()
+                for trace in traces:
+                    _, ref_at, at = np.intersect1d(reference.iterations, trace.iterations,
+                                                   return_indices=True)
+                    assert trace.dual_values[at].tobytes() == reference.dual_values[ref_at].tobytes()
+                    assert (trace.slack_scores[at].tobytes()
+                            == reference.slack_scores[ref_at].tobytes())
+                    dual, nu = dual_and_slack(model, trace.final_lambda, eta)
+                    assert (np.array([trace.dual_values[-1], trace.slack_scores[-1]]).tobytes()
+                            == np.array([dual, slack_score(nu)]).tobytes())
 
     def test_elapsed_ms_excludes_recording_and_observer_time(self):
         rng = np.random.default_rng(16)
@@ -739,4 +750,4 @@ class TestNonFiniteRecord:
         with np.errstate(all="ignore"):
             trace = solve(algorithm, self.MODEL, 1e307, 3, 0)
         assert np.isfinite(trace.dual_values).all() and np.isfinite(trace.slack_scores).all()
-        assert np.isfinite(trace.solution).all()
+        assert np.isfinite(trace.final_lambda).all()
