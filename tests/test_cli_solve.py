@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from mapmp import bench, dual_and_slack, slack_score
+from mapmp.bench import ALGORITHMS
 from mapmp.cli import main
+from mapmp.formats import read_model
 
 ITERS = 300
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,6 +38,17 @@ def test_stride_is_rejected(capsys, model):
         main(["solve", str(model), "--eta", "50", "--iters", str(ITERS), "--stride", "1"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --stride 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_prints_the_final_iterates_values(capsys, model, algo):
+    # a stride-1 run records every iterate yet returns the same final one
+    instance = read_model(str(model))
+    trace = bench.solve(algo, instance, 50.0, ITERS, 0, stride=1)
+    dual, nu = dual_and_slack(instance, trace.final_lambda, 50.0)
+    lines = dict(line.split(maxsplit=1) for line in solve(capsys, model, algo).splitlines())
+    assert float(lines["dual_value"]) == dual == trace.dual_values[-1]
+    assert float(lines["slack_score"]) == slack_score(nu) == trace.slack_scores[-1]
 
 
 def test_zero_iterations_by_default_stride(capsys, model):

@@ -255,6 +255,16 @@ class TestStandardMp:
                 drop = trace.dual_values[k] - trace.dual_values[k + 1]
                 assert drop >= bound - 1e-9, f"iteration {k}: {drop} < {bound}"
 
+    @pytest.mark.parametrize("kind", ["emp", "smp", "bcd"])
+    def test_returns_the_last_iterate_not_the_best(self, kind):
+        m = random_model(np.random.default_rng(3), 5, 3)
+        trace = standard_mp(m, kind, 10.0, 200, seed=4)
+        # an earlier record scores better, so a best-iterate pick would differ
+        assert trace.slack_scores.min() < trace.slack_scores[-1]
+        dual, nu = dual_and_slack(m, trace.final_lambda, 10.0)
+        assert dual == trace.dual_values[-1]
+        assert slack_score(nu) == trace.slack_scores[-1]
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         m = random_model(rng, 5, 3)
