@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError, integer, real
 from .formats import emit_model, parse_uai, read_model, read_text
 from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
-from .objective import primal_objective, recover_primal
+from .objective import primal_objective
 from .oracle import brute_force_map, lp_solve_l2, tree_map
 from .projection import proj, vertex_round
 from .schedulers import eta_for_epsilon
@@ -64,9 +64,10 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     model = read_model(args.input)
     eta = _resolve_eta(args, model)
-    # records iterate 0 and the last, which is the returned one
-    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=max(args.iters, 1))
-    mu_hat = proj(model, recover_primal(model, trace.final_lambda, eta))
+    candidates = []  # of iterate 0 and the last, the returned one, each from its record's pass
+    trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=max(args.iters, 1),
+                            observer=lambda k, lam, mu: candidates.append(mu))
+    mu_hat = proj(model, candidates[-1])
     primal = primal_objective(model, mu_hat)
     assignment = vertex_round(mu_hat)
     print(f"algorithm          {args.algo}")

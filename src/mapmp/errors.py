@@ -73,6 +73,14 @@ def array(name: str, value, dtype=None, shape=None, copy=True, order="K") -> np.
     return a
 
 
+def real_axes(name: str, value, axes: tuple) -> np.ndarray:
+    """A real array argument as float64, one axis per entry of ``axes``; no model fixes their extents."""
+    a = array(name, value, np.float64, copy=None)
+    if a.ndim != len(axes):
+        raise ValidationError(f"{name} has shape {a.shape}, expected ({', '.join(axes)})")
+    return a
+
+
 def check_marginal_shapes(model, mu, nu=None):
     """``mu``'s vertex and edge blocks and a slack offset ``nu`` (None stays
     None) as float arrays of the shapes that fit ``model``."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, array, check_marginal_shapes, real
+from .errors import ValidationError, array, check_marginal_shapes, real, real_axes
 from .model import Model
 
 # Probabilities are clamped here before any explicit log of a materialized
@@ -188,9 +188,7 @@ def dual_and_slack(model: Model, lam: np.ndarray, eta: float):
 
 def slack_score(nu: np.ndarray) -> float:
     """Sum over (edge, endpoint) blocks of the squared l1 norms of nu."""
-    if nu.size == 0:
-        return 0.0
-    norms = fold(np.add, np.abs(nu), 2)
+    norms = fold(np.add, np.abs(real_axes("nu", nu, ("m", "2", "d"))), 2)
     return float(np.square(norms, out=norms).sum())
 
 
@@ -210,10 +208,9 @@ def entropy(mu: Marginals) -> float:
     at ``_TINY``) and rejects negative and non-finite entries.
     """
     total = 0.0
-    for block in (mu.vertex, mu.edge):
-        if block.size == 0:
-            continue
-        if not (block.min() >= 0.0 and block.max() < np.inf):  # False on NaN
+    vertex = real_axes("mu.vertex", mu.vertex, ("n", "d"))
+    for block in (vertex, real_axes("mu.edge", mu.edge, ("m", "d", "d"))):
+        if not (block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) < np.inf):  # False on NaN
             raise ValidationError("entropy requires finite, nonnegative entries")
         total += float(block.sum() - (block * np.log(np.maximum(block, _TINY))).sum())
     return total

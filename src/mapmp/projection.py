@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, array, check_marginal_shapes
+from .errors import ValidationError, array, check_marginal_shapes, real_axes
 from .model import Model
 from .objective import Marginals, fold
 
@@ -99,6 +99,7 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
 def vertex_round(mu: Marginals) -> np.ndarray:
     """Integral assignment from vertex blocks: per-vertex argmax with ties
     broken toward the smallest label index; rejects non-finite entries."""
-    if not np.isfinite(mu.vertex).all():
+    vertex = real_axes("mu.vertex", mu.vertex, ("n", "d"))
+    if not np.isfinite(vertex).all():
         raise ValidationError("vertex_round requires finite entries")
-    return np.argmax(mu.vertex, axis=1).astype(np.int64)
+    return np.argmax(vertex, axis=1).astype(np.int64)

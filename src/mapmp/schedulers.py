@@ -18,25 +18,28 @@ Both streams are drawn in chunks of ``_SAMPLE_CHUNK`` values
 the scalar draws in sequence; an early stop leaves the rest of a chunk
 unused.
 
-Two drivers, a standard and an accelerated one, run every solver.  Each
-looks up the block update of its kind (``emp_update``, ``smp_update`` or
-``block_grad_step``) at call time and samples stars for "smp", pairs
-otherwise.  Per iteration a scheme yields the sampled vertex, ``at`` and
-the update's arguments after (model, lam, eta).  ``at`` holds the flat
+Two drivers, a standard and an accelerated one, run every solver and
+differ only in their step.  Each looks up the block update of its kind
+(``emp_update``, ``smp_update`` or ``block_grad_step``) at call time and
+samples stars for "smp", pairs otherwise.  Both take the record schedule
+from ``_Recorder.run``: record iterate 0, then per iteration yield a sample
+and, after the driver's step, record every ``stride``-th iterate and the
+last; stop at the first record whose slack score is at most
+``stop_slack_score``.  Every solver returns the iterate of its last record,
+however often it records.  A sample is the sampled vertex, ``at`` and the
+update's arguments after (model, lam, eta).  ``at`` holds the flat
 positions in ``lam.ravel()`` of the blocks the update returns, in its
 order: (2 edge + slot) d + arange(d), shape (d,), with ``(edge, vertex)``
 for pair sampling; ``model.incident_blocks[v]``, shape (deg, d), with
 ``(v,)`` for star sampling.  The drivers read and write lam, y and v through
 flat views, as one 1-D index costs a fraction of (edge, slot) indexing.
 
-Every solver returns its final iterate: the last one, or the one a stop
-rule broke at, which is always the last record.  What is recorded, and how
-often, never changes what a solver returns.  The standard loop installs the
-update at the current iterate.  The accelerated loop maintains the
-extrapolation point y = theta * v + (1 - theta) * lam, installs the update
-evaluated at y and pushes a scaled slack step into v.  One update call per
-iteration, with ``with_slack=True``, returns both the block(s) and the slack
-at y from one evaluation of the local log-marginals.
+The standard loop installs the update at the current iterate.  The
+accelerated loop maintains the extrapolation point
+y = theta * v + (1 - theta) * lam, installs the update evaluated at y and
+pushes a scaled slack step into v.  One update call per iteration, with
+``with_slack=True``, returns both the block(s) and the slack at y from one
+evaluation of the local log-marginals.
 The v-step uses the literal constants 1 / (2 m eta theta) for pair sampling
 and min_deg / (2 p_i theta eta N) for star sampling; ``v_step_scale``
 rescales them (0.5 gives the estimate-sequence constants derived in the
@@ -175,14 +178,13 @@ def iteration_budget(
 class SolveTrace:
     """Result of one solve.
 
-    Parallel arrays hold one entry per recorded iterate (iterate 0 and the
-    final iterate are always recorded; in between, every ``stride``-th).
-    ``final_lambda`` is what the algorithm returns, the iterate of the last
-    record.  ``elapsed_ms`` is solver time up to each record;
-    ``instrumentation_ms`` is the time spent in record passes (one
-    log-marginal pass each, read for the dual value, the slack and, with an
-    observer, the primal candidate) and observer calls up to and including
-    that record, which ``elapsed_ms`` leaves out.
+    Parallel arrays hold one entry per recorded iterate, on the schedule of
+    the module docstring; ``final_lambda`` is what the algorithm returns,
+    the iterate of the last record.  ``elapsed_ms`` is solver time up to
+    each record; ``instrumentation_ms`` is the time spent in record passes
+    (one log-marginal pass each, read for the dual value, the slack and,
+    with an observer, the primal candidate) and observer calls up to and
+    including that record, which ``elapsed_ms`` leaves out.
     """
 
     iterations: np.ndarray
@@ -194,10 +196,10 @@ class SolveTrace:
 
 
 class _Recorder:
-    """Stride-based trace recording over ``iters`` iterations, with the
-    slack-score stop test; it only observes the iterates it is shown."""
+    """The record schedule of one solve: its sample stream, which iterates
+    are recorded, and the stop test.  It only observes the iterates."""
 
-    def __init__(self, model, eta, iters, stride, stop_slack_score, observer):
+    def __init__(self, model, eta, iters, seed, star, stride, stop_slack_score, observer):
         self.total = integer("iteration count", iters, 0)
         self.stride = integer("stride", stride, 1)
         self.model = model
@@ -206,19 +208,25 @@ class _Recorder:
             real("stop_slack_score", stop_slack_score, "nonnegative")
         self.stop_slack_score = stop_slack_score
         self.observer = observer
-        self.iters: list[int] = []
-        self.duals: list[float] = []
-        self.scores: list[float] = []
-        self.ms: list[float] = []
-        self.instrumentation_ms: list[float] = []
+        self.samples = _samples(model, self.total, seed, star)
+        self.rows: list[tuple] = []  # (k, dual, score, solver ms, instrumentation ms)
         self.instrumentation_s = 0.0
         self.t0 = time.perf_counter()
 
-    def record(self, k: int, lam: np.ndarray) -> bool:
-        """Record iterate ``k`` if it is due (0, the last, or a multiple of
-        the stride); True when its slack score reaches the stop threshold."""
-        if k != self.total and k % self.stride:
-            return False
+    def run(self, lam: np.ndarray):
+        """Record iterate 0, then yield each sample; after the caller's step
+        on ``lam``, record it when due.  Returns at the first record that
+        meets the stop threshold."""
+        if self._record(0, lam):
+            return
+        stride, total = self.stride, self.total
+        for k, sample in enumerate(self.samples, 1):
+            yield sample
+            if (k % stride == 0 or k == total) and self._record(k, lam):
+                return
+
+    def _record(self, k: int, lam: np.ndarray) -> bool:
+        """Record iterate ``k``; True when its slack score reaches the stop threshold."""
         start = time.perf_counter()
         logs = _log_marginals(self.model, lam, self.eta)
         dual, nu = _dual_and_slack(self.model, logs)
@@ -226,26 +234,17 @@ class _Recorder:
         if not (math.isfinite(dual) and math.isfinite(score)):
             raise ValidationError(f"record at k={k} is not finite (dual {dual}, slack score "
                                   f"{score}) at eta={self.eta}")
-        self.iters.append(k)
-        self.duals.append(dual)
-        self.scores.append(score)
-        self.ms.append((start - self.t0 - self.instrumentation_s) * 1e3)
+        ms = (start - self.t0 - self.instrumentation_s) * 1e3
         if self.observer is not None:
             self.observer(k, lam.copy(), _marginals(logs))
         self.instrumentation_s += time.perf_counter() - start
-        self.instrumentation_ms.append(self.instrumentation_s * 1e3)
+        self.rows.append((k, dual, score, ms, self.instrumentation_s * 1e3))
         return self.stop_slack_score is not None and score <= self.stop_slack_score
 
     def finish(self, lam: np.ndarray) -> SolveTrace:
         """The trace, handing over ``lam`` itself: the solver never touches it again."""
-        return SolveTrace(
-            iterations=np.array(self.iters, dtype=np.int64),
-            dual_values=np.array(self.duals),
-            slack_scores=np.array(self.scores),
-            elapsed_ms=np.array(self.ms),
-            instrumentation_ms=np.array(self.instrumentation_ms),
-            final_lambda=lam,
-        )
+        iterations, *columns = zip(*self.rows)  # the rows hold the fields in order
+        return SolveTrace(np.array(iterations, dtype=np.int64), *map(np.array, columns), lam)
 
 
 def _pair_stream(rng, model: Model, iters: int):
@@ -321,24 +320,19 @@ def standard_mp(
     on a uniformly sampled pair.  Returns the final iterate; an EMP or SMP
     step is an exact block minimization, so the dual never rises along it.
 
-    ``iters`` and ``stride`` are integers.  The solve stops at the first
-    record whose slack score is at most ``stop_slack_score``, if given, a
-    nonnegative number.  ``observer(k, lam, mu)``, if given, is called at
-    every record with the iteration, a copy of the iterate and its primal
-    candidate, the bytes of ``recover_primal(model, lam, eta)`` read from
-    the record's own pass.  The accelerated solvers take the same options,
+    ``iters`` and ``stride`` are integers and ``stop_slack_score``, if
+    given, a nonnegative number.  ``observer(k, lam, mu)``, if given, is
+    called at every record with the iteration, a copy of the iterate and
+    its primal candidate, the bytes of ``recover_primal(model, lam, eta)``
+    read from the record's own pass.  The accelerated solvers take the same options,
     plus ``v_step_scale``.
     """
     update = _update(update_kind)
-    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
-    samples = _samples(model, rec.total, seed, update_kind == "smp")
+    rec = _Recorder(model, eta, iters, seed, update_kind == "smp", stride, stop_slack_score, observer)
     lam = zero_dual(model)
     flat = lam.ravel()
-    if not rec.record(0, lam):
-        for k, (_, at, args) in enumerate(samples, 1):
-            flat[at] = update(model, lam, eta, *args)
-            if rec.record(k, lam):
-                break
+    for _, at, args in rec.run(lam):
+        flat[at] = update(model, lam, eta, *args)
     return rec.finish(lam)
 
 
@@ -360,8 +354,7 @@ def _accelerated(
     slack at y into v; returns the final iterate."""
     update = _update(update_kind)
     real("v_step_scale", v_step_scale)
-    rec = _Recorder(model, eta, iters, stride, stop_slack_score, observer)
-    samples = _samples(model, rec.total, seed, update_kind == "smp")
+    rec = _Recorder(model, eta, iters, seed, update_kind == "smp", stride, stop_slack_score, observer)
     if update_kind == "smp":
         n_total = float(model.degrees.sum())
         numerator = v_step_scale * float(model.degrees.min())
@@ -380,22 +373,18 @@ def _accelerated(
     y = zero_dual(model)
     lam_flat, v, y_flat = lam.ravel(), zero_dual(model).ravel(), y.ravel()
     theta_state = ThetaState()
-    if not rec.record(0, lam):
-        for k, (vertex, at, args) in enumerate(samples, 1):
-            theta = theta_state.advance()
-            # y = theta v + (1 - theta) lam on the incident rows only: each
-            # entry is the same two products and one sum as in the
-            # whole-vector expression.
-            rows = model.incident_rows[vertex]
-            rows_y, rows_lam = v[rows], lam_flat[rows]
-            _mul(rows_y, theta, rows_y)
-            _mul(rows_lam, 1.0 - theta, rows_lam)
-            y_flat[rows] = _add(rows_y, rows_lam, rows_y)
-            lam_flat[at], nu = update(model, y, eta, *args, True)  # with_slack
-            _mul(nu, v_coef(vertex, theta), nu)
-            v[at] = _add(v[at], nu, nu)
-            if rec.record(k, lam):
-                break
+    for vertex, at, args in rec.run(lam):
+        theta = theta_state.advance()
+        # y = theta v + (1 - theta) lam on the incident rows only, each entry
+        # by the same two products and one sum as over the whole vector
+        rows = model.incident_rows[vertex]
+        rows_y, rows_lam = v[rows], lam_flat[rows]
+        _mul(rows_y, theta, rows_y)
+        _mul(rows_lam, 1.0 - theta, rows_lam)
+        y_flat[rows] = _add(rows_y, rows_lam, rows_y)
+        lam_flat[at], nu = update(model, y, eta, *args, True)  # with_slack
+        _mul(nu, v_coef(vertex, theta), nu)
+        v[at] = _add(v[at], nu, nu)
     return rec.finish(lam)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mapmp import bench, dual_and_slack, slack_score
+from mapmp import bench, dual_and_slack, objective, schedulers, slack_score
 from mapmp.bench import ALGORITHMS
 from mapmp.cli import main
 from mapmp.formats import read_model
@@ -53,6 +53,25 @@ def test_prints_the_final_iterates_values(capsys, model, algo):
 
 def test_zero_iterations_by_default_stride(capsys, model):
     assert "iterations         0\n" in solve(capsys, model, "smp", iters=0)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("iters, passes", [(ITERS, 2), (1, 2), (0, 1)])
+def test_one_log_marginal_pass_per_record_and_none_after(capsys, monkeypatch, model, algo, iters,
+                                                         passes):
+    # the candidate mu comes from the last record's pass, not from a
+    # recover_primal pass over the returned iterate
+    calls = []
+    original = objective._log_marginals
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(objective, "_log_marginals", counted)
+    monkeypatch.setattr(schedulers, "_log_marginals", counted)
+    solve(capsys, model, algo, iters)
+    assert len(calls) == passes
 
 
 def test_non_finite_record_exits_2_without_a_traceback(tmp_path):

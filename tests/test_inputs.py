@@ -129,6 +129,11 @@ ARRAYS = [
        [(3, 3), (2, 2)]) for f in (mapmp.proj, mapmp.primal_objective, mapmp.in_local_polytope)],
     *[(f"{f.__name__}-mu.edge", "mu.edge", lambda x, f=f: f(MODEL, Marginals(MU.vertex, x)),
        [(2, 2, 3), (3, 2, 2)]) for f in (mapmp.proj, mapmp.primal_objective, mapmp.in_local_polytope)],
+    # the model-free functions fix the number of axes, not their extents
+    *[(f"{f.__name__}-mu.vertex", "mu.vertex", lambda x, f=f: f(Marginals(x, MU.edge)),
+       [(3 * D,), (1, 3, D)]) for f in (mapmp.entropy, mapmp.vertex_round)],
+    ("entropy-mu.edge", "mu.edge", lambda x: mapmp.entropy(Marginals(MU.vertex, x)), [(M, D * D), (D,)]),
+    ("slack_score", "nu", mapmp.slack_score, [(M * 2 * D,), (M, 2 * D), (1, M, 2, D)]),
     ("build_model-edges", "edges", lambda x: mapmp.build_model(3, x, 2, np.zeros((3, 2)), np.zeros((2, 2, 2))),
      [(2, 3), (4,)]),
     ("build_model-vertex_costs", "vertex_costs",
@@ -139,7 +144,7 @@ ARRAYS = [
 # A value of the right shape for each parameter that asks for reals (edges
 # ask for integers); as numeric strings or complex numbers it is refused.
 FITTING = {"assignment": [0, 1, 0], "matrix": np.full((2, 2), 0.25), "row_targets": [0.5, 0.5],
-           "col_targets": [0.5, 0.5], "lam": LAM, "slack offset": LAM, "mu.vertex": MU.vertex,
+           "col_targets": [0.5, 0.5], "lam": LAM, "slack offset": LAM, "nu": LAM, "mu.vertex": MU.vertex,
            "mu.edge": MU.edge, "vertex_costs": np.zeros((3, 2)), "edge_costs": np.zeros((2, 2, 2))}
 # round_to_transport states its shape rule once, with one structural message
 ROUNDING_SHAPES = "expected nonempty square matrices with matching targets, got "
@@ -152,7 +157,7 @@ ARRAY_CASES = [
         ("complex", np.asarray(FITTING[name]) + 1j)] if name in FITTING else [])
     # a kernel takes a float64 lam of the dual shape as it is, and only that
     + ([("str-array", np.full(LAM.shape, "0")), ("complex-array", np.zeros(LAM.shape, complex))]
-       if name in ("lam", "slack offset") else [])
+       if name in ("lam", "slack offset", "nu") else [])
     if not (value is None and case.endswith("?"))
 ]
 
@@ -194,6 +199,19 @@ def test_nested_list_lam_gives_the_bits_of_its_array(call):
         got, want = call(given), call(converted)
         got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
         assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+
+def test_nested_list_marginals_give_the_bits_of_their_arrays():
+    # unconverted, entropy of list blocks was a bare AttributeError
+    listed = Marginals(MU.vertex.tolist(), MU.edge.tolist())
+    nu = np.random.default_rng(5).normal(size=LAM.shape)
+    assert mapmp.entropy(listed) == mapmp.entropy(MU)
+    assert mapmp.vertex_round(listed).tobytes() == mapmp.vertex_round(MU).tobytes()
+    assert mapmp.slack_score(nu.tolist()) == mapmp.slack_score(nu)
+
+
+def test_empty_slack_scores_zero():
+    assert mapmp.slack_score(np.zeros((0, 2, D))) == 0.0
 
 
 @pytest.mark.parametrize("edge", [0.7, "0"])

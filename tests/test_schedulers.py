@@ -274,12 +274,6 @@ class TestStandardMp:
         assert np.array_equal(a.dual_values, b.dual_values)
         assert np.array_equal(a.slack_scores, b.slack_scores)
 
-    def test_stride_records_expected_iterations(self):
-        rng = np.random.default_rng(6)
-        m = random_model(rng, 4, 2)
-        trace = standard_mp(m, "emp", 5.0, 10, seed=0, stride=4)
-        assert trace.iterations.tolist() == [0, 4, 8, 10]
-
     def test_stop_on_slack_score(self):
         rng = np.random.default_rng(7)
         m = random_model(rng, 4, 2)
@@ -464,6 +458,36 @@ def trace_pin(name):
     floats = {"dual_values": trace.dual_values, "slack_scores": trace.slack_scores,
               "final_lambda": trace.final_lambda.ravel()}
     return trace, data, ints, floats
+
+
+class TestRecordSchedule:
+    """Every algorithm records iterate 0, every ``stride``-th iterate and the
+    last, and stops at the first record that meets the stop threshold."""
+
+    MODEL, ITERS = erdos_renyi_potts(8, 0.5, 3, 1), 23
+
+    @pytest.mark.parametrize("stride", [1, 7, ITERS, ITERS + 5])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_stride_records_expected_iterations(self, algorithm, stride):
+        trace = solve(algorithm, self.MODEL, 5.0, self.ITERS, 0, stride=stride)
+        assert trace.iterations.tolist() == [*range(0, self.ITERS, stride), self.ITERS]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_threshold_met_at_record_zero_draws_and_steps_nothing(self, monkeypatch, algorithm):
+        def no_draws(*args):
+            raise AssertionError("drew a sample")
+            yield
+
+        def no_step(*args):
+            raise AssertionError("took a step")
+
+        for name in ("_pair_stream", "_vertex_stream"):
+            monkeypatch.setattr(schedulers, name, no_draws)
+        for name in ("emp_update", "smp_update", "block_grad_step"):
+            monkeypatch.setattr(schedulers, name, no_step)
+        trace = solve(algorithm, self.MODEL, 5.0, self.ITERS, 0, stop_slack_score=1e300)
+        assert trace.iterations.tolist() == [0]
+        assert not trace.final_lambda.any()
 
 
 class TestTraceInvariants:
