@@ -34,8 +34,6 @@ def _write(path: str, text: str) -> None:
 def _resolve_eta(args, model: Model) -> float:
     if args.epsilon is not None:
         return eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
-    if args.eta is None:
-        raise ValidationError("provide --eta or --epsilon")
     return args.eta
 
 
@@ -154,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one algorithm and print final values")
     p.add_argument("input", help="native or UAI model file")
     p.add_argument("--algo", choices=bench_mod.ALGORITHMS, default="accel-emp")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument(
+    scale = p.add_mutually_exclusive_group(required=True)
+    scale.add_argument("--eta", type=float, default=None)
+    scale.add_argument(
         "--epsilon",
         type=float,
         default=None,
@@ -177,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the accelerated variant and emit log-competitive ratios",
     )
-    p.add_argument("--eta", type=float, default=1000.0)
-    p.add_argument("--epsilon", type=float, default=None, help="derive eta from epsilon")
+    scale = p.add_mutually_exclusive_group()
+    scale.add_argument("--eta", type=float, default=1000.0)
+    scale.add_argument("--epsilon", type=float, default=None, help="derive eta from epsilon")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -100,6 +100,8 @@ def vertex_round(mu: Marginals) -> np.ndarray:
     """Integral assignment from vertex blocks: per-vertex argmax with ties
     broken toward the smallest label index; rejects non-finite entries."""
     vertex = real_axes("mu.vertex", mu.vertex, ("n", "d"))
+    if vertex.shape[1] == 0:
+        raise ValidationError(f"mu.vertex has shape {vertex.shape}, expected at least one label")
     if not np.isfinite(vertex).all():
         raise ValidationError("vertex_round requires finite entries")
     return np.argmax(vertex, axis=1).astype(np.int64)

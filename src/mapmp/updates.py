@@ -6,8 +6,8 @@ and never mutates its input.  Schedulers exploit this: the accelerated loops
 evaluate an update at an extrapolated point y and install the result into a
 different iterate.  They also need the slack at y; ``with_slack=True`` makes
 an update return it alongside the block(s), formed from the log-marginals the
-update has already computed with the same operations as ``block_slack`` and
-``star_slack``, so the local state is evaluated once and the bits match.
+update has already computed, so the local state is evaluated once.  One
+helper forms every slack, there and in ``block_slack`` and ``star_slack``.
 
 Edge message passing (EMP) minimizes the dual exactly over the single block
 (e, i); the minimizer moves the block by log(S / mu_i) / (2 eta), after which
@@ -127,17 +127,21 @@ def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
     return own, _log_marginal_pass(t, d, terms, own, costs, model.vertex_costs[vertex], eta)
 
 
+def _slack(logs):
+    """nu = S - mu from a pass's (rows, d) log rows: exp of each log S row minus exp of log mu."""
+    marginals = _exp(logs)
+    return _sub(marginals[:-1], marginals[-1:])  # (1, d) last row: no broadcast for a pair
+
+
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
-    marginals = _exp(_pair_pass(model, lam, real("eta", eta), edge, vertex)[1])
-    return _sub(marginals[0], marginals[1])
+    return _slack(_pair_pass(model, lam, real("eta", eta), edge, vertex)[1])[0]
 
 
 def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """Slack blocks for every edge incident to ``vertex``, shape (deg, d),
     ordered like ``model.incident_edges[vertex]``."""
-    marginals = _exp(_star_pass(model, lam, real("eta", eta), vertex)[1])
-    return _sub(marginals[:-1], marginals[-1])
+    return _slack(_star_pass(model, lam, real("eta", eta), vertex)[1])
 
 
 def emp_update(
@@ -156,10 +160,7 @@ def emp_update(
     block = _sub(logs[0], logs[1])
     _div(block, 2.0 * eta, block)
     _add(block, own, block)
-    if with_slack:
-        marginals = _exp(logs)
-        return block, _sub(marginals[0], marginals[1])
-    return block
+    return (block, _slack(logs)[0]) if with_slack else block
 
 
 def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int, with_slack: bool = False):
@@ -178,10 +179,7 @@ def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int, with_slac
     blocks = _div(logs[:-1], eta)
     _add(blocks, own, blocks)
     _sub(blocks, shared, blocks)
-    if with_slack:
-        marginals = _exp(logs)
-        return blocks, _sub(marginals[:-1], marginals[-1])
-    return blocks
+    return (blocks, _slack(logs)) if with_slack else blocks
 
 
 def block_grad_step(
@@ -194,10 +192,7 @@ def block_grad_step(
     """
     eta = real("eta", eta)
     own, logs = _pair_pass(model, lam, eta, edge, vertex)
-    marginals = _exp(logs)
-    nu = _sub(marginals[0], marginals[1])
+    nu = _slack(logs)[0]
     block = _mul(1.0 / eta, nu)
     _add(block, own, block)
-    if with_slack:
-        return block, nu
-    return block
+    return (block, nu) if with_slack else block

@@ -40,6 +40,30 @@ def test_stride_is_rejected(capsys, model):
     assert "unrecognized arguments: --stride 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--eta", "50", "--epsilon", "0.5"], "argument --epsilon: not allowed with argument --eta"),
+    ([], "one of the arguments --eta --epsilon is required"),
+], ids=["both", "neither"])
+def test_solve_takes_exactly_one_of_eta_and_epsilon(capsys, model, flags, message):
+    # --eta given with --epsilon used to be dropped silently for the derived eta
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", str(model), "--iters", "10", *flags])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", ["10", "1000"])
+def test_bench_takes_eta_or_epsilon_not_both(capsys, tmp_path, eta):
+    # even the default --eta, given explicitly, conflicts with --epsilon
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--n", "20", "--d", "3", "--eta", eta, "--epsilon", "0.5", "--iters", "5",
+              "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "argument --epsilon: not allowed with argument --eta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_prints_the_final_iterates_values(capsys, model, algo):
     # a stride-1 run records every iterate yet returns the same final one

@@ -130,8 +130,10 @@ ARRAYS = [
     *[(f"{f.__name__}-mu.edge", "mu.edge", lambda x, f=f: f(MODEL, Marginals(MU.vertex, x)),
        [(2, 2, 3), (3, 2, 2)]) for f in (mapmp.proj, mapmp.primal_objective, mapmp.in_local_polytope)],
     # the model-free functions fix the number of axes, not their extents
-    *[(f"{f.__name__}-mu.vertex", "mu.vertex", lambda x, f=f: f(Marginals(x, MU.edge)),
-       [(3 * D,), (1, 3, D)]) for f in (mapmp.entropy, mapmp.vertex_round)],
+    ("entropy-mu.vertex", "mu.vertex", lambda x: mapmp.entropy(Marginals(x, MU.edge)), [(3 * D,), (1, 3, D)]),
+    # but rounding needs a label to pick (no labels was NumPy's bare ValueError from argmax)
+    ("vertex_round-mu.vertex", "mu.vertex", lambda x: mapmp.vertex_round(Marginals(x, MU.edge)),
+     [(3 * D,), (1, 3, D), (3, 0)]),
     ("entropy-mu.edge", "mu.edge", lambda x: mapmp.entropy(Marginals(MU.vertex, x)), [(M, D * D), (D,)]),
     ("slack_score", "nu", mapmp.slack_score, [(M * 2 * D,), (M, 2 * D), (1, M, 2, D)]),
     ("build_model-edges", "edges", lambda x: mapmp.build_model(3, x, 2, np.zeros((3, 2)), np.zeros((2, 2, 2))),
