@@ -143,7 +143,9 @@ class BenchResult:
 
 def resolve_model(config: BenchConfig) -> Model:
     """The run's instance: read from ``model_file`` (native or UAI) or
-    generated from (n, d, edge_prob) with the run seed."""
+    generated from (n, d, edge_prob) with the run seed.  Reads only
+    ``model_file``, ``n``, ``d``, ``edge_prob`` and ``seed``, of a
+    ``BenchConfig`` or of the ``mapmp gen`` namespace."""
     if config.model_file is not None:
         return read_model(config.model_file)
     edge_prob = config.edge_prob

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import bench as bench_mod
 from .errors import OracleGuardError, ValidationError, integer, real
 from .formats import emit_model, parse_uai, read_model, read_text
-from .model import Model, default_edge_prob, erdos_renyi_potts, map_value
+from .model import Model, map_value
 from .objective import primal_objective
 from .oracle import brute_force_map, lp_solve_l2, tree_map
 from .projection import proj, vertex_round
@@ -49,10 +49,7 @@ def _emit(model: Model, out: str | None) -> int:
 
 
 def _cmd_gen(args) -> int:
-    edge_prob = args.edge_prob
-    if edge_prob is None:
-        edge_prob = default_edge_prob(args.n)
-    return _emit(erdos_renyi_potts(args.n, edge_prob, args.d, args.seed), args.out)
+    return _emit(bench_mod.resolve_model(args), args.out)
 
 
 def _cmd_convert(args) -> int:
@@ -89,11 +86,9 @@ def _cmd_bench(args) -> int:
             raise ValidationError(f"{args.opt_file} must contain one float, got {raw!r}") from None
     flags = {f.name: getattr(args, f.name) for f in fields(bench_mod.BenchConfig) if f.name != "opt_value"}
     config = bench_mod.BenchConfig(**flags, opt_value=opt_value)
-    model = None
-    if args.epsilon is not None:
-        replace(config, eta=1.0).validate()  # every check but eta's, before generating
-        model = bench_mod.resolve_model(config)
-        config.eta = _resolve_eta(args, model)
+    config.validate()  # before the instance is read or generated
+    model = bench_mod.resolve_model(config)
+    config.eta = _resolve_eta(args, model)
     result = bench_mod.run_bench(config, model)
     _write(args.out, bench_mod.metrics_csv(result))
     summary_path = args.out + ".summary.csv"
@@ -142,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, model_file=None)
 
     p = sub.add_parser("convert", help="convert a UAI MARKOV file to the native format")
     p.add_argument("input")

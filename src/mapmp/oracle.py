@@ -3,8 +3,9 @@ the exact linear program over the local polytope, and the integral
 suboptimality gap.
 
 These are test-tier oracles: dense arithmetic, clarity over speed, hard size
-guards instead of approximation.  Enumeration is chunked but its result is
-independent of the chunking.
+guards instead of approximation, and a ``ValidationError`` where an
+assignment value overflows a double.  Enumeration is chunked but its result
+is independent of the chunking.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .objective import Marginals, in_local_polytope
 MAX_BRUTE_STATES = 10**7
 MAX_LP_PRIMAL_DIM = 5000
 _CHUNK = 200_000
+_OVERFLOW = "assignment values are not finite: the costs overflow a double"
 
 
 class BruteForceResult(NamedTuple):
@@ -36,15 +38,6 @@ class TreeMapResult(NamedTuple):
 class LpResult(NamedTuple):
     marginals: Marginals
     value: float
-
-
-def _check_brute_guard(model: Model) -> int:
-    total = model.d**model.n
-    if total > MAX_BRUTE_STATES:
-        raise OracleGuardError(
-            f"d^n = {total} states exceeds the exhaustive-search guard {MAX_BRUTE_STATES}"
-        )
-    return total
 
 
 def _labels(model: Model, index):
@@ -70,10 +63,16 @@ def _scan(model: Model):
     """One pass over all d^n assignments: the lexicographically first
     minimizer's index, the minimum, how many assignments attain it, and the
     smallest value above it (inf if none)."""
-    total = _check_brute_guard(model)
+    total = model.d**model.n
+    if total > MAX_BRUTE_STATES:
+        raise OracleGuardError(
+            f"d^n = {total} states exceeds the exhaustive-search guard {MAX_BRUTE_STATES}"
+        )
     best, best_index, best_count, second = np.inf, -1, 0, np.inf
     for start in range(0, total, _CHUNK):
         values = _chunk_values(model, start, min(start + _CHUNK, total))
+        if not np.isfinite(values).all():
+            raise ValidationError(_OVERFLOW)
         chunk_min = values.min()
         if chunk_min < best:
             # the old minimum is now the smallest value above the new one
@@ -153,6 +152,8 @@ def tree_map(model: Model) -> TreeMapResult:
         value += float(belief[root].min())
         for u, p, pair in steps:
             assignment[u] = np.argmin(pair[:, assignment[p]] + belief[u])
+    if not np.isfinite(value):
+        raise ValidationError(_OVERFLOW)
     return TreeMapResult(assignment, value)
 
 

@@ -26,8 +26,9 @@ import pins
 from helpers import two_phase_run_bench
 
 
-EPSILON_ARGV = ["bench", "--n", "30", "--d", "3", "--epsilon", "0.5", "--algo", "smp", "--ratio",
-                "--iters", "200", "--trials", "3", "--seed", "4", "--stride", "20"]
+BENCH_ARGV = ["bench", "--n", "30", "--d", "3", "--algo", "smp", "--ratio", "--iters", "200",
+              "--trials", "3", "--seed", "4", "--stride", "20"]
+EPSILON_ARGV = BENCH_ARGV + ["--epsilon", "0.5"]
 
 
 def csv_parts(text):
@@ -540,7 +541,8 @@ class TestCli:
         )
         assert captured.out == "" and not out.exists()
 
-    def test_bench_epsilon_generates_the_instance_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("scale", [["--eta", "7.5"], ["--epsilon", "0.5"]], ids=["eta", "epsilon"])
+    def test_bench_generates_the_instance_once(self, scale, tmp_path, monkeypatch):
         calls = []
         generate = bench.erdos_renyi_potts
 
@@ -550,27 +552,41 @@ class TestCli:
 
         monkeypatch.setattr(bench, "erdos_renyi_potts", counted)
         out = tmp_path / "m.csv"
-        assert main(EPSILON_ARGV + ["--out", str(out)]) == 0
+        assert main(BENCH_ARGV + scale + ["--out", str(out)]) == 0
         assert calls == [(30, default_edge_prob(30), 3, 4)]
         model = generate(*calls[0])
-        eta = mapmp.eta_for_epsilon(model.m, model.n, model.d, 0.5)
+        eta = float(scale[1])
+        if scale[0] == "--epsilon":
+            eta = mapmp.eta_for_epsilon(model.m, model.n, model.d, eta)
         config = BenchConfig(algorithm="smp", ratio=True, eta=eta, iters=200, trials=3,
                              seed=4, stride=20, n=30, d=3)
         assert out.read_text() == metrics_csv(run_bench(config))
-        # the bytes the CLI wrote when it built the instance twice
-        pins.assert_pinned("bdffabea9a5bb669ae8d24d0da5d8e10f1c327e3e33d1091df76e5774d089254",
-                           out.read_bytes(), "bench-epsilon-csv", *csv_parts(out.read_text()))
+        if scale[0] == "--epsilon":
+            # the bytes the CLI wrote when it built the instance twice
+            pins.assert_pinned("bdffabea9a5bb669ae8d24d0da5d8e10f1c327e3e33d1091df76e5774d089254",
+                               out.read_bytes(), "bench-epsilon-csv", *csv_parts(out.read_text()))
 
-    def test_bench_epsilon_validates_before_generating(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("scale", [[], ["--epsilon", "0.5"]], ids=["eta", "epsilon"])
+    def test_bench_validates_before_generating(self, scale, tmp_path, monkeypatch, capsys):
         calls = []
         generate = bench.erdos_renyi_potts
         monkeypatch.setattr(bench, "erdos_renyi_potts", lambda *a: calls.append(a) or generate(*a))
         out = tmp_path / "m.csv"
-        argv = ["bench", "--n", "2000", "--d", "3", "--epsilon", "0.5", "--trials", "0",
+        argv = ["bench", "--n", "2000", "--d", "3", *scale, "--trials", "0",
                 "--iters", "3", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("edge_prob", [[], ["--edge-prob", "0.25"]], ids=["default", "flag"])
+    def test_gen_generates_through_the_bench_route(self, edge_prob, monkeypatch, capsys):
+        calls = []
+        generate = bench.erdos_renyi_potts
+        monkeypatch.setattr(bench, "erdos_renyi_potts", lambda *a: calls.append(a) or generate(*a))
+        assert main(["gen", "--n", "30", "--d", "3", "--seed", "4", *edge_prob]) == 0
+        p = float(edge_prob[1]) if edge_prob else default_edge_prob(30)
+        assert calls == [(30, p, 3, 4)]
+        assert capsys.readouterr().out == emit_model(generate(30, p, 3, 4))
 
     @pytest.mark.parametrize("epsilon, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
                                                  ("-1", "-1.0")])
@@ -653,6 +669,7 @@ class TestTables:
         opt = tmp_path / "opt.txt"
         opt.write_text("-1.25\n")
         path = str(tmp_path / "m.mapmp")
+        Path(path).write_text(emit_model(mapmp.erdos_renyi_potts(7, 0.3, 4, 5)))
         if source == "generate":
             instance = dict(model_file=None, n=7, d=4, edge_prob=0.3)
             argv = ["--n", "7", "--d", "4", "--edge-prob", "0.3"]

@@ -17,6 +17,7 @@ from mapmp import (
     oracle,
     tree_map,
 )
+from mapmp.cli import main
 
 
 def two_node_gap_model():
@@ -232,3 +233,41 @@ class TestGapEstimate:
         finally:
             oracle_mod._CHUNK = original
         assert chunked == pytest.approx(full, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowingCosts:
+    """Finite costs whose sums overflow a double: the exhaustive and tree
+    oracles refuse them rather than crash or report an infinite optimum."""
+
+    MESSAGE = "^assignment values are not finite: the costs overflow a double$"
+    HUGE = ("mapmp v1 3 2 2\nv 0 1e308 1e308\nv 1 1e308 1e308\nv 2 1e308 1e308\n"
+            "e 0 1 0 0 0 0\ne 1 2 0 0 0 0\n")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("solve", [brute_force_map, gap_estimate, tree_map])
+    def test_every_sum_overflows(self, solve, sign):
+        m = build_model(3, [(0, 1), (1, 2)], 2, np.full((3, 2), sign * 1e308), np.zeros((2, 2, 2)))
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            solve(m)
+
+    @pytest.mark.parametrize("chunk", [2, 8])
+    def test_a_later_chunk_overflows(self, chunk, monkeypatch):
+        # only assignments (1, 1, x), the last two, overflow; the optimum 0 is finite
+        vertex_costs = [[0.0, 1e308], [0.0, 1e308], [0.0, 0.0]]
+        m = build_model(3, [(0, 1), (1, 2)], 2, vertex_costs, np.zeros((2, 2, 2)))
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for solve in (brute_force_map, gap_estimate):
+            with pytest.raises(ValidationError, match=self.MESSAGE):
+                solve(m)
+
+    @pytest.mark.parametrize("method", ["brute", "tree", "lp"])
+    def test_cli_exits_2(self, method, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(self.HUGE)
+        assert main(["oracle", str(path), "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if method != "lp":  # the LP solver names its own failure
+            assert captured.err == f"error: {self.MESSAGE[1:-1]}\n"
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
