@@ -12,11 +12,12 @@ reproduces M bit for bit.  Loading rejects version mismatches, wrong edge
 orientation, duplicate or missing vertex lines, and malformed lines, each
 with its line number.  Both directions take O(file) time.  The writer holds
 O(line) working memory beyond the model: it joins 1024 lines at a time.  The
-reader holds the list of all the file's lines (``text.splitlines()``) while
-it walks the body twice: once to count the records against the header's n,
-once to parse them into flat ``array`` buffers.  At n = 5000, m = 23526
-(1.17 MB) that is about 0.09 s and 2.4 MB traced to write, 0.12 s and 7.4 MB
-with the model to read (single-threaded, 2-core x86-64 host).
+reader takes the file's lines from ``_lines``, one piece of the text at a
+time, and holds no list of them; it walks them three times: to find the
+header, to count the records against the header's n, and to parse them into
+flat ``array`` buffers.  At n = 5000, m = 23526 (1.17 MB) that is about
+0.09 s and 2.4 MB traced to write, 0.11 s and 7.4 MB with the model to read
+(single-threaded, 2-core x86-64 host).
 
 UAI MARKOV files are accepted when all variables share one cardinality and
 every function scope has arity 1 or 2.  Potentials convert to costs
@@ -86,11 +87,10 @@ def _parse_floats(out, tokens, count, lineno, what):
 
 
 def load_model(text: str) -> Model:
-    lines = text.splitlines()
-    start = next((k for k, line in enumerate(lines) if line.strip()), None)
-    if start is None:
+    first = next(((no, line) for no, line in enumerate(_lines(text), start=1) if line.strip()), None)
+    if first is None:
         raise ValidationError("empty model file")
-    header_no, header = start + 1, lines[start].split()
+    header_no, header = first[0], first[1].split()
     if len(header) != 5 or header[0] != _NATIVE_MAGIC:
         raise ValidationError(f"line {header_no}: expected header '{_NATIVE_MAGIC} {_NATIVE_VERSION} n m d'")
     if header[1] != _NATIVE_VERSION:
@@ -105,7 +105,7 @@ def load_model(text: str) -> Model:
     for name, value, least in (("n", n, 1), ("m", m, 0), ("d", d, 2)):
         if value < least:
             raise ValidationError(f"line {header_no}: header needs {name} >= {least}, got {value}")
-    records = sum(map(bool, map(str.strip, islice(lines, header_no, None))))
+    records = sum(map(bool, map(str.strip, islice(_lines(text), header_no, None))))
     if n > records:
         raise ValidationError(
             f"line {header_no}: header declares {n} vertices but the file has {records} records"
@@ -115,7 +115,7 @@ def load_model(text: str) -> Model:
     # checked against d per line and parsed straight into flat buffers.
     seen, order, edges = bytearray(n), array("q"), array("q")
     vertex_values, edge_values = array("d"), array("d")
-    for no, line in enumerate(islice(lines, header_no, None), start=header_no + 1):
+    for no, line in enumerate(islice(_lines(text), header_no, None), start=header_no + 1):
         tokens = line.split()
         if not tokens:
             continue
@@ -152,7 +152,6 @@ def load_model(text: str) -> Model:
             _parse_floats(edge_values, tokens[3:], d * d, no, "edge cost")
         else:
             raise ValidationError(f"line {no}: unknown record kind {kind!r}")
-    del lines  # freed before build_model copies the parsed arrays
     if len(order) < n:
         raise ValidationError(f"missing vertex line for {seen.index(0)}")
     if len(edges) != 2 * m:

@@ -70,7 +70,8 @@ def _scan(model: Model):
         )
     best, best_index, best_count, second = np.inf, -1, 0, np.inf
     for start in range(0, total, _CHUNK):
-        values = _chunk_values(model, start, min(start + _CHUNK, total))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            values = _chunk_values(model, start, min(start + _CHUNK, total))
         if not np.isfinite(values).all():
             raise ValidationError(_OVERFLOW)
         chunk_min = values.min()
@@ -145,13 +146,14 @@ def tree_map(model: Model) -> TreeMapResult:
     belief = model.vertex_costs.copy()
     assignment = np.zeros(model.n, dtype=np.int64)
     value = 0.0
-    for root, steps in _oriented_bfs(model):
-        for u, p, pair in reversed(steps):
-            belief[p] += (pair + belief[u][:, None]).min(axis=0)
-        assignment[root] = np.argmin(belief[root])
-        value += float(belief[root].min())
-        for u, p, pair in steps:
-            assignment[u] = np.argmin(pair[:, assignment[p]] + belief[u])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for root, steps in _oriented_bfs(model):
+            for u, p, pair in reversed(steps):
+                belief[p] += (pair + belief[u][:, None]).min(axis=0)
+            assignment[root] = np.argmin(belief[root])
+            value += float(belief[root].min())
+            for u, p, pair in steps:
+                assignment[u] = np.argmin(pair[:, assignment[p]] + belief[u])
     if not np.isfinite(value):
         raise ValidationError(_OVERFLOW)
     return TreeMapResult(assignment, value)

@@ -784,6 +784,39 @@ def reference_round_to_transport(matrix, row_targets, col_targets) -> np.ndarray
     return p[0] if single else p
 
 
+# A verbatim copy of the rounding arithmetic that built the rank-one
+# correction as a quotient and added it through an np.where temporary, with
+# ``fold`` written as the NumPy reduction whose bits it gives and the input
+# checks left out.
+def temporary_building_round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
+    p = np.array(matrix, dtype=np.float64)
+    r = np.asarray(row_targets, dtype=np.float64)
+    c = np.asarray(col_targets, dtype=np.float64)
+    single = p.ndim == 2
+    if single:
+        p, r, c = p[None], r[None], c[None]
+    r = np.maximum(r, 0.0)
+    c = np.maximum(c, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        row_sums = np.add.reduce(p, axis=2)
+        scale = np.where(row_sums > 0.0, np.minimum(1.0, r / row_sums), 1.0)
+        p *= scale[:, :, None]
+        col_sums = np.add.reduce(p, axis=1)
+        scale = np.where(col_sums > 0.0, np.minimum(1.0, c / col_sums), 1.0)
+        p *= scale[:, None, :]
+
+        # Scaling never overshoots the targets, so both errors are nonnegative
+        # up to roundoff; clamping keeps the rank-one correction sign-safe.
+        err_r = np.maximum(r - np.add.reduce(p, axis=2), 0.0)
+        err_c = np.maximum(c - np.add.reduce(p, axis=1), 0.0)
+        missing = np.add.reduce(err_r, axis=1)
+        # Rows below the threshold add -0.0, which leaves every entry's bits as they are.
+        fix = missing > 1e-14
+        correction = err_r[:, :, None] * err_c[:, None, :] / missing[:, None, None]
+        p += np.where(fix[:, None, None], correction, -0.0)
+    return p[0] if single else p
+
+
 def reference_proj(model: Model, mu_vertex, mu_edge, nu=None):
     """(vertex blocks, edge blocks) of the projection."""
     if nu is None:

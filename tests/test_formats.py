@@ -140,6 +140,47 @@ def extreme_model(d: int, n: int = 5):
                        values[n * d :].reshape(len(edges), d, d))
 
 
+def assert_mutations_load_like_the_token_list_reader(end):
+    """600 randomly mutated copies of a small model file, with lines ending
+    in ``end``: ``load_model`` gives each the model, or the message with its
+    line number, of the reader that held every token."""
+    base = emit_model(build_model(
+        4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2, np.arange(8.0).reshape(4, 2) / 4,
+        -np.arange(16.0).reshape(4, 2, 2) / 8,
+    )).splitlines()
+    junk = ["", "   ", "v", "e", "e 1", "x 1 2", "v 9 0 0", "v -1 0 0", "v 1 0 0",
+            "v a 0 0", "v 0 0", "v 0 0 0 0", "v 0 0 nan", "v 0 0 inf", "v 0 0 x",
+            "e 1 0 0 0 0 0", "e 0 0 0 0 0 0", "e 0 1 0 0 0 0", "e 0 4 0 0 0 0",
+            "e 0 2 1 2 3", "e 0 2 1 2 3 x", "e 0 b 1 2 3 4", "e 0 2 1e999 0 0 0",
+            "mapmp v1 4 4 2", "mapmp v1 4 4", "mapmp v2 4 4 2", "mapmp v1 4 x 2",
+            "mapmp v1 9 4 2", "mapmp v1 4 5 2", "mapmp v1 4 3 2", "mapmp v1 1 0 2"]
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(600):
+        lines = list(base)
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(len(lines) + 1))
+            action = int(rng.integers(3))
+            if action == 0 and lines:
+                del lines[min(k, len(lines) - 1)]
+            elif action == 1:
+                lines.insert(k, junk[int(rng.integers(len(junk)))])
+            elif lines:
+                lines[min(k, len(lines) - 1)] = junk[int(rng.integers(len(junk)))]
+        text = end.join(lines) + end
+        try:
+            want = token_list_load_model(text)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                load_model(text)
+            assert str(got.value) == str(exc)
+            outcomes.add(re.sub(r"\d+", "#", str(exc)))
+        else:
+            assert models_equal(load_model(text), want)
+            outcomes.add("ok")
+    assert len(outcomes) >= 20  # many distinct checks were reached
+
+
 class TestStreamingIo:
     """The chunked writer and the streaming reader give the bytes, models and
     error messages of the list-building versions they replaced, in memory
@@ -187,41 +228,15 @@ class TestStreamingIo:
     def test_messages_match_the_token_list_reader(self):
         """Mutated files: the same model or the same message, line number
         included, as the reader that held every token."""
-        base = emit_model(build_model(
-            4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2, np.arange(8.0).reshape(4, 2) / 4,
-            -np.arange(16.0).reshape(4, 2, 2) / 8,
-        )).splitlines()
-        junk = ["", "   ", "v", "e", "e 1", "x 1 2", "v 9 0 0", "v -1 0 0", "v 1 0 0",
-                "v a 0 0", "v 0 0", "v 0 0 0 0", "v 0 0 nan", "v 0 0 inf", "v 0 0 x",
-                "e 1 0 0 0 0 0", "e 0 0 0 0 0 0", "e 0 1 0 0 0 0", "e 0 4 0 0 0 0",
-                "e 0 2 1 2 3", "e 0 2 1 2 3 x", "e 0 b 1 2 3 4", "e 0 2 1e999 0 0 0",
-                "mapmp v1 4 4 2", "mapmp v1 4 4", "mapmp v2 4 4 2", "mapmp v1 4 x 2",
-                "mapmp v1 9 4 2", "mapmp v1 4 5 2", "mapmp v1 4 3 2", "mapmp v1 1 0 2"]
-        rng = np.random.default_rng(11)
-        outcomes = set()
-        for _ in range(600):
-            lines = list(base)
-            for _ in range(int(rng.integers(1, 4))):
-                k = int(rng.integers(len(lines) + 1))
-                action = int(rng.integers(3))
-                if action == 0 and lines:
-                    del lines[min(k, len(lines) - 1)]
-                elif action == 1:
-                    lines.insert(k, junk[int(rng.integers(len(junk)))])
-                elif lines:
-                    lines[min(k, len(lines) - 1)] = junk[int(rng.integers(len(junk)))]
-            text = "\n".join(lines) + "\n"
-            try:
-                want = token_list_load_model(text)
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as got:
-                    load_model(text)
-                assert str(got.value) == str(exc)
-                outcomes.add(re.sub(r"\d+", "#", str(exc)))
-            else:
-                assert models_equal(load_model(text), want)
-                outcomes.add("ok")
-        assert len(outcomes) >= 20  # many distinct checks were reached
+        assert_mutations_load_like_the_token_list_reader("\n")
+
+    @pytest.mark.parametrize("chunk, end", [(1, "\n"), (7, "\n"), (64, "\n"),
+                                            (1 << 16, "\r\n"), (7, "\r\n")])
+    def test_messages_match_across_line_chunk_edges(self, monkeypatch, chunk, end):
+        # the reader's lines come from pieces of about ``chunk`` characters,
+        # so the mutated files' lines, blank ones included, straddle piece edges
+        monkeypatch.setattr(mapmp.formats, "_LINE_CHUNK", chunk)
+        assert_mutations_load_like_the_token_list_reader(end)
 
     @pytest.mark.parametrize("i, j", [(0, 2**63), (-(2**63) - 1, 1), (0, 10**30)])
     def test_endpoint_beyond_int64_is_a_validation_error(self, i, j):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -19,6 +24,7 @@ from mapmp import (
 )
 from mapmp.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def two_node_gap_model():
     return build_model(
@@ -235,7 +241,7 @@ class TestGapEstimate:
         assert chunked == pytest.approx(full, abs=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingCosts:
     """Finite costs whose sums overflow a double: the exhaustive and tree
     oracles refuse them rather than crash or report an infinite optimum."""
@@ -271,3 +277,24 @@ class TestOverflowingCosts:
         if method != "lp":  # the LP solver names its own failure
             assert captured.err == f"error: {self.MESSAGE[1:-1]}\n"
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["brute", "tree"])
+    def test_cli_process_writes_one_error_line(self, method, tmp_path):
+        """In a fresh process, where NumPy prints a RuntimeWarning and its
+        source line to stderr: the overflowing sums print none."""
+        (tmp_path / "huge.txt").write_text(self.HUGE)
+        run = subprocess.run(
+            [sys.executable, "-m", "mapmp.cli", "oracle", "huge.txt", "--method", method],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])},
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == f"error: {self.MESSAGE[1:-1]}\n"
+
+    def test_tree_backtracking_overflow_is_silent(self):
+        # 1e308 + 1e308 overflows in the belief and backtracking sums, yet
+        # the optimum (label 1 everywhere) is 0.0
+        m = build_model(2, [(0, 1)], 2, [[1e308, 0.0], [1e308, 0.0]], [[[1e308, 0.0], [0.0, 0.0]]])
+        result = tree_map(m)
+        assert result.value == 0.0 and result.assignment.tolist() == [1, 1]
