@@ -110,55 +110,59 @@ def _lse(a: np.ndarray, axis):
     return out.squeeze(axis)
 
 
-def _lambda_aggregate(model: Model, lam: np.ndarray) -> np.ndarray:
-    """Per-vertex sum of incident dual blocks, shape (n, d): every slot-0
-    block in edge order, then every slot-1 block, onto a zero start."""
-    n, d = model.n, model.d
-    cells = (model.edges.T[:, :, None] * d + np.arange(d)).ravel()
-    return np.bincount(cells, lam.transpose(1, 0, 2).ravel(), n * d).reshape(n, d)
+@dataclass(frozen=True)
+class RecordPass:
+    """One log-domain pass at a dual point: the normalized vertex (n, d) and
+    edge (m, d, d) log-marginals, and ``dual`` = L(lam), the sum of the log
+    partition functions they were normalized by, over eta.  ``marginals()``
+    exps the logs in place, so it is read last."""
+
+    model: Model
+    log_vertex: np.ndarray
+    log_edge: np.ndarray
+    dual: float
+
+    def slack(self) -> np.ndarray:
+        """The slack vector of ``slack``."""
+        nu = np.empty(self.model.dual_shape)
+        nu[:, 0] = _lse(self.log_edge, 2)
+        nu[:, 1] = _lse(self.log_edge, 1)
+        _exp(nu, out=nu)
+        nu -= _exp(self.log_vertex)[self.model.edges]
+        return nu
+
+    def marginals(self) -> Marginals:
+        """The primal candidate of ``recover_primal``, written over the logs."""
+        mu_v, mu_e = _exp(self.log_vertex, self.log_vertex), _exp(self.log_edge, self.log_edge)
+        mu_v /= fold(np.add, mu_v, 1)[:, None]
+        mu_e /= np.add.reduce(mu_e, axis=(1, 2), keepdims=True)
+        return Marginals(mu_v, mu_e)
 
 
-def _log_marginals(model: Model, lam: np.ndarray, eta: float):
-    """Normalized vertex (n, d) and edge (m, d, d) log-marginals and L(lam),
-    the sum of the log partition functions they were normalized by, over eta."""
-    lam = array("lam", lam, np.float64, model.dual_shape, copy=None)  # once per dual function
-    log_mu_v = _lambda_aggregate(model, lam)
-    log_mu_v -= model.vertex_costs
-    log_mu_v *= eta
-    log_mu_e = model.edge_costs + lam[:, 0, :, None]
-    log_mu_e += lam[:, 1, None, :]
-    log_mu_e *= -eta
-    lse_v, lse_e = _lse(log_mu_v, 1), _lse(log_mu_e, axis=(1, 2))
-    log_mu_v -= lse_v[:, None]
-    log_mu_e -= lse_e[:, None, None]
-    return log_mu_v, log_mu_e, float((lse_v.sum() + lse_e.sum()) / eta)
-
-
-def _dual_and_slack(model: Model, logs):
-    """(L(lam), slack vector) from ``_log_marginals``' output, left unchanged."""
-    log_mu_v, log_mu_e, dual = logs
-    nu = np.empty((model.m, 2, model.d))
-    nu[:, 0] = _lse(log_mu_e, 2)
-    nu[:, 1] = _lse(log_mu_e, 1)
-    _exp(nu, out=nu)
-    nu -= _exp(log_mu_v)[model.edges]
-    return dual, nu
-
-
-def _marginals(logs) -> Marginals:
-    """The primal candidate, built in place from ``_log_marginals``' output."""
-    mu_v, mu_e, _ = logs
-    _exp(mu_v, out=mu_v)
-    mu_v /= fold(np.add, mu_v, 1)[:, None]
-    _exp(mu_e, out=mu_e)
-    mu_e /= np.add.reduce(mu_e, axis=(1, 2), keepdims=True)
-    return Marginals(mu_v, mu_e)
+def record_pass(model: Model, lam: np.ndarray, eta: float) -> RecordPass:
+    """The ``RecordPass`` of ``lam``, the one place a dual function converts
+    lam.  A vertex sums its blocks onto +0.0 in incidence order, the order in
+    which the kernels sum them, so the blocks of ``slack()`` equal the bytes
+    of ``block_slack`` and ``star_slack``."""
+    eta = real("eta", eta)
+    lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
+    cells = (model.edges.reshape(-1, 1) * model.d + np.arange(model.d)).ravel()
+    log_v = np.bincount(cells, lam.ravel(), model.vertex_costs.size).reshape(model.n, -1)
+    log_v -= model.vertex_costs
+    log_v *= eta
+    log_e = model.edge_costs + lam[:, 0, :, None]
+    log_e += lam[:, 1, None, :]
+    log_e *= -eta
+    lse_v, lse_e = _lse(log_v, 1), _lse(log_e, axis=(1, 2))
+    log_v -= lse_v[:, None]
+    log_e -= lse_e[:, None, None]
+    return RecordPass(model, log_v, log_e, float((lse_v.sum() + lse_e.sum()) / eta))
 
 
 def dual_objective(model: Model, lam: np.ndarray, eta: float) -> float:
     """Value of the smoothed dual L(lam): the sum of per-vertex and per-edge
     log partition functions, divided by eta."""
-    return _log_marginals(model, lam, real("eta", eta))[2]
+    return record_pass(model, lam, eta).dual
 
 
 def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
@@ -167,7 +171,7 @@ def recover_primal(model: Model, lam: np.ndarray, eta: float) -> Marginals:
     Every vertex and edge block is an exact softmax of its (finite) logits,
     so all entries are strictly positive and each block sums to 1.
     """
-    return _marginals(_log_marginals(model, lam, real("eta", eta)))
+    return record_pass(model, lam, eta).marginals()
 
 
 def slack(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
@@ -178,12 +182,13 @@ def slack(model: Model, lam: np.ndarray, eta: float) -> np.ndarray:
     The dual gradient is the negative of this vector.  Each block sums to 0
     because both S and mu_i are normalized.
     """
-    return dual_and_slack(model, lam, eta)[1]
+    return record_pass(model, lam, eta).slack()
 
 
 def dual_and_slack(model: Model, lam: np.ndarray, eta: float):
     """(L(lam), slack vector) from one pass over the log-domain state."""
-    return _dual_and_slack(model, _log_marginals(model, lam, real("eta", eta)))
+    value = record_pass(model, lam, eta)
+    return value.dual, value.slack()
 
 
 def slack_score(nu: np.ndarray) -> float:

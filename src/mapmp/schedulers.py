@@ -66,10 +66,8 @@ import numpy as np
 
 from .errors import ValidationError, check_labels, integer, real
 from .model import Model
-from .objective import Marginals, _dual_and_slack, _log_marginals, _marginals
-# dual_and_slack, block_slack and star_slack are not called here; they stay
-# bound because benchmarks/workloads.py wraps these names of this module.
-from .objective import dual_and_slack, slack_score, zero_dual
+# Bound, not called: benchmarks/workloads.py wraps dual_and_slack, block_slack and star_slack here.
+from .objective import Marginals, dual_and_slack, record_pass, slack_score, zero_dual
 from .updates import block_grad_step, block_slack, emp_update, smp_update, star_slack
 
 STANDARD_UPDATE_KINDS = ("emp", "smp", "bcd")
@@ -228,15 +226,15 @@ class _Recorder:
     def _record(self, k: int, lam: np.ndarray) -> bool:
         """Record iterate ``k``; True when its slack score reaches the stop threshold."""
         start = time.perf_counter()
-        logs = _log_marginals(self.model, lam, self.eta)
-        dual, nu = _dual_and_slack(self.model, logs)
-        score = slack_score(nu)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite record raises below
+            value = record_pass(self.model, lam, self.eta)
+            dual, score = value.dual, slack_score(value.slack())
         if not (math.isfinite(dual) and math.isfinite(score)):
             raise ValidationError(f"record at k={k} is not finite (dual {dual}, slack score "
                                   f"{score}) at eta={self.eta}")
         ms = (start - self.t0 - self.instrumentation_s) * 1e3
         if self.observer is not None:
-            self.observer(k, lam.copy(), _marginals(logs))
+            self.observer(k, lam.copy(), value.marginals())
         self.instrumentation_s += time.perf_counter() - start
         self.rows.append((k, dual, score, ms, self.instrumentation_s * 1e3))
         return self.stop_slack_score is not None and score <= self.stop_slack_score

@@ -702,17 +702,19 @@ def reference_smp_update(model: Model, lam, eta: float, vertex: int):
 
 # ---------------------------------------------------------------------------
 # The record path as first written, in NumPy only: full-axis reductions,
-# np.add.at aggregation and a zero slack offset.  The package folds short
-# axes by hand and skips the discarded work, so it must match these bit for
-# bit.  Input checks are left out; they only raise.
+# a loop over the edges for the vertex aggregate and a zero slack offset.
+# The package folds short axes by hand and skips the discarded work, so it
+# must match these bit for bit.  Input checks are left out; they only raise.
 # ---------------------------------------------------------------------------
 
 
 def reference_lambda_aggregate(model: Model, lam) -> np.ndarray:
+    """Per-vertex sum of incident dual blocks onto +0.0, each vertex's blocks
+    in incidence order (ascending edge), the order the update kernels sum."""
     agg = np.zeros((model.n, model.d))
-    if model.m:
-        np.add.at(agg, model.edges[:, 0], lam[:, 0])
-        np.add.at(agg, model.edges[:, 1], lam[:, 1])
+    for e, (i, j) in enumerate(model.edges.tolist()):
+        agg[i] += lam[e, 0]
+        agg[j] += lam[e, 1]
     return agg
 
 

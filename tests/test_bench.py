@@ -563,7 +563,7 @@ class TestCli:
         assert out.read_text() == metrics_csv(run_bench(config))
         if scale[0] == "--epsilon":
             # the bytes the CLI wrote when it built the instance twice
-            pins.assert_pinned("bdffabea9a5bb669ae8d24d0da5d8e10f1c327e3e33d1091df76e5774d089254",
+            pins.assert_pinned("910c4626adf92e53dce64aafda842196c267f4704631671ee747f7c363b01bfa",
                                out.read_bytes(), "bench-epsilon-csv", *csv_parts(out.read_text()))
 
     @pytest.mark.parametrize("scale", [[], ["--epsilon", "0.5"]], ids=["eta", "epsilon"])

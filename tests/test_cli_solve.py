@@ -86,21 +86,21 @@ def test_one_log_marginal_pass_per_record_and_none_after(capsys, monkeypatch, mo
     # the candidate mu comes from the last record's pass, not from a
     # recover_primal pass over the returned iterate
     calls = []
-    original = objective._log_marginals
+    original = objective.record_pass
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(objective, "_log_marginals", counted)
-    monkeypatch.setattr(schedulers, "_log_marginals", counted)
+    monkeypatch.setattr(objective, "record_pass", counted)
+    monkeypatch.setattr(schedulers, "record_pass", counted)
     solve(capsys, model, algo, iters)
     assert len(calls) == passes
 
 
 def test_non_finite_record_exits_2_without_a_traceback(tmp_path):
-    """The installed entry point's path, in a fresh process: NumPy's overflow
-    warnings may come first, then one ``error:`` line and exit code 2."""
+    """The installed entry point's path, in a fresh process: exactly one
+    ``error:`` line and exit code 2, with no NumPy overflow warning before it."""
     path = tmp_path / "m.mapmp"
     assert main(["gen", "--n", "6", "--d", "2", "--out", str(path)]) == 0
     run = subprocess.run(
@@ -111,6 +111,6 @@ def test_non_finite_record_exits_2_without_a_traceback(tmp_path):
     )
     assert run.returncode == 2
     assert run.stdout == "" and "Traceback" not in run.stderr
-    assert run.stderr.splitlines()[-1] == (
+    assert run.stderr.splitlines() == [
         "error: record at k=0 is not finite (dual inf, slack score nan) at eta=1e+308"
-    )
+    ]

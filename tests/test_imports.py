@@ -48,12 +48,11 @@ def private_imports(path: Path) -> set:
             for alias in node.names if alias.name.startswith("_")}
 
 
-def test_only_the_record_pass_is_imported_privately():
-    # the recorder in schedulers runs objective's one record pass; any other
-    # shared helper has a package-level name
+def test_no_module_imports_a_private_name():
+    # a helper one module shares with another has a public name, as the
+    # recorder in schedulers runs objective's public record_pass
     found = {(path.stem, *pair) for path in SRC.glob("*.py") for pair in private_imports(path)}
-    assert found == {("schedulers", "objective", name)
-                     for name in ("_dual_and_slack", "_log_marginals", "_marginals")}
+    assert found == set()
 
 
 def test_the_check_finds_an_unused_import(tmp_path):

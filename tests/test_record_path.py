@@ -2,15 +2,17 @@
 projection) equals its first-written NumPy form in ``helpers`` bit for bit,
 on both sides of the 8-entry threshold where NumPy's add reduction switches
 from a left-to-right sum to pairwise summation, and where the exps mask
-their underflowing entries."""
+their underflowing entries.  Its slack blocks equal the update kernels'
+local slack byte for byte."""
 
 import numpy as np
 import pytest
 
 from helpers import (
     random_model,
+    random_tree_model,
     reference_dual_and_slack,
-    reference_lambda_aggregate,
+    reference_dual_state,
     reference_proj,
     reference_recover_primal,
     reference_round_to_transport,
@@ -20,6 +22,7 @@ from helpers import (
 from mapmp import (
     Marginals,
     accel_smp,
+    block_slack,
     build_model,
     dual_and_slack,
     dual_objective,
@@ -30,10 +33,11 @@ from mapmp import (
     slack,
     slack_score,
     standard_mp,
+    star_slack,
     zero_dual,
 )
 from mapmp.model import default_edge_prob
-from mapmp.objective import _lambda_aggregate, _log_marginals
+from mapmp.objective import record_pass
 
 DS = [2, 3, 5, 7, 8, 9]
 ETAS = [1.0, 1e3, 1e9]
@@ -46,7 +50,11 @@ def assert_same_bits(got, ref):
 
 
 def assert_record_path_matches(model, lam, eta):
-    assert_same_bits(_lambda_aggregate(model, lam), reference_lambda_aggregate(model, lam))
+    # the vertex logs hold the aggregate, summed in the reference's order
+    value = record_pass(model, lam, eta)
+    _, ref_log_v, ref_log_e, _ = reference_dual_state(model, lam, eta)
+    assert_same_bits(value.log_vertex, ref_log_v)
+    assert_same_bits(value.log_edge, ref_log_e)
     ref_dual, ref_nu = reference_dual_and_slack(model, lam, eta)
     dual, nu = dual_and_slack(model, lam, eta)
     assert_same_bits(dual, ref_dual)
@@ -111,9 +119,35 @@ class TestUnderflowRegime:
         model = erdos_renyi_potts(2000, default_edge_prob(2000), 3, 7)
         lam = (standard_mp(model, "smp", eta, iters, 7, stride=iters).final_lambda
                if iters else zero_dual(model))
-        log_mu_e = _log_marginals(model, lam, eta)[1]
+        log_mu_e = record_pass(model, lam, eta).log_edge
         assert np.mean(log_mu_e < -750.0) > 0.3
         assert_record_path_matches(model, lam, eta)
+
+
+class TestKernelsAgreeWithRecords:
+    """``star_slack`` and ``block_slack`` equal the blocks of ``slack()``
+    byte for byte: the record pass sums a vertex's blocks in incidence
+    order, as the kernels do, including degree-1 vertices, degrees of 8 or
+    more, and -0.0 blocks, where the kernels start from the first block and
+    the record pass from +0.0."""
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("d", [2, 3, 8, 9])
+    def test_local_slack_is_the_record_slack(self, d, eta):
+        rng = np.random.default_rng([53, d])
+        dense, tree = random_model(rng, 14, d, extra_edge_prob=0.5), random_tree_model(rng, 9, d)
+        assert dense.degrees.max() >= 8 and tree.degrees.min() == 1
+        for model in (dense, tree):
+            signed_zero = zero_dual(model)
+            signed_zero[rng.random((model.m, 2)) < 0.5] = -0.0
+            iterate = accel_smp(model, eta, 200, seed=[d, 2], stride=200).final_lambda
+            for lam in (signed_zero, iterate, 1e6 * iterate):
+                nu = slack(model, lam, eta)
+                for v in range(model.n):
+                    edges, slots = model.incident_edges[v], model.incident_slots[v]
+                    assert_same_bits(star_slack(model, lam, eta, v), nu[edges, slots])
+                    for e, s in zip(edges.tolist(), slots.tolist()):
+                        assert_same_bits(block_slack(model, lam, eta, e, v), nu[e, s])
 
 
 class TestProjectionBitIdentity:
