@@ -3,13 +3,14 @@ the exact linear program over the local polytope, and the integral
 suboptimality gap.
 
 These are test-tier oracles: dense arithmetic, clarity over speed, hard size
-guards instead of approximation, and a ``ValidationError`` where an
-assignment value overflows a double.  Enumeration is chunked but its result
-is independent of the chunking.
+guards instead of approximation, and a ``ValidationError`` where the
+largest absolute costs of all vertices and edges sum past a double.
+Enumeration is chunked but its result is independent of the chunking.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +60,15 @@ def _chunk_values(model: Model, start: int, stop: int) -> np.ndarray:
     return values
 
 
+def _check_cost_sum(model: Model) -> None:
+    """Refuse costs whose largest absolute values, summed over vertices and
+    edges in Python floats (no NumPy warning), are not finite: that sum
+    bounds every assignment value and every partial sum of one."""
+    largest = np.abs(model.vertex_costs).max(1).tolist() + np.abs(model.edge_costs).max((1, 2)).tolist()
+    if not math.isfinite(sum(largest)):
+        raise ValidationError(_OVERFLOW)
+
+
 def _scan(model: Model):
     """One pass over all d^n assignments: the lexicographically first
     minimizer's index, the minimum, how many assignments attain it, and the
@@ -68,12 +78,10 @@ def _scan(model: Model):
         raise OracleGuardError(
             f"d^n = {total} states exceeds the exhaustive-search guard {MAX_BRUTE_STATES}"
         )
+    _check_cost_sum(model)
     best, best_index, best_count, second = np.inf, -1, 0, np.inf
     for start in range(0, total, _CHUNK):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            values = _chunk_values(model, start, min(start + _CHUNK, total))
-        if not np.isfinite(values).all():
-            raise ValidationError(_OVERFLOW)
+        values = _chunk_values(model, start, min(start + _CHUNK, total))
         chunk_min = values.min()
         if chunk_min < best:
             # the old minimum is now the smallest value above the new one
@@ -143,19 +151,18 @@ def tree_map(model: Model) -> TreeMapResult:
     Matches the exhaustive optimum value on any forest; label ties break
     toward smaller indices during backtracking.
     """
+    components = _oriented_bfs(model)
+    _check_cost_sum(model)
     belief = model.vertex_costs.copy()
     assignment = np.zeros(model.n, dtype=np.int64)
     value = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        for root, steps in _oriented_bfs(model):
-            for u, p, pair in reversed(steps):
-                belief[p] += (pair + belief[u][:, None]).min(axis=0)
-            assignment[root] = np.argmin(belief[root])
-            value += float(belief[root].min())
-            for u, p, pair in steps:
-                assignment[u] = np.argmin(pair[:, assignment[p]] + belief[u])
-    if not np.isfinite(value):
-        raise ValidationError(_OVERFLOW)
+    for root, steps in components:
+        for u, p, pair in reversed(steps):
+            belief[p] += (pair + belief[u][:, None]).min(axis=0)
+        assignment[root] = np.argmin(belief[root])
+        value += float(belief[root].min())
+        for u, p, pair in steps:
+            assignment[u] = np.argmin(pair[:, assignment[p]] + belief[u])
     return TreeMapResult(assignment, value)
 
 

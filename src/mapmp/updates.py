@@ -31,7 +31,11 @@ log-sum-exp over the (d, d) joint, then over its rows or columns, in their
 order, and no sum uses ``reduceat``: NumPy sums a row of fewer than 8
 entries left to right, as a strided axis, but a longer one pairwise, so for
 d >= 8 the k slot-1 rows, a strided axis of the joint, are accumulated left
-to right.
+to right.  The pass allocates no buffer: a ``threading.local`` cache holds,
+per joint-logit count and d, its buffers and every view it takes of them,
+built on a thread's first pass of those sizes.  So the log rows it returns
+are the calling thread's scratch, valid until that thread's next pass, and
+every public function here turns them into fresh arrays before it returns.
 
 Every call on this per-iteration path takes its cheapest form with the same
 bits.  A per-group value (the max or log-sum-exp of a joint or of the
@@ -47,6 +51,8 @@ data index (``a[idx]``) rather than ``take``.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ValidationError, array, integer, real
@@ -57,14 +63,29 @@ _sum, _max_at = np.add.reduce, np.maximum.reduceat
 _F64 = np.dtype(np.float64)  # the kernels take a float64 lam of the dual shape unconverted
 
 
+class _Scratch(threading.local):
+    def __init__(self):
+        self.by_size = {}  # (joint-logit count, d) -> the pass's buffers and its views of them
+
+
+_scratch = _Scratch()
+
+
 def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
     """log S_{e,i} for each edge of table ``t`` in incidence order, then log
     mu_i, as (deg + 1, d) rows, ``eta`` already checked: from lam[e, 0, a],
     then lam[e, 1, b], for every joint entry [p, a, b] (``terms``, which may
-    run on), the vertex's own blocks (deg_i, d) and the edge costs."""
+    run on), the vertex's own blocks (deg_i, d) and the edge costs.  The rows
+    are the calling thread's scratch, valid until its next pass."""
     size = len(t.orient)
-    stack = np.empty(size + d)  # the joint logits [p, a, b], then the vertex logits
-    logits, log_mu = stack[:size], stack[size:]
+    views = _scratch.by_size.get((size, d))
+    if views is None:  # the joint logits [p, a, b], then the vertex logits; log S, then log mu
+        stack, shifted, lse = np.empty(size + d), np.empty(size + d), np.empty(size // (d * d) + 1)
+        rows = stack[size - size // d:]
+        views = _scratch.by_size[size, d] = (
+            stack, stack[:size], stack[size:], shifted, shifted[:size].reshape(-1, d * d), shifted[size:],
+            lse, lse[:-1], lse[-1:], rows[:-d], rows.reshape(-1, d))
+    stack, logits, log_mu, shifted, shifted_joints, shifted_vertex, lse, lse_joints, lse_vertex, log_s, rows = views
     _add(costs.ravel(), terms[:size], logits)
     _add(logits, terms[size:2 * size], logits)
     _mul(logits, -eta, logits)
@@ -72,11 +93,10 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
     _sub(log_mu, vertex_cost, log_mu)
     _mul(log_mu, eta, log_mu)
     amax = _max_at(stack, t.starts)
-    shifted = _sub(stack, amax[t.groups])
+    _sub(stack, amax[t.groups], shifted)
     _exp(shifted, shifted)
-    lse = np.empty_like(amax)
-    _sum(shifted[:size].reshape(-1, d * d), 1, None, lse[:-1])
-    _sum(shifted[size:], 0, None, lse[-1:], True)
+    _sum(shifted_joints, 1, None, lse_joints)
+    _sum(shifted_vertex, 0, None, lse_vertex, True)
     _log(lse, lse)
     _add(lse, amax, lse)
     _sub(stack, lse[t.groups], stack)
@@ -85,13 +105,12 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
     _sub(joints, amax[t.row_groups], joints)
     _exp(joints, joints)
     joints = joints.reshape(-1, d)
-    log_s = stack[size - len(joints):size]  # joints is a copy: log S goes next to log mu
-    _sum(joints, 1, None, log_s)
+    _sum(joints, 1, None, log_s)  # joints is a copy: log S goes next to log mu
     if d >= 8:
         log_s[:t.k * d] = np.add.accumulate(joints[:t.k * d], 1)[:, -1]
     _log(log_s, log_s)
     _add(log_s, amax, log_s)
-    return stack[size - len(joints):].reshape(-1, d)
+    return rows
 
 
 def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):

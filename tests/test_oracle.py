@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,9 +293,21 @@ class TestOverflowingCosts:
         assert run.stdout == ""
         assert run.stderr == f"error: {self.MESSAGE[1:-1]}\n"
 
-    def test_tree_backtracking_overflow_is_silent(self):
-        # 1e308 + 1e308 overflows in the belief and backtracking sums, yet
+    def test_tree_backtracking_overflow_is_refused(self):
+        # 1e308 + 1e308 overflows in the belief and backtracking sums, though
         # the optimum (label 1 everywhere) is 0.0
         m = build_model(2, [(0, 1)], 2, [[1e308, 0.0], [1e308, 0.0]], [[[1e308, 0.0], [0.0, 0.0]]])
-        result = tree_map(m)
-        assert result.value == 0.0 and result.assignment.tolist() == [1, 1]
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            tree_map(m)
+
+    @pytest.mark.parametrize("vertex_costs", [
+        [[0.0, 1e308], [0.0, 1e308], [0.0, 0.0]],  # only (1, 1, x) overflow; the optimum 0 is finite
+        [[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]],  # mixed signs: every assignment value is finite
+    ], ids=["partly-overflowing", "mixed-sign"])
+    @pytest.mark.parametrize("solve", [brute_force_map, gap_estimate, tree_map])
+    def test_largest_costs_summing_past_a_double_are_refused(self, solve, vertex_costs):
+        m = build_model(3, [(0, 1), (1, 2)], 2, vertex_costs, np.zeros((2, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the precheck sums without a NumPy warning
+            with pytest.raises(ValidationError, match=self.MESSAGE):
+                solve(m)

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import time
 
 import numpy as np
@@ -785,3 +787,39 @@ class TestNonFiniteRecord:
             trace = solve(algorithm, self.MODEL, 1e307, 3, 0)
         assert np.isfinite(trace.dual_values).all() and np.isfinite(trace.slack_scores).all()
         assert np.isfinite(trace.final_lambda).all()
+
+
+class TestConcurrentSolves:
+    """A ``Model`` is shareable across threads, and the update kernels keep
+    per-thread scratch: solves of all six algorithms run concurrently on one
+    model give the bytes of the same solves run one after another."""
+
+    def test_threads_give_the_sequential_bytes(self):
+        model = erdos_renyi_potts(12, 0.3, 3, seed=5)
+        jobs = [(algorithm, seed) for seed in range(2) for algorithm in ALGORITHMS]
+
+        def run(algorithm, seed):
+            trace = solve(algorithm, model, 50.0, 1500, seed, stride=100)
+            return trace.final_lambda.tobytes(), trace.dual_values.tobytes(), trace.slack_scores.tobytes()
+
+        want = [run(*job) for job in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def worker(i):
+            start.wait(timeout=60)
+            got[i] = run(*jobs[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between almost any two NumPy calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for job, g, w in zip(jobs, got, want):
+            assert g == w, job

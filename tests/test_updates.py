@@ -14,6 +14,7 @@ from helpers import (
 )
 
 import mapmp
+from mapmp import updates
 from mapmp import (
     block_grad_step,
     block_slack,
@@ -492,8 +493,9 @@ class TestFlatStarPass:
 class TestInputsAndOutputs:
     """The kernels write only into arrays they allocate: none of the five
     functions writes to its ``lam``, no returned array shares memory with
-    ``lam`` or with a ``Model`` table, and a non-contiguous ``lam`` gives
-    the bytes of its contiguous copy."""
+    ``lam``, a ``Model`` table or the thread's scratch, so a later call
+    leaves it as it was, and a non-contiguous ``lam`` gives the bytes of its
+    contiguous copy."""
 
     EDGES = TestFlatStarPass.EDGES
 
@@ -544,9 +546,25 @@ class TestInputsAndOutputs:
         lam = rng.normal(size=(m.m, 2, d))
         tables = self.tables(m)
         assert len(tables) > 4 * m.n
-        for out in self.outputs(m, lam, 5.0):
+        outputs = self.outputs(m, lam, 5.0)
+        # the buffers behind this thread's scratch views, one set per pass size
+        scratch = [a for views in updates._scratch.by_size.values() for a in views if a.base is None]
+        assert len(scratch) >= 3 * len({len(m.incident_edges[v]) for v in range(m.n)})
+        for out in outputs:
             assert not np.shares_memory(out, lam)
             assert not any(np.shares_memory(out, table) for table in tables)
+            assert not any(np.shares_memory(out, buffer) for buffer in scratch)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_outputs_keep_their_bytes_after_a_call_at_another_lam(self, d):
+        rng = np.random.default_rng([43, d])
+        m = self.model(d, rng)
+        lam, other = rng.normal(size=(2, m.m, 2, d))
+        first = self.outputs(m, lam, 5.0)
+        before = [out.tobytes() for out in first]
+        second = self.outputs(m, other, 5.0)  # every call again: the same sizes, in the same order
+        assert all(a.tobytes() != b.tobytes() for a, b in zip(first, second))
+        assert [out.tobytes() for out in first] == before
 
     @pytest.mark.parametrize("d", [3, 9])
     def test_non_contiguous_lam_gives_the_same_bytes(self, d):
