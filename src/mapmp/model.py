@@ -57,7 +57,7 @@ class Model:
     @cached_property
     def star_tables(self) -> tuple:
         """Per vertex, the ``StarTable`` of its star's flat log-marginal pass
-        (``updates._log_marginal_pass``).  Slot-1 edges come first in
+        (``updates._local_pass``).  Slot-1 edges come first in
         incidence order, so vertices with the same degree and number k of
         them share one."""
         slot_one = np.bincount(self.edges[:, 1], minlength=self.n)

@@ -128,7 +128,7 @@ class RecordPass:
         nu[:, 0] = _lse(self.log_edge, 2)
         nu[:, 1] = _lse(self.log_edge, 1)
         _exp(nu, out=nu)
-        nu -= _exp(self.log_vertex)[self.model.edges]
+        nu -= _exp(self.log_vertex).take(self.model.edges, 0)
         return nu
 
     def marginals(self) -> Marginals:
@@ -241,6 +241,6 @@ def in_slack_polytope(
         return False
     if edge.min() < -tol:
         return False
-    targets = vertex[model.edges] if nu is None else vertex[model.edges] + nu
+    targets = vertex.take(model.edges, 0) if nu is None else vertex.take(model.edges, 0) + nu
     return bool(np.abs(edge.sum(axis=2) - targets[:, 0]).max() <= tol
                 and np.abs(edge.sum(axis=1) - targets[:, 1]).max() <= tol)

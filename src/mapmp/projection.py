@@ -96,7 +96,7 @@ def proj(model: Model, mu: Marginals, nu: np.ndarray | None = None) -> Marginals
     the summed slack norms.
     """
     vertex, edge, nu = check_marginal_shapes(model, mu, nu)
-    targets = vertex[model.edges] if nu is None else vertex[model.edges] + nu
+    targets = vertex.take(model.edges, 0) if nu is None else vertex.take(model.edges, 0) + nu
     return Marginals(vertex.copy(), round_to_transport(edge, targets[:, 0], targets[:, 1]))
 
 

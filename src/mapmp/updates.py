@@ -21,13 +21,14 @@ which for deg_i = 1 reduces to the EMP move.  Log ratios are always formed
 as differences of log-domain accumulators, never as quotients of
 materialized probabilities.
 
-Every update reads log S_{e,i} and log mu_i from one pass of 1-D NumPy
-calls over a star's ``Model.star_tables`` entry (per degree and k slot-1
-edges) or a pair's one-edge ``Model.pair_tables`` entry; only the closed
-forms differ.  The joint and vertex logits share one buffer, so one max,
-exp and log serve both, and joints are gathered as [edge, own label, other
-label], so each log S sums a row.  Each entry sees the operations of a
-log-sum-exp over the (d, d) joint, then over its rows or columns, in their
+Every update reads log S_{e,i} and log mu_i from one local pass, the only
+code here that converts lam, checks the vertex (and edge) and gathers: 1-D
+NumPy calls over a star's ``Model.star_tables`` entry (per degree and k
+slot-1 edges) or a pair's one-edge ``Model.pair_tables`` entry; only the
+closed forms differ.  The joint and vertex logits share one buffer, so one
+max, exp and log serve both, and joints are gathered as [edge, own label,
+other label], so each log S sums a row.  Each entry sees the operations of
+a log-sum-exp over the (d, d) joint, then over its rows or columns, in their
 order, and no sum uses ``reduceat``: NumPy sums a row of fewer than 8
 entries left to right, as a strided axis, but a longer one pairwise, so for
 d >= 8 the k slot-1 rows, a strided axis of the joint, are accumulated left
@@ -46,7 +47,7 @@ the module-level names ``_add``, ``_sub``, ``_mul``, ``_div``, ``_exp``,
 ``_log``, ``_sum`` and ``_max_at`` (``_add(a, b, a)``,
 ``_sum(a, axis, None, out)``), never through ``out=`` or ``a op= b``,
 which give the same result at a higher cost per call; gathers from 1-D
-data index (``a[idx]``) rather than ``take``.
+data index (``a[idx]``), and row gathers from 2-D or 3-D data ``take``.
 """
 
 from __future__ import annotations
@@ -71,12 +72,36 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
-    """log S_{e,i} for each edge of table ``t`` in incidence order, then log
-    mu_i, as (deg + 1, d) rows, ``eta`` already checked: from lam[e, 0, a],
-    then lam[e, 1, b], for every joint entry [p, a, b] (``terms``, which may
-    run on), the vertex's own blocks (deg_i, d) and the edge costs.  The rows
-    are the calling thread's scratch, valid until its next pass."""
+def _local_pass(model: Model, lam: np.ndarray, eta: float, vertex: int, edge: int | None = None):
+    """(moved blocks, log rows) of the star of ``vertex``, or with ``edge``
+    of the pair (edge, vertex), ``eta`` already checked.  The moved blocks
+    are the star's own (deg, d) or the pair's lam[e, i]; the rows are log
+    S_{e,i} for each edge of the table ``t`` in incidence order, then log
+    mu_i, from lam[e, 0, a], then lam[e, 1, b], for every joint entry
+    [p, a, b] (``terms``, which may run on), the vertex's own blocks
+    ``own`` and the edge ``costs``.  The rows are the calling thread's
+    scratch, valid until its next pass."""
+    if getattr(lam, "dtype", None) is not _F64 or lam.shape != model.dual_shape:
+        lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
+    d = model.d
+    if edge is None:
+        vertex = integer("vertex", vertex)
+        if not 0 <= vertex < model.n:
+            raise ValidationError(f"vertex index {vertex} outside 0..{model.n - 1}")
+        t = model.star_tables[vertex]
+        terms = lam.ravel()[model.incident_rows[vertex]][t.expand]
+        own = moved = terms[2 * len(t.orient):].reshape(-1, d)
+        costs = model.edge_costs.take(model.incident_edges[vertex], 0)
+    else:
+        edge, vertex, edges = integer("edge", edge), integer("vertex", vertex), model.edges
+        if not 0 <= edge < len(edges):
+            raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
+        slot = 0 if edges.item(edge, 0) == vertex else 1
+        if edges.item(edge, slot) != vertex:
+            raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
+        t = model.pair_tables[slot]
+        terms, moved = lam[edge].ravel()[t.expand], lam[edge, slot]
+        own, costs = lam.ravel()[model.incident_blocks[vertex]], model.edge_costs[edge]
     size = len(t.orient)
     views = _scratch.by_size.get((size, d))
     if views is None:  # the joint logits [p, a, b], then the vertex logits; log S, then log mu
@@ -90,7 +115,7 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
     _add(logits, terms[size:2 * size], logits)
     _mul(logits, -eta, logits)
     _sum(own, 0, None, log_mu)
-    _sub(log_mu, vertex_cost, log_mu)
+    _sub(log_mu, model.vertex_costs[vertex], log_mu)
     _mul(log_mu, eta, log_mu)
     amax = _max_at(stack, t.starts)
     _sub(stack, amax[t.groups], shifted)
@@ -110,40 +135,7 @@ def _log_marginal_pass(t, d: int, terms, own, costs, vertex_cost, eta: float):
         log_s[:t.k * d] = np.add.accumulate(joints[:t.k * d], 1)[:, -1]
     _log(log_s, log_s)
     _add(log_s, amax, log_s)
-    return rows
-
-
-def _pair_pass(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
-    """(block lam[e, i], [log S_{e,i}, log mu_i]) for one (edge, vertex) pair."""
-    if getattr(lam, "dtype", None) is not _F64 or lam.shape != model.dual_shape:
-        lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
-    edge, vertex, edges = integer("edge", edge), integer("vertex", vertex), model.edges
-    if not 0 <= edge < len(edges):
-        raise ValidationError(f"edge index {edge} outside 0..{model.m - 1}")
-    if edges.item(edge, 0) == vertex:
-        slot = 0
-    elif edges.item(edge, 1) == vertex:
-        slot = 1
-    else:
-        raise ValidationError(f"vertex {vertex} is not an endpoint of edge {edge}")
-    t = model.pair_tables[slot]
-    return lam[edge, slot], _log_marginal_pass(
-        t, model.d, lam[edge].ravel()[t.expand], lam.ravel()[model.incident_blocks[vertex]],
-        model.edge_costs[edge], model.vertex_costs[vertex], eta)
-
-
-def _star_pass(model: Model, lam: np.ndarray, eta: float, vertex: int):
-    """(own blocks (deg, d), log-marginals (deg + 1, d)) of one star."""
-    if getattr(lam, "dtype", None) is not _F64 or lam.shape != model.dual_shape:
-        lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
-    vertex = integer("vertex", vertex)
-    if not 0 <= vertex < model.n:
-        raise ValidationError(f"vertex index {vertex} outside 0..{model.n - 1}")
-    t, d = model.star_tables[vertex], model.d
-    terms = lam.ravel()[model.incident_rows[vertex]][t.expand]
-    own = terms[2 * len(t.orient):].reshape(-1, d)
-    costs = model.edge_costs.reshape(-1, d * d)[model.incident_edges[vertex]]
-    return own, _log_marginal_pass(t, d, terms, own, costs, model.vertex_costs[vertex], eta)
+    return moved, rows
 
 
 def _slack(logs):
@@ -154,13 +146,13 @@ def _slack(logs):
 
 def block_slack(model: Model, lam: np.ndarray, eta: float, edge: int, vertex: int):
     """Slack block nu_{e,i} = S_{e,i} - mu_i computed from local state only."""
-    return _slack(_pair_pass(model, lam, real("eta", eta), edge, vertex)[1])[0]
+    return _slack(_local_pass(model, lam, real("eta", eta), vertex, edge)[1])[0]
 
 
 def star_slack(model: Model, lam: np.ndarray, eta: float, vertex: int):
     """Slack blocks for every edge incident to ``vertex``, shape (deg, d),
     ordered like ``model.incident_edges[vertex]``."""
-    return _slack(_star_pass(model, lam, real("eta", eta), vertex)[1])
+    return _slack(_local_pass(model, lam, real("eta", eta), vertex)[1])
 
 
 def emp_update(
@@ -175,7 +167,7 @@ def emp_update(
     arguments.
     """
     eta = real("eta", eta)
-    own, logs = _pair_pass(model, lam, eta, edge, vertex)
+    own, logs = _local_pass(model, lam, eta, vertex, edge)
     block = _sub(logs[0], logs[1])
     _div(block, 2.0 * eta, block)
     _add(block, own, block)
@@ -192,7 +184,7 @@ def smp_update(model: Model, lam: np.ndarray, eta: float, vertex: int, with_slac
     ``lam`` in the same order, equal bit for bit to ``star_slack``.
     """
     eta = real("eta", eta)
-    own, logs = _star_pass(model, lam, eta, vertex)
+    own, logs = _local_pass(model, lam, eta, vertex)
     shared = _sum(logs, 0)  # the log S rows in order, then log mu
     _div(shared, eta * len(logs), shared)
     blocks = _div(logs[:-1], eta)
@@ -210,7 +202,7 @@ def block_grad_step(
     ``with_slack`` returns ``(block, nu)``, the step's own slack block.
     """
     eta = real("eta", eta)
-    own, logs = _pair_pass(model, lam, eta, edge, vertex)
+    own, logs = _local_pass(model, lam, eta, vertex, edge)
     nu = _slack(logs)[0]
     block = _mul(1.0 / eta, nu)
     _add(block, own, block)

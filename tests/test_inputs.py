@@ -5,6 +5,7 @@ str, ragged, None, of the wrong shape or, where reals are asked for, of
 numeric strings or complex numbers, is a ``ValidationError`` naming the
 parameter, raised before any draw."""
 
+import itertools
 import math
 import re
 
@@ -243,6 +244,36 @@ def test_vertex_must_be_an_integer_in_range(update, vertex):
     args = (0, vertex) if update in PAIRS else (vertex,)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         update(MODEL, LAM, 1.0, *args)
+
+
+# The kernels' checks in the order they fire: a name, the arguments that fail
+# it on MODEL (edges (0, 1) and (1, 2)), and the message it raises.
+BAD_ETA = ("eta", {"eta": 0.0}, "eta must be a positive finite number, got 0.0")
+BAD_LAM = ("lam", {"lam": np.zeros((1, 2, 2))}, "lam has shape (1, 2, 2), expected (2, 2, 2)")
+BAD_VERTEX = ("vertex-integer", {"vertex": 1.5}, "vertex must be an integer, got 1.5")
+PAIR_CHECKS = [
+    BAD_ETA, BAD_LAM, ("edge-integer", {"edge": 0.5}, "edge must be an integer, got 0.5"), BAD_VERTEX,
+    ("edge-range", {"edge": 5}, "edge index 5 outside 0..1"),
+    ("endpoint", {"vertex": 2}, "vertex 2 is not an endpoint of edge 0"),
+]
+STAR_CHECKS = [BAD_ETA, BAD_LAM, BAD_VERTEX, ("vertex-range", {"vertex": 3}, "vertex index 3 outside 0..2")]
+FAULT_PAIRS = [  # (kernel, earlier check, later check), the two faults in different arguments
+    (update, first, second)
+    for update, checks in [(pair, PAIR_CHECKS) for pair in PAIRS] + [(star, STAR_CHECKS) for star in STARS]
+    for first, second in itertools.combinations(checks, 2) if not first[1].keys() & second[1].keys()
+]
+
+
+@pytest.mark.parametrize("update, first, second", FAULT_PAIRS, ids=[
+    f"{update.__name__}-{first[0]}-before-{second[0]}" for update, first, second in FAULT_PAIRS])
+def test_kernel_checks_fire_in_order(update, first, second):
+    # both faults at once name the earlier check; the later fault alone names its own
+    args = {"lam": LAM, "eta": 1.0, "edge": 0, "vertex": 1}
+    for faults, message in ((first[1] | second[1], first[2]), (second[1], second[2])):
+        given = {**args, **faults}
+        edge = (given["edge"],) if update in PAIRS else ()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            update(MODEL, given["lam"], given["eta"], *edge, given["vertex"])
 
 
 def test_bool_vertex_is_its_integer():

@@ -242,6 +242,43 @@ class TestGapEstimate:
         assert chunked == pytest.approx(full, abs=0)
 
 
+def scan_answers(m):
+    """``brute_force_map``'s assignment, value and uniqueness, then
+    ``gap_estimate``'s gap or error message."""
+    result = brute_force_map(m)
+    try:
+        gap = gap_estimate(m)
+    except ValidationError as exc:
+        gap = str(exc)
+    return result.assignment.tolist(), result.value, result.unique, gap
+
+
+class TestChunkedScan:
+    """The exhaustive scan gives its default answer at every chunk size, with
+    the minimizer, the runner-up and a tied optimum in different chunks."""
+
+    # 3 vertices, 3 labels, zero edge costs: assignment (x0, x1, x2) has
+    # index 9 x0 + 3 x1 + x2 and value x0_costs[x0] + 3 [x1 < 2] + 3 [x2 < 2]
+    @pytest.mark.parametrize("x0_costs, minimizers, runner_up, gap", [
+        ([0.5, 1.0, 0.0], [26], 8, 0.5),
+        ([0.0, 1.0, 0.5], [8], 26, 0.5),
+        ([0.0, 1.0, 0.0], [8, 26], 17,
+         "suboptimality gap undefined: optimum is not unique (attained by 2 assignments)"),
+    ], ids=["runner-up-first", "runner-up-last", "tied"])
+    @pytest.mark.parametrize("chunk", [2, 5, 8])
+    def test_every_chunk_size_gives_the_default_answer(
+        self, chunk, x0_costs, minimizers, runner_up, gap, monkeypatch
+    ):
+        costs = [x0_costs, [3.0, 3.0, 0.0], [3.0, 3.0, 0.0]]
+        m = build_model(3, [(0, 1), (1, 2)], 3, costs, np.zeros((2, 3, 3)))
+        default = scan_answers(m)
+        first = minimizers[0]
+        assert default == ([first // 9, first // 3 % 3, first % 3], 0.0, len(minimizers) == 1, gap)
+        assert len({index // chunk for index in minimizers + [runner_up]}) == len(minimizers) + 1
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert scan_answers(m) == default
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingCosts:
     """Finite costs whose sums overflow a double: the exhaustive and tree
@@ -257,16 +294,6 @@ class TestOverflowingCosts:
         m = build_model(3, [(0, 1), (1, 2)], 2, np.full((3, 2), sign * 1e308), np.zeros((2, 2, 2)))
         with pytest.raises(ValidationError, match=self.MESSAGE):
             solve(m)
-
-    @pytest.mark.parametrize("chunk", [2, 8])
-    def test_a_later_chunk_overflows(self, chunk, monkeypatch):
-        # only assignments (1, 1, x), the last two, overflow; the optimum 0 is finite
-        vertex_costs = [[0.0, 1e308], [0.0, 1e308], [0.0, 0.0]]
-        m = build_model(3, [(0, 1), (1, 2)], 2, vertex_costs, np.zeros((2, 2, 2)))
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        for solve in (brute_force_map, gap_estimate):
-            with pytest.raises(ValidationError, match=self.MESSAGE):
-                solve(m)
 
     @pytest.mark.parametrize("method", ["brute", "tree", "lp"])
     def test_cli_exits_2(self, method, tmp_path, capsys):
