@@ -129,6 +129,8 @@ def _columns(row_type) -> tuple:
 METRIC_HEADER = _columns(MetricRow)
 SUMMARY_HEADER = _columns(SummaryRow)
 RATIO_HEADER = _columns(RatioRow)
+_PARSE = {"int": int, "str": str, "float": float, "float | None": lambda cell: float(cell) if cell else None}
+_METRIC_PARSERS = tuple(_PARSE[f.type] for f in fields(MetricRow))  # by each field's annotation
 
 
 @dataclass
@@ -268,8 +270,6 @@ def parse_metrics_csv(text: str) -> list[MetricRow]:
         raise ValidationError("unexpected metrics CSV header")
     # the header's line: one more than the line breaks that strip() dropped in front
     header_no = len((text[: len(text) - len(text.lstrip())] + ",").splitlines())
-    # one per METRIC_HEADER column; an empty primal_gap is None
-    converters = (int, int, str, float, float, lambda cell: float(cell) if cell else None, float, float)
     rows = []
     for no, line in enumerate(lines[1:], start=header_no + 1):
         cells = line.split(",")
@@ -278,7 +278,7 @@ def parse_metrics_csv(text: str) -> list[MetricRow]:
                 f"line {no}: metrics CSV row has {len(cells)} cells, expected {len(METRIC_HEADER)}"
             )
         values = []
-        for name, convert, cell in zip(METRIC_HEADER, converters, cells):
+        for name, convert, cell in zip(METRIC_HEADER, _METRIC_PARSERS, cells):
             try:
                 values.append(convert(cell))
             except ValueError:

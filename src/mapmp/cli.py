@@ -31,6 +31,12 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
+def _print(values: dict, width: int) -> None:
+    """Print each name padded to ``width`` and its value, an array's entries space-separated."""
+    for name, value in values.items():
+        print(f"{name:<{width}}", " ".join(map(str, value)) if getattr(value, "ndim", 0) else value)
+
+
 def _resolve_eta(args, model: Model) -> float:
     if args.epsilon is not None:
         return eta_for_epsilon(model.m, model.n, model.d, args.epsilon)
@@ -63,16 +69,11 @@ def _cmd_solve(args) -> int:
     trace = bench_mod.solve(args.algo, model, eta, args.iters, args.seed, stride=max(args.iters, 1),
                             observer=lambda k, lam, mu: candidates.append(mu))
     mu_hat = proj(model, candidates[-1])
-    primal = primal_objective(model, mu_hat)
     assignment = vertex_round(mu_hat)
-    print(f"algorithm          {args.algo}")
-    print(f"eta                {eta}")
-    print(f"iterations         {int(trace.iterations[-1])}")
-    print(f"dual_value         {trace.dual_values[-1]}")
-    print(f"slack_score        {trace.slack_scores[-1]}")
-    print(f"projected_primal   {primal}")
-    print(f"rounded_assignment {' '.join(str(x) for x in assignment)}")
-    print(f"rounded_value      {map_value(model, assignment)}")
+    _print({"algorithm": args.algo, "eta": eta, "iterations": int(trace.iterations[-1]),
+            "dual_value": trace.dual_values[-1], "slack_score": trace.slack_scores[-1],
+            "projected_primal": primal_objective(model, mu_hat), "rounded_assignment": assignment,
+            "rounded_value": map_value(model, assignment)}, 18)
     return 0
 
 
@@ -109,13 +110,8 @@ _ORACLES = {"brute": brute_force_map, "tree": tree_map, "lp": lp_solve_l2}
 
 
 def _cmd_oracle(args) -> int:
-    model = read_model(args.input)
-    res = _ORACLES[args.method](model)
-    print(f"value      {res.value}")
-    if args.method != "lp":
-        print(f"assignment {' '.join(str(x) for x in res.assignment)}")
-    if args.method == "brute":
-        print(f"unique     {res.unique}")
+    res = _ORACLES[args.method](read_model(args.input))._asdict()
+    _print({name: res[name] for name in ("value", "assignment", "unique") if name in res}, 10)
     return 0
 
 

@@ -194,8 +194,8 @@ class SolveTrace:
 
 
 class _Recorder:
-    """The record schedule of one solve: its sample stream, which iterates
-    are recorded, and the stop test.  It only observes the iterates."""
+    """One solve's sample stream, record schedule and stop test, and its
+    records, each keyed by ``SolveTrace``'s field names.  It only observes lam."""
 
     def __init__(self, model, eta, iters, seed, star, stride, stop_slack_score, observer):
         self.total = integer("iteration count", iters, 0)
@@ -207,7 +207,7 @@ class _Recorder:
         self.stop_slack_score = stop_slack_score
         self.observer = observer
         self.samples = _samples(model, self.total, seed, star)
-        self.rows: list[tuple] = []  # (k, dual, score, solver ms, instrumentation ms)
+        self.rows: list[dict] = []
         self.instrumentation_s = 0.0
         self.t0 = time.perf_counter()
 
@@ -236,13 +236,14 @@ class _Recorder:
         if self.observer is not None:
             self.observer(k, lam.copy(), value.marginals())
         self.instrumentation_s += time.perf_counter() - start
-        self.rows.append((k, dual, score, ms, self.instrumentation_s * 1e3))
+        self.rows.append(dict(iterations=np.int64(k), dual_values=dual, slack_scores=score,
+                              elapsed_ms=ms, instrumentation_ms=self.instrumentation_s * 1e3))
         return self.stop_slack_score is not None and score <= self.stop_slack_score
 
     def finish(self, lam: np.ndarray) -> SolveTrace:
         """The trace, handing over ``lam`` itself: the solver never touches it again."""
-        iterations, *columns = zip(*self.rows)  # the rows hold the fields in order
-        return SolveTrace(np.array(iterations, dtype=np.int64), *map(np.array, columns), lam)
+        columns = {name: np.array([row[name] for row in self.rows]) for name in self.rows[0]}
+        return SolveTrace(**columns, final_lambda=lam)
 
 
 def _pair_stream(rng, model: Model, iters: int):
@@ -290,10 +291,10 @@ def _samples(model: Model, iters: int, seed, star: bool):
     return (_vertex_stream if star else _pair_stream)(rng, model, iters)
 
 
-def _update(kind: str):
+def _update(kind: str) -> tuple:
     """The marked update of ``kind`` ("emp", "smp" or "bcd"), looked up in
-    this module at each call."""
-    updates = {"emp": emp_update, "smp": smp_update, "bcd": block_grad_step}
+    this module at each call, and whether that kind samples stars."""
+    updates = {"emp": (emp_update, False), "smp": (smp_update, True), "bcd": (block_grad_step, False)}
     if kind in updates:
         return updates[kind]
     raise ValidationError(f"unknown update kind {kind!r}, expected one of {STANDARD_UPDATE_KINDS}")
@@ -325,8 +326,8 @@ def standard_mp(
     read from the record's own pass.  The accelerated solvers take the same options,
     plus ``v_step_scale``.
     """
-    update = _update(update_kind)
-    rec = _Recorder(model, eta, iters, seed, update_kind == "smp", stride, stop_slack_score, observer)
+    update, star = _update(update_kind)
+    rec = _Recorder(model, eta, iters, seed, star, stride, stop_slack_score, observer)
     lam = zero_dual(model)
     flat = lam.ravel()
     for _, at, args in rec.run(lam):
@@ -350,10 +351,10 @@ def _accelerated(
     extrapolate y on the sampled vertex's incident edges (all that the
     update may read), install the update at y into lam and push its scaled
     slack at y into v; returns the final iterate."""
-    update = _update(update_kind)
+    update, star = _update(update_kind)
     real("v_step_scale", v_step_scale)
-    rec = _Recorder(model, eta, iters, seed, update_kind == "smp", stride, stop_slack_score, observer)
-    if update_kind == "smp":
+    rec = _Recorder(model, eta, iters, seed, star, stride, stop_slack_score, observer)
+    if star:
         n_total = float(model.degrees.sum())
         numerator = v_step_scale * float(model.degrees.min())
         two_p = [2.0 * (deg / n_total) for deg in model.degrees.tolist()]  # 2 p_i

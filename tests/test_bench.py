@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,11 @@ class TestRunBench:
         assert rows[0].algorithm == "emp"
         assert {r.trial for r in rows} == {0, 1}
 
-    @pytest.mark.parametrize("column, bad", [(3, "x"), (1, "2.5")])
+    @pytest.mark.parametrize("column, bad", [
+        (3, "x"), (1, "2.5"), (0, "2.5"),
+        *[(column, "x") for column in (4, 5, 6, 7)],
+        *[(column, "") for column in (3, 4, 6, 7)],  # only primal_gap may be empty
+    ])
     def test_bad_cell_names_its_line_and_column(self, column, bad):
         lines = metrics_csv(run_bench(small_config(iters=0))).splitlines()
         cells = lines[2].split(",")
@@ -130,6 +134,23 @@ class TestRunBench:
         lines[2] = ",".join(cells)
         with pytest.raises(ValidationError, match=f"^line 3: bad {METRIC_HEADER[column]} cell '{bad}'$"):
             parse_metrics_csv("\n".join(lines))
+
+    def test_empty_primal_gap_parses_to_none(self):
+        res = run_bench(small_config(iters=0))
+        assert res.rows[1].primal_gap is not None
+        lines = metrics_csv(res).splitlines()
+        cells = lines[2].split(",")
+        cells[METRIC_HEADER.index("primal_gap")] = ""
+        lines[2] = ",".join(cells)
+        assert parse_metrics_csv("\n".join(lines)) == [res.rows[0], replace(res.rows[1], primal_gap=None)]
+
+    @pytest.mark.parametrize("header", ["", "\n\n", "trial,iter", ",".join(reversed(METRIC_HEADER))],
+                             ids=["empty", "blank", "short", "reordered"])
+    def test_unexpected_header(self, header):
+        rows = metrics_csv(run_bench(small_config(iters=0))).splitlines()[1:]
+        for text in (header, "\n".join([header, *rows])):
+            with pytest.raises(ValidationError, match="^unexpected metrics CSV header$"):
+                parse_metrics_csv(text)
 
     def test_gap_uses_lp_when_instance_small(self):
         res = run_bench(small_config())
@@ -462,6 +483,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: opt_value must be finite, got {float(raw)}\n"
         assert not out.exists()
+
+    def test_non_numeric_opt_file_is_validation_error(self, tmp_path, capsys):
+        opt = tmp_path / "opt.txt"
+        opt.write_text("abc\n")
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--n", "5", "--d", "2", "--iters", "3", "--opt-file", str(opt),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {opt} must contain one float, got 'abc'\n"
+        assert not out.exists()
+
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.csv"
+        assert main(["bench", "--n", "5", "--d", "2", "--iters", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+    def test_bench_past_the_lp_guard_leaves_the_gap_empty(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        argv = ["bench", "--n", "200", "--d", "3", "--iters", "4", "--stride", "2", "--trials", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (f"wrote {out} and {out}.summary.csv\n"
+                                           "reference_optimum unavailable (no LP value; gap columns empty)\n")
+        rows = parse_metrics_csv(out.read_text())
+        assert [row.iteration for row in rows] == [0, 2, 4]
+        assert [row.primal_gap for row in rows] == [None] * 3
 
     def test_uai_without_enough_tables_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.uai"

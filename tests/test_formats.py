@@ -117,6 +117,16 @@ class TestNativeFormat:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_model(text)
 
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+    def test_empty_file_is_rejected(self, text):
+        with pytest.raises(ValidationError, match="^empty model file$"):
+            load_model(text)
+
+    @pytest.mark.parametrize("sizes", ["2 x 2", "2.0 1 2", "2 1 2e0"])
+    def test_header_sizes_must_be_integers(self, sizes):
+        with pytest.raises(ValidationError, match="^line 1: header sizes must be integers$"):
+            load_model(f"mapmp v1 {sizes}\nv 0 0 0\nv 1 0 0\ne 0 1 0 0 0 0\n")
+
     def test_header_line_number_skips_leading_blank_lines(self):
         with pytest.raises(ValidationError, match="^line 3: header needs d >= 2"):
             load_model("\n\nmapmp v1 2 1 0\nv 0\nv 1\ne 0 1\n")

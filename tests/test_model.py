@@ -318,6 +318,8 @@ class TestMapValue:
             map_value(m, [0, 2])
         with pytest.raises(ValidationError):
             map_value(m, [0])
+        with pytest.raises(ValidationError, match="^assignment labels must be integers$"):
+            map_value(m, [0.5, 0.5])
 
 
 class TestDegreeStats:

@@ -243,6 +243,19 @@ class TestPolytopeMembership:
         bad.edge[0, 0, 0] += 1e-3
         assert not in_local_polytope(two_node, bad, tol=1e-6)
 
+    def test_negative_vertex_entry_fails(self, two_node):
+        mu = recover_primal(two_node, zero_dual(two_node), 1.0)
+        bad = Marginals(mu.vertex.copy(), mu.edge.copy())
+        bad.vertex[0] = [1.5, -0.5]  # still sums to one
+        assert not in_local_polytope(two_node, bad, tol=1e-6)
+
+    def test_negative_edge_entry_fails(self, two_node):
+        mu = recover_primal(two_node, zero_dual(two_node), 1.0)
+        bad = Marginals(mu.vertex.copy(), mu.edge.copy())
+        bad.edge[0] += [[0.5, -0.5], [-0.5, 0.5]]  # row and column sums unchanged
+        assert bad.edge.min() == -0.25
+        assert not in_local_polytope(two_node, bad, tol=1e-6)
+
     def test_slack_polytope_reduces_to_local_at_zero(self):
         rng = np.random.default_rng(10)
         for _ in range(10):

@@ -185,6 +185,20 @@ class TestLpSolve:
             assert res.marginals.vertex.tobytes() == want.x[: m.n * m.d].tobytes()
             assert res.marginals.edge.tobytes() == want.x[m.n * m.d :].tobytes()
 
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda res: res.x.fill(0.0), "^LP oracle returned an infeasible point$"),
+        (lambda res: res.eqlin.marginals.__iadd__(1.0), "^LP duality check failed: primal "),
+    ], ids=["zeroed-point", "shifted-multipliers"])
+    def test_a_failed_certificate_is_an_error(self, monkeypatch, spoil, message):
+        def spoiled(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            spoil(res)
+            return res
+
+        monkeypatch.setattr(oracle, "linprog", spoiled)
+        with pytest.raises(ValidationError, match=message):
+            lp_solve_l2(two_node_gap_model())
+
     def test_guard_refusal(self):
         n = 200
         m = build_model(

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from helpers import random_model, reference_accel_emp, reference_accel_smp
 
 from mapmp import (
     Marginals,
+    SolveTrace,
     ThetaState,
     ValidationError,
     accel_block_grad,
@@ -493,6 +495,17 @@ class TestRecordSchedule:
 
 
 class TestTraceInvariants:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("stride", [1, 12])
+    def test_column_dtypes(self, algorithm, stride):
+        # iterations is int64 on every platform, not NumPy's default int
+        trace = solve(algorithm, random_model(np.random.default_rng(15), 5, 3), 8.0, 12, 4,
+                      stride=stride)
+        dtypes = {f.name: getattr(trace, f.name).dtype for f in fields(SolveTrace)}
+        assert dtypes.pop("iterations") == np.int64
+        assert set(dtypes.values()) == {np.dtype(np.float64)}
+        assert len(trace.iterations) == (13 if stride == 1 else 2)
+
     def test_scores_nonnegative(self):
         rng = np.random.default_rng(13)
         m = random_model(rng, 5, 3)
