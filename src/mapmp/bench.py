@@ -129,8 +129,6 @@ def _columns(row_type) -> tuple:
 METRIC_HEADER = _columns(MetricRow)
 SUMMARY_HEADER = _columns(SummaryRow)
 RATIO_HEADER = _columns(RatioRow)
-_PARSE = {"int": int, "str": str, "float": float, "float | None": lambda cell: float(cell) if cell else None}
-_METRIC_PARSERS = tuple(_PARSE[f.type] for f in fields(MetricRow))  # by each field's annotation
 
 
 @dataclass
@@ -150,9 +148,7 @@ def resolve_model(config: BenchConfig) -> Model:
     ``BenchConfig`` or of the ``mapmp gen`` namespace."""
     if config.model_file is not None:
         return read_model(config.model_file)
-    edge_prob = config.edge_prob
-    if edge_prob is None:
-        edge_prob = default_edge_prob(config.n)
+    edge_prob = default_edge_prob(config.n) if config.edge_prob is None else config.edge_prob
     return erdos_renyi_potts(config.n, edge_prob, config.d, config.seed)
 
 
@@ -259,6 +255,17 @@ def summary_csv(result: BenchResult) -> str:
 
 def ratio_csv(result: BenchResult) -> str:
     return _csv(RATIO_HEADER, result.ratio_rows)
+
+
+def _plain_int(cell: str) -> int:  # an int cell as ``_cell`` writes it: no "+", "_", space or leading 0
+    if str(value := int(cell)) != cell:
+        raise ValueError(cell)
+    return value
+
+
+_PARSE = {"int": _plain_int, "str": str, "float": lambda cell: real("cell", float(cell), "finite"),
+          "float | None": lambda cell: real("cell", float(cell), "finite") if cell else None}
+_METRIC_PARSERS = tuple(_PARSE[f.type] for f in fields(MetricRow))  # by each field's annotation
 
 
 def parse_metrics_csv(text: str) -> list[MetricRow]:

@@ -10,6 +10,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -23,9 +24,9 @@ from .projection import proj, vertex_round
 from .schedulers import eta_for_epsilon
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
@@ -88,17 +89,18 @@ def _cmd_bench(args) -> int:
     flags = {f.name: getattr(args, f.name) for f in fields(bench_mod.BenchConfig) if f.name != "opt_value"}
     config = bench_mod.BenchConfig(**flags, opt_value=opt_value)
     config.validate()  # before the instance is read or generated
+    paths = [args.out + suffix for suffix in ("", ".summary.csv", ".ratio.csv")[:2 + config.ratio]]
+    for path in paths:  # each writable, and left as found, before the instance is read or generated
+        new = not os.path.lexists(path)
+        _write(path, "", "a")
+        if new:
+            os.remove(path)
     model = bench_mod.resolve_model(config)
     config.eta = _resolve_eta(args, model)
     result = bench_mod.run_bench(config, model)
-    _write(args.out, bench_mod.metrics_csv(result))
-    summary_path = args.out + ".summary.csv"
-    _write(summary_path, bench_mod.summary_csv(result))
-    print(f"wrote {args.out} and {summary_path}")
-    if config.ratio:
-        ratio_path = args.out + ".ratio.csv"
-        _write(ratio_path, bench_mod.ratio_csv(result))
-        print(f"wrote {ratio_path}")
+    for path, csv in zip(paths, (bench_mod.metrics_csv, bench_mod.summary_csv, bench_mod.ratio_csv)):
+        _write(path, csv(result))
+    print(f"wrote {paths[0]} and {paths[1]}", *(f"wrote {path}" for path in paths[2:]), sep="\n")
     if result.opt_value is not None:
         print(f"reference_optimum {result.opt_value}")
     else:

@@ -5,7 +5,8 @@ vertex, a length-d cost vector per vertex, and a d x d cost matrix per edge.
 Edges are stored canonically as (i, j) with i < j, sorted lexicographically,
 and edge cost matrices are indexed (label of i, label of j).  That single
 orientation is relied on everywhere else: endpoint "slot" 0 always means the
-smaller endpoint and slot 1 the larger one.
+smaller endpoint and slot 1 the larger one.  The dual's length-d block (e, s)
+sits at (2 e + s) d + arange(d) of ``lam.ravel()``: ``Model.pair_blocks``.
 """
 
 from __future__ import annotations
@@ -39,20 +40,26 @@ class Model:
     incident_slots: tuple  # per vertex: int64 array of endpoint slots (0 or 1)
 
     @cached_property
+    def pair_blocks(self) -> np.ndarray:
+        """(2m, d), read-only: row 2 e + s holds block (e, s)'s positions in ``lam.ravel()``."""
+        return _readonly(np.arange(self.dual_dim).reshape(2 * self.m, self.d))
+
+    @cached_property
+    def dual_cells(self) -> np.ndarray:
+        """(2m d,), read-only: the (vertex, label) cell v d + x of each entry of ``lam.ravel()``."""
+        return _readonly((self.edges.reshape(-1, 1) * self.d + np.arange(self.d)).ravel())
+
+    @cached_property
     def incident_blocks(self) -> tuple:
-        """Per vertex, the positions in ``lam.ravel()`` of its own blocks, (deg,
-        d) in incidence order: [p, x] = (2 e + s) d + x for its p-th edge e in
-        slot s.  Built on first use as read-only views of one array."""
+        """Per vertex, its rows of ``pair_blocks`` in incidence order, read-only views of one array."""
         pairs = 2 * np.concatenate(self.incident_edges) + np.concatenate(self.incident_slots)
-        return _split(pairs[:, None] * self.d + np.arange(self.d), self.degrees)
+        return _split(self.pair_blocks[pairs], self.degrees)
 
     @cached_property
     def incident_rows(self) -> tuple:
-        """Per vertex, the positions in ``lam.ravel()`` of both blocks of each
-        incident edge, (deg 2 d,) in incidence order; built likewise."""
-        width = 2 * self.d
-        rows = np.concatenate(self.incident_edges)[:, None] * width + np.arange(width)
-        return _split(rows.ravel(), self.degrees * width)
+        """Per vertex, the raveled rows of the (m, 2 d) view of ``pair_blocks`` at its edges; likewise."""
+        rows = self.pair_blocks.reshape(self.m, 2 * self.d)[np.concatenate(self.incident_edges)]
+        return _split(rows.ravel(), self.degrees * 2 * self.d)
 
     @cached_property
     def star_tables(self) -> tuple:

@@ -146,8 +146,7 @@ def record_pass(model: Model, lam: np.ndarray, eta: float) -> RecordPass:
     of ``block_slack`` and ``star_slack``."""
     eta = real("eta", eta)
     lam = array("lam", lam, np.float64, model.dual_shape, copy=None)
-    cells = (model.edges.reshape(-1, 1) * model.d + np.arange(model.d)).ravel()
-    log_v = np.bincount(cells, lam.ravel(), model.vertex_costs.size).reshape(model.n, -1)
+    log_v = np.bincount(model.dual_cells, lam.ravel(), model.vertex_costs.size).reshape(model.n, -1)
     log_v -= model.vertex_costs
     log_v *= eta
     log_e = model.edge_costs + lam[:, 0, :, None]

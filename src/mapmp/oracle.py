@@ -201,7 +201,7 @@ def lp_solve_l2(model: Model) -> LpResult:
     cols = np.empty((m, 2, d, d + 1), dtype=np.int64)
     cols[:, 0, :, :d] = joint
     cols[:, 1, :, :d] = joint.transpose(0, 2, 1)
-    cols[:, :, :, d] = model.edges[:, :, None] * d + labels
+    cols[:, :, :, d] = model.dual_cells.reshape(m, 2, d)  # edge rows in the dual's layout
     cols = np.concatenate([np.arange(nv), cols.ravel()])
     rows = np.concatenate([np.repeat(np.arange(n), d), np.repeat(np.arange(n, n + 2 * m * d), d + 1)])
     vals = np.ones(cols.size)

@@ -27,12 +27,12 @@ and, after the driver's step, record every ``stride``-th iterate and the
 last; stop at the first record whose slack score is at most
 ``stop_slack_score``.  Every solver returns the iterate of its last record,
 however often it records.  A sample is the sampled vertex, ``at`` and the
-update's arguments after (model, lam, eta).  ``at`` holds the flat
-positions in ``lam.ravel()`` of the blocks the update returns, in its
-order: (2 edge + slot) d + arange(d), shape (d,), with ``(edge, vertex)``
-for pair sampling; ``model.incident_blocks[v]``, shape (deg, d), with
-``(v,)`` for star sampling.  The drivers read and write lam, y and v through
-flat views, as one 1-D index costs a fraction of (edge, slot) indexing.
+update's arguments after (model, lam, eta).  ``at`` holds the flat positions
+in ``lam.ravel()`` of the blocks the update returns, in its order (the layout
+of ``model.pair_blocks``): its row 2 edge + slot, with ``(edge, vertex)``, for
+pair sampling; ``model.incident_blocks[v]``, with ``(v,)``, for star sampling.
+The drivers read and write lam, y and v through flat views, as one 1-D index
+costs a fraction of (edge, slot) indexing.
 
 The standard loop installs the update at the current iterate.  The
 accelerated loop maintains the extrapolation point
@@ -251,8 +251,7 @@ def _pair_stream(rng, model: Model, iters: int):
     positions of its block (edge, slot), shape (d,), and the update
     arguments ``(edge, vertex)``: uniform pair indices of ``rng.integers(2 m)``
     draws, drawn ``_SAMPLE_CHUNK`` at a time."""
-    edges = model.edges
-    blocks = np.arange(model.dual_dim).reshape(-1, model.d)
+    edges, blocks = model.edges, model.pair_blocks
     for start in range(0, iters, _SAMPLE_CHUNK):
         for pair in rng.integers(2 * model.m, size=min(_SAMPLE_CHUNK, iters - start)).tolist():
             edge = pair // 2
@@ -371,9 +370,9 @@ def _accelerated(
     lam = zero_dual(model)
     y = zero_dual(model)
     lam_flat, v, y_flat = lam.ravel(), zero_dual(model).ravel(), y.ravel()
-    theta_state = ThetaState()
+    theta = 1.0
     for vertex, at, args in rec.run(lam):
-        theta = theta_state.advance()
+        theta = theta_next(theta)
         # y = theta v + (1 - theta) lam on the incident rows only, each entry
         # by the same two products and one sum as over the whole vector
         rows = model.incident_rows[vertex]

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -126,13 +127,17 @@ class TestRunBench:
         (3, "x"), (1, "2.5"), (0, "2.5"),
         *[(column, "x") for column in (4, 5, 6, 7)],
         *[(column, "") for column in (3, 4, 6, 7)],  # only primal_gap may be empty
+        # no float cell is NaN or infinite, and an int cell is its own plain decimal text
+        *[(column, bad) for column in (3, 4, 5, 6, 7) for bad in ("nan", "inf", "-inf")],
+        *[(column, bad) for column in (0, 1) for bad in ("1_0", "+3", " 7")],
     ])
     def test_bad_cell_names_its_line_and_column(self, column, bad):
         lines = metrics_csv(run_bench(small_config(iters=0))).splitlines()
         cells = lines[2].split(",")
         cells[column] = bad
         lines[2] = ",".join(cells)
-        with pytest.raises(ValidationError, match=f"^line 3: bad {METRIC_HEADER[column]} cell '{bad}'$"):
+        want = f"^line 3: bad {METRIC_HEADER[column]} cell {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=want):
             parse_metrics_csv("\n".join(lines))
 
     def test_empty_primal_gap_parses_to_none(self):
@@ -494,11 +499,34 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {opt} must contain one float, got 'abc'\n"
         assert not out.exists()
 
-    def test_unwritable_out_is_validation_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        # found before the instance is built or the benchmark runs
+        for name in ("run_bench", "resolve_model", "erdos_renyi_potts"):
+            monkeypatch.setattr(bench, name, lambda *args, name=name: pytest.fail(f"called {name}"))
         out = tmp_path / "missing" / "m.csv"
-        assert main(["bench", "--n", "5", "--d", "2", "--iters", "3", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert main(["bench", "--n", "100", "--d", "3", "--iters", "100000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocked", [".summary.csv", ".ratio.csv"])
+    def test_unwritable_sibling_fails_first_and_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                              blocked):
+        monkeypatch.setattr(bench, "run_bench", lambda *args: pytest.fail("ran the benchmark"))
+        out = tmp_path / "m.csv"
+        (tmp_path / ("m.csv" + blocked)).mkdir()  # a directory where the CSV would go
+        argv = ["bench", "--n", "5", "--d", "2", "--ratio", "--iters", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}{blocked}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv" + blocked]
+
+    def test_existing_outputs_are_left_as_found_until_written(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        out.write_text("old\n")
+        argv = ["bench", "--model", str(tmp_path / "missing.mapmp"), "--iters", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert out.read_text() == "old\n" and sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
     def test_bench_past_the_lp_guard_leaves_the_gap_empty(self, tmp_path, capsys):
         out = tmp_path / "m.csv"

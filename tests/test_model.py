@@ -8,6 +8,7 @@ from helpers import (
     random_model,
     reference_erdos_renyi_stream,
     reference_incidence,
+    reference_lambda_aggregate,
     row_by_row_erdos_renyi_potts,
 )
 
@@ -251,6 +252,18 @@ class TestFlatIndices:
         # every block of lam is some vertex's, exactly once
         every = np.sort(np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, np.int64)]))
         assert np.array_equal(every, np.arange(model.dual_dim))
+        # the layout's own tables: block (e, s) is row 2 e + s, and each entry's vertex cell
+        pair_blocks, cells = model.pair_blocks, model.dual_cells
+        assert pair_blocks.shape == (2 * model.m, model.d) and cells.shape == (model.dual_dim,)
+        for e in range(model.m):
+            for s in (0, 1):
+                assert np.array_equal(lam.ravel()[pair_blocks[2 * e + s]], lam[e, s])
+        aggregate = np.bincount(cells, lam.ravel(), model.n * model.d).reshape(model.n, model.d)
+        assert aggregate.tobytes() == reference_lambda_aggregate(model, lam).tobytes()
+        for index in (pair_blocks, cells):
+            assert index.dtype == np.int64 and not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[...] = 0
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_random_models(self, d):
@@ -264,6 +277,7 @@ class TestFlatIndices:
         for index in (model.incident_blocks, model.incident_rows):
             assert all(view.base is index[0].base for view in index)
         assert model.incident_blocks is model.incident_blocks
+        assert model.pair_blocks is model.pair_blocks and model.dual_cells is model.dual_cells
         assert model.star_tables is model.star_tables
         assert model.pair_tables is model.pair_tables
 
