@@ -22,6 +22,8 @@ floating-point noise are left out, and the row is empty if none remain.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -229,20 +231,14 @@ def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
     return result
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv(header: tuple, rows: list) -> str:
-    """One line per row dataclass, its fields in declaration order (the
-    order of ``header``)."""
-    lines = [",".join(header)]
-    lines += [",".join(_cell(v) for v in vars(r).values()) for r in rows]
-    return "\n".join(lines) + "\n"
+    """One line per row dataclass, in the field order of ``header``: None as an
+    empty cell, any other value as its ``str`` (a float's shortest repr)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(vars(r).values() for r in rows)
+    return out.getvalue()
 
 
 def metrics_csv(result: BenchResult) -> str:
@@ -257,8 +253,8 @@ def ratio_csv(result: BenchResult) -> str:
     return _csv(RATIO_HEADER, result.ratio_rows)
 
 
-def _plain_int(cell: str) -> int:  # an int cell as ``_cell`` writes it: no "+", "_", space or leading 0
-    if str(value := int(cell)) != cell:
+def _plain_int(cell: str) -> int:  # a count as ``_csv`` writes it: no sign, "_", space or leading 0
+    if (value := int(cell)) < 0 or str(value) != cell:
         raise ValueError(cell)
     return value
 

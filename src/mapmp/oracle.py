@@ -196,8 +196,7 @@ def lp_solve_l2(model: Model) -> LpResult:
     # Rows: sum_x mu_i(x) = 1 per vertex, then per edge d rows
     # sum_xj mu_e(xi, xj) - mu_i(xi) = 0 and d rows sum_xi mu_e(xi, xj) - mu_j(xj) = 0,
     # each edge row listing its d joint entries and then its vertex entry.
-    labels = np.arange(d)
-    joint = nv + np.arange(m)[:, None, None] * d * d + labels[:, None] * d + labels
+    joint = nv + np.arange(m * d * d).reshape(m, d, d)
     cols = np.empty((m, 2, d, d + 1), dtype=np.int64)
     cols[:, 0, :, :d] = joint
     cols[:, 1, :, :d] = joint.transpose(0, 2, 1)

@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mapmp
 from mapmp import ValidationError, bench, cli, schedulers
 from mapmp.bench import (
     ALGORITHMS,
     BenchConfig,
+    BenchResult,
     METRIC_HEADER,
+    MetricRow,
     metrics_csv,
     parse_metrics_csv,
     ratio_csv,
@@ -129,7 +133,7 @@ class TestRunBench:
         *[(column, "") for column in (3, 4, 6, 7)],  # only primal_gap may be empty
         # no float cell is NaN or infinite, and an int cell is its own plain decimal text
         *[(column, bad) for column in (3, 4, 5, 6, 7) for bad in ("nan", "inf", "-inf")],
-        *[(column, bad) for column in (0, 1) for bad in ("1_0", "+3", " 7")],
+        *[(column, bad) for column in (0, 1) for bad in ("1_0", "+3", " 7", "-1")],
     ])
     def test_bad_cell_names_its_line_and_column(self, column, bad):
         lines = metrics_csv(run_bench(small_config(iters=0))).splitlines()
@@ -139,6 +143,22 @@ class TestRunBench:
         want = f"^line 3: bad {METRIC_HEADER[column]} cell {re.escape(repr(bad))}$"
         with pytest.raises(ValidationError, match=want):
             parse_metrics_csv("\n".join(lines))
+
+    def test_numpy_scalar_cells_read_back(self):
+        res = run_bench(small_config(ratio=True, algorithm="smp"))
+
+        def numpy_cells(row):  # the row with each int and float field as a NumPy scalar
+            scalar = {int: np.int64, float: np.float64}
+            return type(row)(*(scalar.get(type(v), lambda x: x)(v) for v in vars(row).values()))
+
+        as_numpy = replace(res, rows=[numpy_cells(r) for r in res.rows],
+                           summary=[numpy_cells(r) for r in res.summary],
+                           ratio_rows=[numpy_cells(r) for r in res.ratio_rows])
+        assert isinstance(as_numpy.rows[0].dual_value, np.float64)
+        assert isinstance(as_numpy.rows[0].trial, np.int64)
+        for write in (metrics_csv, summary_csv, ratio_csv):
+            assert write(as_numpy) == write(res)
+        assert parse_metrics_csv(metrics_csv(as_numpy)) == res.rows
 
     def test_empty_primal_gap_parses_to_none(self):
         res = run_bench(small_config(iters=0))
@@ -243,6 +263,29 @@ class TestRunBench:
             )
         )
         assert res.model.m == m.m
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308])
+_FLOATS = _FINITE | _FINITE.map(np.float64)
+_COUNTS = st.integers(min_value=0, max_value=2**63 - 1)
+_METRIC_ROWS = st.builds(
+    MetricRow, _COUNTS, _COUNTS | _COUNTS.map(np.int64), st.sampled_from(ALGORITHMS),
+    _FLOATS, _FLOATS, st.none() | _FLOATS, _FLOATS, _FLOATS,
+)
+
+
+class TestMetricsCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_METRIC_ROWS, max_size=4))
+    def test_random_rows_read_back(self, rows):
+        text = metrics_csv(BenchResult(config=None, model=None, opt_value=None, rows=rows))
+        assert parse_metrics_csv(text) == rows
+        for row, line in zip(rows, text.splitlines()[1:], strict=True):
+            for value, cell in zip(vars(row).values(), line.split(","), strict=True):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, float):
+                    assert cell == repr(float(value))
 
 
 class TestOnePassRows:
