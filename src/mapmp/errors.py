@@ -44,15 +44,13 @@ def real(name: str, value, rule: str = "positive") -> float:
     raise ValidationError(f"{name} must be {wanted}, got {value}")
 
 
-def check_labels(d) -> None:
-    """Reject fewer than two labels per vertex, NaN included.  A ``d`` that
-    is not a number is left to ``integer``, which names it."""
-    try:
-        few = not d >= 2
-    except TypeError:
-        return
-    if few:
+def label_count(d) -> int:
+    """``d`` as an int, at least two labels per vertex: checked as an
+    integer first, as ``integer`` names it, then against the floor."""
+    d = integer("d", d)
+    if d < 2:
         raise ValidationError(f"need at least two labels per vertex, got d={d}")
+    return d
 
 
 def array(name: str, value, dtype=None, shape=None, copy=True, order="K") -> np.ndarray:

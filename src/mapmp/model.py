@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, array, check_assignment, check_labels, integer, real
+from .errors import ValidationError, array, check_assignment, integer, label_count, real
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ def build_model(n, edges, d, vertex_costs, edge_costs) -> Model:
     Rejects: d < 2, self-loops, duplicate edges, out-of-range endpoints,
     vertices without any incident edge, non-finite costs, and shape
     mismatches.  ``n``, ``d`` and every endpoint must be integers."""
-    n, d = integer("n", n, 1), integer("d", d)
-    check_labels(d)
+    n, d = integer("n", n, 1), label_count(d)
 
     vc = array("vertex_costs", vertex_costs, np.float64, (n, d), order="C")
 
@@ -231,9 +230,7 @@ def degree_stats(model: Model):
 def default_edge_prob(n: int) -> float:
     """Edge probability 1.1 log(n) / n: the sparse regime just above the
     log(n) / n connectivity threshold, used when none is given."""
-    n = integer("n", n)
-    if n < 2:
-        raise ValidationError(f"need n >= 2 vertices, got {n}")
+    n = integer("n", n, 2)
     return 1.1 * math.log(n) / n
 
 
@@ -260,10 +257,9 @@ def erdos_renyi_potts(n: int, edge_prob: float, d: int, seed: int) -> Model:
     memory; one ``searchsorted`` on the row ends maps hits back to (i, j).
     ``n``, ``d``, ``seed`` and ``edge_prob`` are checked before any draw.
     """
-    n, d, seed = integer("n", n, 2), integer("d", d), integer("seed", seed, 0)
+    n, d, seed = integer("n", n, 2), label_count(d), integer("seed", seed, 0)
     if real("edge_prob", edge_prob) > 1.0:
         raise ValidationError(f"edge_prob must lie in (0, 1], got {edge_prob}")
-    check_labels(d)
 
     rng = np.random.default_rng(seed)
     row_ends = np.cumsum(np.arange(n - 1, -1, -1))  # pair index one past row i

@@ -34,8 +34,8 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
     (k, d) targets, rounded bit for bit as k separate calls.  Every target
     must be a distribution within 1e-10, NaN and infinities failing (the
     first bad matrix k and side, rows first, is named), then every matrix
-    finite with mass 1 within 1e-10.  The output matches the targets to
-    ~1e-15 and stays entrywise nonnegative.
+    finite, then none with a negative entry, then each of mass 1 within
+    1e-10.  The output matches the targets to ~1e-15 and is nonnegative.
     """
     p = array("matrix", matrix, np.float64)
     r = array("row_targets", row_targets, np.float64, copy=None)
@@ -56,6 +56,9 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
         )
     if not np.isfinite(p).all():
         raise ValidationError("matrices must not have non-finite entries")
+    if p.min() < 0.0:  # -0.0 passes, unclamped, so its sign bit is kept
+        k = np.flatnonzero((p < 0.0).any(axis=(1, 2)))[0]
+        raise ValidationError(f"matrix {k}: negative entry {p[k].min()}")
     mass = p.sum(axis=(1, 2))
     bad = np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL)
     if bad.size:

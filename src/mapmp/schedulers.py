@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, check_labels, integer, real
+from .errors import ValidationError, integer, label_count, real
 from .model import Model
 # Bound, not called: benchmarks/workloads.py wraps dual_and_slack, block_slack and star_slack here.
 from .objective import Marginals, dual_and_slack, record_pass, slack_score, zero_dual
@@ -110,10 +110,8 @@ class ThetaState:
 
 
 def _sizes(m, n, d) -> tuple:
-    """(m, n, d) as integers, m >= 0, n >= 1 and d >= 2; the label count is
-    checked first, so a NaN d reads as too few labels."""
-    check_labels(d)
-    return integer("m", m, 0), integer("n", n, 1), integer("d", d)
+    """(m, n, d) as integers, m >= 0, n >= 1 and d >= 2, checked in that order."""
+    return integer("m", m, 0), integer("n", n, 1), label_count(d)
 
 
 def _finite(formula):

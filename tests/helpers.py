@@ -50,6 +50,18 @@ def random_model(rng: np.random.Generator, n: int, d: int, extra_edge_prob: floa
     return build_model(n, edge_list, d, vc, ec)
 
 
+def zeros_model(n: int, edges, d: int) -> Model:
+    """Instance on ``edges`` with all vertex and edge costs zero."""
+    return build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
+
+
+def install_star(model: Model, lam, vertex: int, blocks) -> np.ndarray:
+    """A copy of ``lam`` with ``blocks`` written into ``vertex``'s star, in incidence order."""
+    out = lam.copy()
+    out[model.incident_edges[vertex], model.incident_slots[vertex]] = blocks
+    return out
+
+
 def random_cyclic_model(rng: np.random.Generator, n: int, d: int) -> Model:
     """Random instance guaranteed to contain a cycle."""
     while True:

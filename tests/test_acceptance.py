@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_cyclic_model, random_model, random_tree_potts
+from helpers import install_star, random_cyclic_model, random_model, random_tree_potts
 
 import mapmp
 from mapmp import (
@@ -54,12 +54,6 @@ def report(number: int, ok: bool, detail: str) -> None:
 def install_block(model, lam, edge, slot, block):
     out = lam.copy()
     out[edge, slot] = block
-    return out
-
-
-def install_star(model, lam, vertex, blocks):
-    out = lam.copy()
-    out[model.incident_edges[vertex], model.incident_slots[vertex]] = blocks
     return out
 
 

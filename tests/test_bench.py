@@ -607,7 +607,7 @@ class TestCli:
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
-            assert captured.err.startswith("error: need n >= 2 vertices, got ")
+            assert captured.err.startswith("error: n must be >= 2, got ")
             assert captured.out == ""
         assert not (tmp_path / "m.csv").exists()
 

@@ -21,23 +21,11 @@ from pathlib import Path
 import numpy as np
 
 import mapmp
-from mapmp.bench import ALGORITHMS, RATIO_PAIR
-from mapmp.schedulers import STANDARD_UPDATE_KINDS
+from mapmp.bench import ALGORITHMS, RATIO_PAIR, solve
 
 FIXTURE = Path(__file__).with_name("golden_run_bench.json")
 CONFIG = dict(n=20, d=3, eta=50.0, iters=500, stride=50, trials=2, seed=0)
 REL = 1e-9
-
-
-def _solve(model, alg, seed, observer):
-    c = CONFIG
-    if alg in STANDARD_UPDATE_KINDS:
-        return mapmp.standard_mp(
-            model, alg, c["eta"], c["iters"], seed, stride=c["stride"], observer=observer
-        )
-    solver = {"accel-emp": mapmp.accel_emp, "accel-smp": mapmp.accel_smp,
-              "accel-bcd": mapmp.accel_block_grad}[alg]
-    return solver(model, c["eta"], c["iters"], seed, stride=c["stride"], observer=observer)
 
 
 def _labels(model, alg, trial):
@@ -50,7 +38,7 @@ def _labels(model, alg, trial):
         out.append("".join(str(x) for x in mapmp.vertex_round(mu)))
 
     seed = np.random.SeedSequence([CONFIG["seed"], ALGORITHMS.index(alg), trial])
-    _solve(model, alg, seed, observe)
+    solve(alg, model, CONFIG["eta"], CONFIG["iters"], seed, stride=CONFIG["stride"], observer=observe)
     return out
 
 

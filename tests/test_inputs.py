@@ -12,16 +12,14 @@ import re
 import numpy as np
 import pytest
 
+from helpers import zeros_model
+
 import mapmp
 from mapmp import ValidationError, schedulers
 from mapmp.bench import BenchConfig, run_bench
 from mapmp.errors import integer, real
 from mapmp.model import default_edge_prob
 from mapmp.objective import Marginals, recover_primal, zero_dual
-
-
-def zeros_model(n, edges, d):
-    return mapmp.build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
 
 
 MODEL = zeros_model(3, [(0, 1), (1, 2)], 2)
@@ -372,3 +370,33 @@ def test_default_edge_prob_takes_an_integer_n(n):
     # unchecked, int(2.7) silently used n = 2
     with pytest.raises(ValidationError, match=f"^n must be an integer, got {re.escape(str(n))}$"):
         default_edge_prob(n)
+
+
+# Each bad size has one message at every entry point that takes it: an
+# integer first, then its floor.
+LABEL_ENTRIES = {
+    **{name: (lambda d, f=f: f(3, 4, d)) for f, name in SIZE_CASES},
+    "build_model": lambda d: mapmp.build_model(3, [(0, 1), (1, 2)], d, np.zeros((3, 2)), np.zeros((2, 2, 2))),
+    "erdos_renyi_potts": lambda d: mapmp.erdos_renyi_potts(5, 0.5, d, 0),
+}
+BAD_LABELS = [  # a list, not a dict: True and 1 are one key
+    *[(d, f"need at least two labels per vertex, got d={d}") for d in (1, 0, -1)],
+    (True, "need at least two labels per vertex, got d=1"),
+    *[(d, f"d must be an integer, got {d}") for d in (1.5, math.nan, 2.5, "x")],
+]
+VERTEX_ENTRIES = {"default_edge_prob": default_edge_prob,
+                  "erdos_renyi_potts": lambda n: mapmp.erdos_renyi_potts(n, 0.5, 3, 0)}
+
+
+@pytest.mark.parametrize("entry", LABEL_ENTRIES)
+@pytest.mark.parametrize("d, message", BAD_LABELS, ids=[repr(d) for d, _ in BAD_LABELS])
+def test_a_bad_label_count_has_one_message(no_draws, entry, d, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        LABEL_ENTRIES[entry](d)
+
+
+@pytest.mark.parametrize("entry", VERTEX_ENTRIES)
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_too_few_vertices_have_one_message(no_draws, entry, n):
+    with pytest.raises(ValidationError, match=f"^n must be >= 2, got {n}$"):
+        VERTEX_ENTRIES[entry](n)

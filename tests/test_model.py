@@ -10,16 +10,13 @@ from helpers import (
     reference_incidence,
     reference_lambda_aggregate,
     row_by_row_erdos_renyi_potts,
+    zeros_model,
 )
 
 import mapmp
 from mapmp import ValidationError, build_model, degree_stats, erdos_renyi_potts, map_value
 from mapmp.formats import emit_model, load_model
 from mapmp.model import Model, default_edge_prob
-
-
-def zeros_model(n, edges, d):
-    return build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
 
 
 class TestBuildModel:
@@ -573,5 +570,5 @@ class TestDefaultEdgeProb:
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_too_few_vertices_rejected(self, n):
-        with pytest.raises(ValidationError, match=f"need n >= 2 vertices, got {n}"):
+        with pytest.raises(ValidationError, match=f"^n must be >= 2, got {n}$"):
             default_edge_prob(n)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, naive_dual, naive_slack, random_model
+from helpers import fd_gradient, naive_dual, naive_slack, random_model, zeros_model
 
 import mapmp
 from mapmp import (
@@ -28,10 +28,6 @@ from mapmp.model import Model
 from mapmp.objective import _exp, _lse, fold
 
 LOG2 = np.log(2.0)
-
-
-def zeros_model(n, edges, d):
-    return build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
 
 
 @pytest.fixture

@@ -36,9 +36,8 @@ import scipy
 
 import pins
 from helpers import random_tree_model
-from mapmp import (accel_block_grad, accel_emp, accel_smp, build_model, erdos_renyi_potts, proj,
-                   standard_mp, vertex_round)
-from mapmp.bench import ALGORITHMS, BenchConfig, metrics_csv, ratio_csv, run_bench, summary_csv
+from mapmp import build_model, erdos_renyi_potts, proj, vertex_round
+from mapmp.bench import ALGORITHMS, BenchConfig, metrics_csv, ratio_csv, run_bench, solve, summary_csv
 from mapmp.cli import main
 
 ITERS = 30
@@ -71,21 +70,13 @@ def models() -> dict:
     }
 
 
-def _solve(model, alg, eta, stride, stop, observer):
-    options = dict(stride=stride, stop_slack_score=stop, observer=observer)
-    if alg in ("emp", "smp", "bcd"):
-        return standard_mp(model, alg, eta, ITERS, SEED, **options)
-    solver = {"accel-emp": accel_emp, "accel-smp": accel_smp, "accel-bcd": accel_block_grad}[alg]
-    return solver(model, eta, ITERS, SEED, **options)
-
-
 def run(model, alg, eta, stride, stop) -> dict:
     labels = []
 
     def observe(k, lam, mu):
         labels.append("".join(map(str, vertex_round(proj(model, mu)).tolist())))
 
-    trace = _solve(model, alg, eta, stride, stop, observe)
+    trace = solve(alg, model, eta, ITERS, SEED, stride=stride, stop_slack_score=stop, observer=observe)
     floats = {
         "dual_values": trace.dual_values,
         "slack_scores": trace.slack_scores,

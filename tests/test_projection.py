@@ -120,8 +120,8 @@ def half_stack(k, d=2):
 class TestOneCheckOrder:
     """Both entries check in one order, with one message style: shapes, then
     one simplex mask over the row and column targets naming the first bad
-    (matrix, side) in matrix-major order, then matrix finiteness, then
-    matrix mass."""
+    (matrix, side) in matrix-major order, then matrix finiteness, then no
+    negative matrix entry, naming the first such matrix, then matrix mass."""
 
     FAULTS = {
         "negative": [1.2, -0.2],
@@ -195,6 +195,37 @@ class TestOneCheckOrder:
         with pytest.raises(ValidationError, match=r"^matrix 0: mass 0\.5 differs from 1 beyond 1e-10$"):
             round_to_transport(p[2], r[2], c[2])
 
+    def test_negative_entry_is_named_in_a_single_matrix_and_a_stack(self):
+        # unchecked, the rounding returned points outside the transportation polytope
+        p, r, c = half_stack(4)
+        p[2, 0] = [-0.1, 0.6]
+        with pytest.raises(ValidationError, match=r"^matrix 2: negative entry -0\.1$"):
+            round_to_transport(p, r, c)
+        with pytest.raises(ValidationError, match=r"^matrix 0: negative entry -0\.1$"):
+            round_to_transport(p[2], r[2], c[2])
+
+    def test_non_finite_matrix_is_named_before_a_negative_one(self):
+        p, r, c = half_stack(3)
+        p[0, 0, 0] = np.nan
+        p[1, 0] = [-0.1, 0.6]
+        with pytest.raises(ValidationError, match="^matrices must not have non-finite entries$"):
+            round_to_transport(p, r, c)
+
+    def test_negative_entry_is_named_before_a_wrong_mass(self):
+        p, r, c = half_stack(3)
+        p[0] *= 1.2
+        p[1, 0] = [-0.1, 0.6]
+        with pytest.raises(ValidationError, match=r"^matrix 1: negative entry -0\.1$"):
+            round_to_transport(p, r, c)
+
+    def test_negative_zero_entry_passes(self):
+        p, r, c = half_stack(1)
+        p[0, 0] = [0.5, -0.0]
+        out = round_to_transport(p, r, c)
+        assert out.min() >= 0.0
+        np.testing.assert_allclose(out.sum(axis=2), r, atol=1e-15)
+        np.testing.assert_allclose(out.sum(axis=1), c, atol=1e-15)
+
     def test_empty_matrices_rejected(self):
         with pytest.raises(ValidationError, match="^expected nonempty square matrices"):
             round_to_transport(np.zeros((2, 0, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
@@ -223,6 +254,10 @@ class TestOneCheckOrder:
         edge = mu.edge.copy()
         edge[0, 0, 0] = np.inf
         with pytest.raises(ValidationError, match="^matrices must not have non-finite entries$"):
+            proj(m, Marginals(mu.vertex, edge))
+        edge = mu.edge.copy()
+        edge[m.m - 1, 0, 0] = -0.1
+        with pytest.raises(ValidationError, match=rf"^matrix {m.m - 1}: negative entry -0\.1$"):
             proj(m, Marginals(mu.vertex, edge))
 
 

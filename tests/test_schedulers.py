@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pins
-from helpers import random_model, reference_accel_emp, reference_accel_smp
+from helpers import random_model, reference_accel_emp, reference_accel_smp, zeros_model
 
 from mapmp import (
     Marginals,
@@ -41,10 +41,6 @@ from mapmp import (
 )
 from mapmp import objective, schedulers
 from mapmp.bench import ALGORITHMS, solve
-
-
-def zeros_model(n, edges, d):
-    return build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
 
 
 class TestThetaSequence:
@@ -161,8 +157,10 @@ class TestEtaFormulas:
         ids=["eta_for_epsilon", "eta_for_rounding", "dual_gap_constant", "iteration_budget"],
     )
     def test_budget_formulas_reject_too_few_labels(self, formula, d):
-        # unchecked, log(1) = 0 gives eta 0.0, d <= 0 a math domain error and NaN a NaN
-        message = f"^need at least two labels per vertex, got d={d}$"
+        # unchecked, log(1) = 0 gives eta 0.0, d <= 0 a math domain error and NaN a NaN;
+        # a NaN is named as a non-integer first, as the model builders name it
+        message = (f"^d must be an integer, got {d}$" if math.isnan(d)
+                   else f"^need at least two labels per vertex, got d={d}$")
         with pytest.raises(ValidationError, match=message):
             formula(d)
 
@@ -707,23 +705,19 @@ class TestSampleStream:
         assert list(schedulers._vertex_stream(rng, model, 0)) == []
         assert rng.bit_generator.state == state
 
-    ACCELERATED = {"accel-emp": accel_emp, "accel-smp": accel_smp, "accel-bcd": accel_block_grad}
-
     @pytest.mark.parametrize("early_stop", [False, True])
-    @pytest.mark.parametrize("name", ["emp", "smp", "bcd", *ACCELERATED])
+    @pytest.mark.parametrize("name", ALGORITHMS)
     def test_solvers_independent_of_chunk_size(self, monkeypatch, name, early_stop):
         model = random_model(np.random.default_rng(18), 6, 3)
         eta, iters, seed = 5.0, 200, 31
 
-        def solve(stop=None):
-            if name in self.ACCELERATED:
-                return self.ACCELERATED[name](model, eta, iters, seed, stop_slack_score=stop)
-            return standard_mp(model, name, eta, iters, seed, stop_slack_score=stop)
+        def run(stop=None):
+            return solve(name, model, eta, iters, seed, stop_slack_score=stop)
 
-        stop = float(np.median(solve().slack_scores)) if early_stop else None
-        reference = solve(stop)
+        stop = float(np.median(run().slack_scores)) if early_stop else None
+        reference = run(stop)
         monkeypatch.setattr(schedulers, "_SAMPLE_CHUNK", 3)
-        chunked = solve(stop)
+        chunked = run(stop)
         if early_stop:
             assert reference.iterations[-1] < iters
         assert np.array_equal(chunked.iterations, reference.iterations)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    install_star,
     minimize_block_coordinatewise,
     naive_emp_block,
     naive_smp_blocks,
@@ -11,6 +12,7 @@ from helpers import (
     reference_block_grad_step,
     reference_emp_update,
     reference_smp_update,
+    zeros_model,
 )
 
 import mapmp
@@ -29,20 +31,10 @@ from mapmp import (
 from mapmp.errors import ValidationError
 
 
-def zeros_model(n, edges, d):
-    return build_model(n, edges, d, np.zeros((n, d)), np.zeros((len(edges), d, d)))
-
-
 def install_block(model, lam, edge, vertex, block):
     out = lam.copy()
     slot = 0 if model.edges[edge, 0] == vertex else 1
     out[edge, slot] = block
-    return out
-
-
-def install_star(model, lam, vertex, blocks):
-    out = lam.copy()
-    out[model.incident_edges[vertex], model.incident_slots[vertex]] = blocks
     return out
 
 

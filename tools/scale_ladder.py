@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be at least 1")
+    if min(args.n) < 2:
+        parser.error("--n must be at least 2")
     for n in args.n:
         print(json.dumps(rung(n, args.iters)), flush=True)
     return 0
