@@ -12,9 +12,11 @@ with the pins' numerics signature, and to a relative 1e-9 elsewhere
 stride-1 run's slack score at iteration ``ITERS // 2``.
 
 The matrix also pins the metrics, summary and ratio CSVs of ``run_bench``
-in ratio mode for emp, smp and bcd at trials 1, 2 and 10 (``BENCH``), the
-same way: sha256 or, elsewhere, exact integer columns and float columns
-to a relative 1e-9.
+in ratio mode for emp, smp and bcd at trials 1, 2 and 10 (``BENCH``), and
+of ``BENCH_VARIANTS``: accel-emp alone at trials 1 and 3, and a ratio run
+past the LP guard, whose gap columns are empty and which has no ratio rows.
+They are pinned the same way: sha256 or, elsewhere, exact integer columns
+and float columns to a relative 1e-9.
 
 Regenerate the fixture only for an intended change of behaviour, and
 record why:
@@ -46,6 +48,13 @@ SEED = 11
 ETAS = {"er-d3": 20.0, "er-d9": 6.0, "tree-d5": 10.0, "leaves-signed-zero": 30.0}
 BENCH = {"eta": 20.0, "iters": 40, "seed": 5, "stride": 8, "n": 8, "d": 3, "edge_prob": 0.4}
 BENCH_CASES = [(alg, trials) for alg in ("emp", "smp", "bcd") for trials in (1, 2, 10)]
+# BENCH with these overrides; n=200 at the default edge probability is past the LP guard.
+BENCH_VARIANTS = {
+    "accel-emp/trials=1/alone": {"algorithm": "accel-emp", "trials": 1},
+    "accel-emp/trials=3/alone": {"algorithm": "accel-emp", "trials": 3},
+    "smp/trials=2/past-lp-guard": {"algorithm": "smp", "ratio": True, "trials": 2, "n": 200,
+                                   "edge_prob": None},
+}
 
 
 def _leaves_model():
@@ -124,12 +133,12 @@ def capture() -> dict:
     return runs
 
 
-def bench_pin(alg, trials) -> tuple:
-    """The bytes of the three CSVs of a ratio-mode ``run_bench``, and their
-    integer and float columns."""
+def bench_pin(key) -> tuple:
+    """The bytes of the three CSVs of the ``run_bench`` pinned under ``key``,
+    and their integer and float columns."""
     from test_bench import csv_parts
 
-    result = run_bench(BenchConfig(algorithm=alg, ratio=True, trials=trials, **BENCH))
+    result = run_bench(BenchConfig(**_bench_configs()[key]))
     texts = {"metrics": metrics_csv(result), "summary": summary_csv(result),
              "ratio": ratio_csv(result)}
     ints, floats = {}, {}
@@ -144,6 +153,14 @@ def _bench_key(alg, trials) -> str:
     return f"{alg}/trials={trials}"
 
 
+def _bench_configs() -> dict:
+    """Per pinned ``run_bench``, its ``BenchConfig`` arguments."""
+    configs = {_bench_key(alg, trials): dict(BENCH, algorithm=alg, ratio=True, trials=trials)
+               for alg, trials in BENCH_CASES}
+    configs.update({key: dict(BENCH, **overrides) for key, overrides in BENCH_VARIANTS.items()})
+    return configs
+
+
 def capture_digest_values() -> dict:
     """The integer and float parts of the bytes behind the host-bound
     digests of ``test_schedulers``, ``test_bench`` and the ``run_bench``
@@ -152,9 +169,9 @@ def capture_digest_values() -> dict:
     import test_schedulers
 
     values = {}
-    for alg, trials in BENCH_CASES:
-        ints, floats = bench_pin(alg, trials)[1:]
-        values[f"bench-{_bench_key(alg, trials)}"] = {"ints": ints, "floats": floats}
+    for key in _bench_configs():
+        ints, floats = bench_pin(key)[1:]
+        values[f"bench-{key}"] = {"ints": ints, "floats": floats}
     for name in test_schedulers.TRACE_PINS:
         ints, floats = test_schedulers.trace_pin(name)[2:]
         values[f"trace-{name}"] = {"ints": ints, "floats": floats}
@@ -183,8 +200,7 @@ def write_fixture() -> None:
         "etas": ETAS,
         "bench": BENCH,
     }
-    bench = {_bench_key(*case): hashlib.sha256(bench_pin(*case)[0]).hexdigest()
-             for case in BENCH_CASES}
+    bench = {key: hashlib.sha256(bench_pin(key)[0]).hexdigest() for key in _bench_configs()}
     lines = [f" {json.dumps(key)}: {json.dumps(value)}" for key, value in capture().items()]
     values = [f" {json.dumps(key)}: {json.dumps(value)}" for key, value in digest_values.items()]
     pins.PIN_FILE.write_text(
@@ -204,7 +220,7 @@ def test_header_matches_matrix():
         ITERS, list(STRIDES), SEED, ETAS)
     assert sorted(pins.pins()["runs"]) == sorted(_key(*case) for case in _cases())
     assert header["bench"] == BENCH
-    assert sorted(pins.pins()["bench"]) == sorted(_bench_key(*case) for case in BENCH_CASES)
+    assert sorted(pins.pins()["bench"]) == sorted(_bench_configs())
 
 
 @pytest.mark.parametrize("name", list(ETAS))
@@ -225,9 +241,26 @@ def test_pin_matrix(built, name, alg):
 
 @pytest.mark.parametrize(("alg", "trials"), BENCH_CASES)
 def test_run_bench_csvs_pinned(alg, trials):
-    key = _bench_key(alg, trials)
-    data, ints, floats = bench_pin(alg, trials)
+    _assert_bench_pinned(_bench_key(alg, trials))
+
+
+@pytest.mark.parametrize("key", BENCH_VARIANTS)
+def test_run_bench_variant_csvs_pinned(key):
+    _assert_bench_pinned(key)
+
+
+def _assert_bench_pinned(key) -> None:
+    data, ints, floats = bench_pin(key)
     pins.assert_pinned(pins.pins()["bench"][key], data, f"bench-{key}", ints, floats)
+
+
+def test_bench_variants_are_what_they_are_named():
+    alone = run_bench(BenchConfig(**_bench_configs()["accel-emp/trials=3/alone"]))
+    assert {(r.algorithm, r.trial) for r in alone.rows} == {("accel-emp", t) for t in range(3)}
+    assert alone.opt_value is not None and alone.ratio_rows == []
+    past = run_bench(BenchConfig(**_bench_configs()["smp/trials=2/past-lp-guard"]))
+    assert past.opt_value is None and past.ratio_rows == [] and past.summary
+    assert {r.primal_gap for r in past.rows} == {s.gap_mean for s in past.summary} == {None}
 
 
 def test_stop_rule_fires_in_the_matrix():
