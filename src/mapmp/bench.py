@@ -192,9 +192,7 @@ def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
         algorithms.append(RATIO_PAIR[config.algorithm])
 
     result = BenchResult(config=config, model=model, opt_value=opt_value)
-    columns = []  # per algorithm, per record: the projected primal of each trial
     for alg in algorithms:
-        primals_per_trial = []
         for trial in range(config.trials):
             seed = np.random.SeedSequence([config.seed, ALGORITHMS.index(alg), trial])
             primals: list[float] = []
@@ -213,20 +211,21 @@ def run_bench(config: BenchConfig, model: Model | None = None) -> BenchResult:
             for k, primal, dual, score, ms in records:
                 gap = None if opt_value is None else primal - opt_value
                 result.rows.append(MetricRow(trial, k, alg, dual, primal, gap, score, ms))
-            primals_per_trial.append(primals)
 
-        # Every trial records the same iterations: same iters and stride, no stop rule.
-        iterations = trace.iterations.tolist()
-        columns.append(list(zip(*primals_per_trial)))
-        for k, column in zip(iterations, columns[-1]):
-            gaps = [] if opt_value is None else [p - opt_value for p in column]
-            result.summary.append(SummaryRow(alg, k, *_mean_std(column), *_mean_std(gaps)))
-
-    if config.ratio and opt_value is not None:
-        floor = _GAP_FLOOR * (1.0 + abs(opt_value))
-        for k, standard, accel in zip(iterations, *columns):
-            gaps = [(ps - opt_value, pa - opt_value) for ps, pa in zip(standard, accel)]
-            ratios = [math.log(gs / ga) for gs, ga in gaps if gs > floor and ga > floor]
+    # Per (algorithm, iteration), its rows in trial order.  Every trial records
+    # the same iterations: same iters and stride, no stop rule.
+    by_record: dict[tuple, list[MetricRow]] = {}
+    for row in result.rows:
+        by_record.setdefault((row.algorithm, row.iteration), []).append(row)
+    for (alg, k), rows in by_record.items():
+        primal_stats = _mean_std([r.projected_primal for r in rows])
+        gaps = [] if opt_value is None else [r.primal_gap for r in rows]
+        result.summary.append(SummaryRow(alg, k, *primal_stats, *_mean_std(gaps)))
+        if config.ratio and opt_value is not None and alg == config.algorithm:
+            # each trial's standard gap against its accelerated gap at the same iteration
+            floor = _GAP_FLOOR * (1.0 + abs(opt_value))
+            pairs = zip(gaps, (r.primal_gap for r in by_record[RATIO_PAIR[alg], k]))
+            ratios = [math.log(gs / ga) for gs, ga in pairs if gs > floor and ga > floor]
             result.ratio_rows.append(RatioRow(k, *_mean_std(ratios), len(ratios)))
     return result
 

@@ -119,13 +119,10 @@ def gap_estimate(model: Model) -> float:
 
 
 def _oriented_bfs(model: Model):
-    """Per connected component, its root and, in BFS order, one (vertex,
-    parent, edge costs indexed by (vertex label, parent label)) triple per
-    other vertex; raises if the graph has a cycle."""
-    neighbors: list[list] = [[] for _ in range(model.n)]
-    for (i, j), cost in zip(model.edges.tolist(), model.edge_costs):
-        neighbors[i].append((j, cost.T))
-        neighbors[j].append((i, cost))
+    """Per connected component, its root and, in BFS order over ascending
+    incident edges, one (vertex, parent, edge costs indexed by (vertex label,
+    parent label)) triple per other vertex; raises if the graph has a cycle."""
+    edges = model.edges.tolist()
     seen = [False] * model.n
     components = []
     for root in range(model.n):
@@ -134,11 +131,11 @@ def _oriented_bfs(model: Model):
         seen[root] = True
         order, steps = [root], []
         for u in order:
-            for w, pair in neighbors[u]:
-                if not seen[w]:
+            for e, slot in zip(model.incident_edges[u].tolist(), model.incident_slots[u].tolist()):
+                if not seen[w := edges[e][1 - slot]]:
                     seen[w] = True
                     order.append(w)
-                    steps.append((w, u, pair))
+                    steps.append((w, u, model.edge_costs[e] if slot else model.edge_costs[e].T))
         components.append((root, steps))
     if sum(len(steps) for _, steps in components) != model.m:
         raise ValidationError("graph has a cycle; the tree oracle requires a forest")

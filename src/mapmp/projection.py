@@ -56,7 +56,7 @@ def round_to_transport(matrix, row_targets, col_targets) -> np.ndarray:
         )
     if not np.isfinite(p).all():
         raise ValidationError("matrices must not have non-finite entries")
-    if p.min() < 0.0:  # -0.0 passes, unclamped, so its sign bit is kept
+    if p.min(initial=0.0) < 0.0:  # -0.0 passes, unclamped, so its sign bit is kept
         k = np.flatnonzero((p < 0.0).any(axis=(1, 2)))[0]
         raise ValidationError(f"matrix {k}: negative entry {p[k].min()}")
     mass = p.sum(axis=(1, 2))

@@ -196,7 +196,7 @@ class _Recorder:
     records, each keyed by ``SolveTrace``'s field names.  It only observes lam."""
 
     def __init__(self, model, eta, iters, seed, star, stride, stop_slack_score, observer):
-        self.total = integer("iteration count", iters, 0)
+        self.total = integer("iters", iters, 0)
         self.stride = integer("stride", stride, 1)
         self.model = model
         self.eta = real("eta", eta)

@@ -226,6 +226,12 @@ class TestOneCheckOrder:
         np.testing.assert_allclose(out.sum(axis=2), r, atol=1e-15)
         np.testing.assert_allclose(out.sum(axis=1), c, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_empty_stack_returns_an_empty_stack(self, d):
+        # the negative-entry check once reduced the empty stack with a bare p.min()
+        out = round_to_transport(np.zeros((0, d, d)), np.zeros((0, d)), np.zeros((0, d)))
+        assert out.shape == (0, d, d) and out.dtype == np.float64
+
     def test_empty_matrices_rejected(self):
         with pytest.raises(ValidationError, match="^expected nonempty square matrices"):
             round_to_transport(np.zeros((2, 0, 0)), np.zeros((2, 0)), np.zeros((2, 0)))

@@ -350,7 +350,7 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_fractional_iteration_count_rejected(self, model, alg):
-        with pytest.raises(ValidationError, match="^iteration count must be an integer, got 20.7$"):
+        with pytest.raises(ValidationError, match="^iters must be an integer, got 20.7$"):
             solve(alg, model, 1.0, 20.7, 0)
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])

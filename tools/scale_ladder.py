@@ -11,8 +11,10 @@ solves it from lam = 0 at eta=1000 for ``--iters`` iterations with stride
 solver's cost per iteration includes those two records.  On the smp solve's
 last iterate it then times one record pass (the pass, the slack score and
 the marginals) and one projection of those marginals priced by <C, .>.
-Every time but the tables' is the median of three calls.  It prints one JSON
-line per n.
+Every time but the tables' is the median of three calls.  The peak traced
+memory (``tracemalloc``, MB) of building the tables, of one record pass and
+of one projection each comes from one more, untimed call, the tables' on a
+second copy of the instance.  It prints one JSON line per n.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
@@ -44,6 +47,16 @@ def _timed(call, runs: int = RUNS):
     return statistics.median(seconds), value
 
 
+def _peak_mb(call) -> float:
+    """Peak memory traced by ``tracemalloc`` during one call of ``call()``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def _record(model, lam):
     value = record_pass(model, lam, ETA)
     slack_score(value.slack())
@@ -51,17 +64,26 @@ def _record(model, lam):
 
 
 def rung(n: int, iters: int) -> dict:
-    generate_s, model = _timed(lambda: erdos_renyi_potts(n, default_edge_prob(n), D, SEED))
+    def generate():
+        return erdos_renyi_potts(n, default_edge_prob(n), D, SEED)
+
+    generate_s, model = _timed(generate)
     tables = [name for name, attr in vars(Model).items() if isinstance(attr, cached_property)]
     tables_s, _ = _timed(lambda: [getattr(model, name) for name in tables], runs=1)  # built once
+    fresh = generate()
+    tables_peak_mb = _peak_mb(lambda: [getattr(fresh, name) for name in tables])
+    del fresh
     smp_s, trace = _timed(lambda: standard_mp(model, "smp", ETA, iters, SEED, stride=iters))
     accel_s, _ = _timed(lambda: accel_smp(model, ETA, iters, SEED, stride=iters))
     record_s, mu = _timed(lambda: _record(model, trace.final_lambda))
     proj_s, _ = _timed(lambda: primal_objective(model, proj(model, mu)))
+    record_peak_mb = _peak_mb(lambda: _record(model, trace.final_lambda))
+    proj_peak_mb = _peak_mb(lambda: primal_objective(model, proj(model, mu)))
     return {"n": n, "m": model.m, "d": D, "eta": ETA, "iters": iters,
             "generate_s": generate_s, "tables_s": tables_s,
             "smp_us_per_iter": smp_s * 1e6 / iters, "accel_smp_us_per_iter": accel_s * 1e6 / iters,
-            "record_ms": record_s * 1e3, "proj_ms": proj_s * 1e3}
+            "record_ms": record_s * 1e3, "proj_ms": proj_s * 1e3, "tables_peak_mb": tables_peak_mb,
+            "record_peak_mb": record_peak_mb, "proj_peak_mb": proj_peak_mb}
 
 
 def main(argv=None) -> int:
