@@ -254,15 +254,6 @@ def _assert_bench_pinned(key) -> None:
     pins.assert_pinned(pins.pins()["bench"][key], data, f"bench-{key}", ints, floats)
 
 
-def test_bench_variants_are_what_they_are_named():
-    alone = run_bench(BenchConfig(**_bench_configs()["accel-emp/trials=3/alone"]))
-    assert {(r.algorithm, r.trial) for r in alone.rows} == {("accel-emp", t) for t in range(3)}
-    assert alone.opt_value is not None and alone.ratio_rows == []
-    past = run_bench(BenchConfig(**_bench_configs()["smp/trials=2/past-lp-guard"]))
-    assert past.opt_value is None and past.ratio_rows == [] and past.summary
-    assert {r.primal_gap for r in past.rows} == {s.gap_mean for s in past.summary} == {None}
-
-
 def test_stop_rule_fires_in_the_matrix():
     # the stop-on runs exercise the rule: most stop before the end
     runs = pins.pins()["runs"].values()
